@@ -112,7 +112,7 @@ main(int argc, char **argv)
             service::CompileRequest req;
             req.name = bm.name;
             req.input = bm.circuit;
-            req.pipeline = service::Pipeline::Eff;
+            req.pipelineSpec = "eff";
             req.calibrate = false;
             batch.push_back(std::move(req));
         }
@@ -121,7 +121,7 @@ main(int argc, char **argv)
         for (service::JobResult &r : svc.waitAll()) {
             if (!r.ok) {
                 std::fprintf(stderr, "bench_backend: %s: %s\n",
-                             r.name.c_str(), r.error.c_str());
+                             r.name.c_str(), r.errorInfo.message.c_str());
                 return 1;
             }
             CircuitRow row;

@@ -34,8 +34,6 @@
 #include "common.hh"
 #include "compiler/metrics.hh"
 #include "obs/obs.hh"
-#include "qmath/kernels.hh"
-#include "qmath/random.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
 
@@ -56,7 +54,6 @@ workload(int copies)
             service::CompileRequest req;
             req.name = bm.name;
             req.input = bm.circuit;
-            req.pipeline = service::Pipeline::Full;
             batch.push_back(std::move(req));
         }
     }
@@ -77,7 +74,7 @@ runBatch(service::CompileService &svc,
     for (const auto &r : results) {
         if (!r.ok)
             std::fprintf(stderr, "bench_service: %s failed: %s\n",
-                         r.name.c_str(), r.error.c_str());
+                         r.name.c_str(), r.errorInfo.message.c_str());
     }
     if (results_out)
         *results_out = std::move(results);
@@ -102,8 +99,7 @@ main(int argc, char **argv)
         // seconds.
         service::ServiceOptions off;
         off.threads = 1;
-        off.enableSynthCache = false;
-        off.enablePulseCache = false;
+        off.enableCaches = false;
         service::CompileService cold(off);
         const double cold_secs = runBatch(cold, workload(copies));
 
@@ -147,8 +143,7 @@ main(int argc, char **argv)
         for (int bw : {1, 4}) {
             service::ServiceOptions po;
             po.threads = 1;
-            po.enableSynthCache = false;
-            po.enablePulseCache = false;
+            po.enableCaches = false;
             po.blockWorkers = bw;
             service::CompileService svc(po);
             std::vector<service::JobResult> rs;
@@ -207,89 +202,6 @@ main(int argc, char **argv)
                                         off_runs.end());
         }
 
-        // ---- Kernel micro-loops -----------------------------------
-        // The specialization win of the fixed-size qmath kernels
-        // over the generic runtime-sized loop — the acceptance
-        // metric of the SIMD kernel layer. Ratios of min-of-3 timed
-        // loops on the same operands, so the numbers are stable
-        // across runner speeds: kernelSpeedup is the 8x8 complex
-        // matmul (the synthesis block size), kernelKronSpeedup the
-        // 4x4 (x) 2x2 kron. The guard floor on kernelSpeedup is the
-        // >= 1.5x acceptance bound.
-        double kernel_speedup = 0.0, kernel_kron_speedup = 0.0;
-        {
-            qmath::Rng rng(opt.seed);
-            const qmath::Matrix a8 = qmath::randomUnitary(8, rng);
-            const qmath::Matrix b8 = qmath::randomUnitary(8, rng);
-            const qmath::Matrix a4 = qmath::randomUnitary(4, rng);
-            const qmath::Matrix b2 = qmath::randomUnitary(2, rng);
-            double sink = 0.0;
-            auto timed = [&](auto &&body) {
-                double best = 1e300;
-                for (int rep = 0; rep < 3; ++rep) {
-                    const auto t0 = std::chrono::steady_clock::now();
-                    body();
-                    best = std::min(
-                        best, std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  t0)
-                                  .count());
-                }
-                return best;
-            };
-            const int iters = opt.full ? 200000 : 50000;
-            qmath::Matrix dst;
-            const double mul_fast = timed([&] {
-                for (int i = 0; i < iters; ++i) {
-                    qmath::kernels::mulInto(dst, a8, b8);
-                    sink += dst(0, 0).real();
-                }
-            });
-            const double mul_generic = timed([&] {
-                for (int i = 0; i < iters; ++i) {
-                    qmath::kernels::mulGenericInto(dst, a8, b8);
-                    sink += dst(0, 0).real();
-                }
-            });
-            // The pre-kernel kron: fresh zeroed result + per-element
-            // zero test, what Matrix::kron compiled to before the
-            // kernel layer.
-            auto kronReference = [](qmath::Matrix &r,
-                                    const qmath::Matrix &a,
-                                    const qmath::Matrix &b) {
-                r = qmath::Matrix(a.rows() * b.rows(),
-                                  a.cols() * b.cols());
-                for (int i = 0; i < a.rows(); ++i)
-                    for (int j = 0; j < a.cols(); ++j) {
-                        const qmath::Complex aij = a(i, j);
-                        if (aij == qmath::Complex(0.0, 0.0))
-                            continue;
-                        for (int k = 0; k < b.rows(); ++k)
-                            for (int l = 0; l < b.cols(); ++l)
-                                r(i * b.rows() + k,
-                                  j * b.cols() + l) = aij * b(k, l);
-                    }
-            };
-            const double kron_fast = timed([&] {
-                for (int i = 0; i < iters; ++i) {
-                    qmath::kernels::kronInto(dst, a4, b2);
-                    sink += dst(0, 0).real();
-                }
-            });
-            const double kron_generic = timed([&] {
-                for (int i = 0; i < iters; ++i) {
-                    kronReference(dst, a4, b2);
-                    sink += dst(0, 0).real();
-                }
-            });
-            if (sink == -1.0)  // defeat dead-code elimination
-                std::fputs("", stderr);
-            kernel_speedup =
-                mul_fast > 0.0 ? mul_generic / mul_fast : 0.0;
-            kernel_kron_speedup =
-                kron_fast > 0.0 ? kron_generic / kron_fast : 0.0;
-        }
-
         // Emitted through the shared JsonValue builders (the v1
         // wire-schema emitter, service/api.hh) like every other
         // --json surface; key names are pinned by the baselines
@@ -324,13 +236,6 @@ main(int argc, char **argv)
         doc.set("obsEfficiency",
                 JsonValue::makeNumber(
                     obs_on > 0.0 ? obs_off / obs_on : 0.0));
-        doc.set("kernelSpeedup",
-                JsonValue::makeNumber(kernel_speedup));
-        doc.set("kernelKronSpeedup",
-                JsonValue::makeNumber(kernel_kron_speedup));
-        doc.set("kernelBackend",
-                JsonValue::makeString(
-                    qmath::kernels::backendName()));
         doc.set("passSecondsTotal", JsonValue::makeNumber(total));
         JsonValue passes = JsonValue::makeObject();
         for (const compiler::PassAggregate &a : agg) {
@@ -356,8 +261,7 @@ main(int argc, char **argv)
         const bool cached = pass == 1;
         service::ServiceOptions sopts;
         sopts.threads = 1;
-        sopts.enableSynthCache = cached;
-        sopts.enablePulseCache = cached;
+        sopts.enableCaches = cached;
         service::CompileService svc(sopts);
         if (cached)
             runBatch(svc, workload(1));  // warm the caches

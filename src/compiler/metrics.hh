@@ -129,6 +129,13 @@ struct Metrics
     int depth2Q = 0;
     double duration = 0.0;   //!< critical-path pulse time (1/g units)
     int distinctSU4 = 0;     //!< calibration-overhead proxy
+    /**
+     * Calibration classes the pulse solver could not reach (set by
+     * the calibrate pass). Like the cache hit/miss split, this can
+     * follow the service's job schedule when two distinct classes
+     * fall within the pulse cache's cluster tolerance.
+     */
+    int unsolvedClasses = 0;
     CacheCounters synthCache;  //!< block-resynthesis memo activity
     CacheCounters pulseCache;  //!< pulse-solve memo activity
     ScheduleStats schedule;    //!< filled when the job was scheduled

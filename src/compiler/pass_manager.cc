@@ -14,6 +14,7 @@
 #include "route/sabre.hh"
 #include "synth/instantiate.hh"
 #include "synth/synthesis.hh"
+#include "uarch/calibration.hh"
 
 namespace reqisc::compiler
 {
@@ -441,6 +442,28 @@ class SchedulePass final : public Pass
     bool override_;
 };
 
+/**
+ * Plan the per-circuit calibration (Section 6.5): pulse-solve each
+ * distinct SU(4) class of the logical circuit on the unit's coupling,
+ * through the options' pulse memo when one is installed. No-op on a
+ * heterogeneous backend, whose reconfigured per-edge table already is
+ * the calibration set (one native instruction per edge).
+ */
+class CalibratePass final : public Pass
+{
+  public:
+    std::string name() const override { return "calibrate"; }
+    void run(CompilationUnit &u) override
+    {
+        if (u.backend && !u.backend->isHomogeneous())
+            return;
+        u.metrics.unsolvedClasses =
+            uarch::planCalibration(u.circuit, u.coupling, 1e-6,
+                                   u.options.pulseMemo)
+                .unsolved;
+    }
+};
+
 } // namespace
 
 // ---- Registry and spec parsing -----------------------------------------
@@ -486,6 +509,10 @@ passRegistry()
         {"estimate",
          "evaluate #2Q / depth / duration / distinct-SU(4) of the "
          "active artifact",
+         {}},
+        {"calibrate",
+         "pulse-solve each distinct SU(4) class of the logical "
+         "circuit; no-op on a heterogeneous backend",
          {}},
     };
     return registry;
@@ -564,6 +591,8 @@ makePass(const std::string &token, std::string &error)
     }
     if (name == "estimate")
         return std::make_unique<EstimateFidelityPass>();
+    if (name == "calibrate")
+        return std::make_unique<CalibratePass>();
     error = "unknown pass '" + name + "'";  // unreachable
     return nullptr;
 }

@@ -198,9 +198,9 @@ compilePassList(PipelineSpec::Kind kind, const CompileOptions &opts);
 /**
  * Build a manager from a spec: named specs expand through
  * compilePassList (compile stage only — the service appends its
- * route/estimate/reconfigure/schedule stages); custom specs are
- * taken literally. Returns false and fills `error` on an invalid
- * token.
+ * route/estimate/reconfigure/schedule/calibrate stages); custom
+ * specs are taken literally. Returns false and fills `error` on an
+ * invalid token.
  */
 bool buildPipeline(const PipelineSpec &spec,
                    const CompileOptions &opts, PassManager &pm,

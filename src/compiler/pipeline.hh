@@ -16,6 +16,7 @@
 #include "circuit/circuit.hh"
 #include "synth/pool.hh"
 #include "synth/synthesis.hh"
+#include "uarch/calibration.hh"
 
 namespace reqisc::compiler
 {
@@ -50,6 +51,12 @@ struct CompileOptions
      * solves blocks serially.
      */
     synth::BlockPool *synthPool = nullptr;
+    /**
+     * Optional shared memo for the calibrate pass's pulse solves (the
+     * service layer installs its PulseCache here). Bound to the
+     * unit's coupling; nullptr solves every class afresh.
+     */
+    uarch::PulseMemo *pulseMemo = nullptr;
     /**
      * Variational-program mode (Section 5.3.1): re-express every
      * SU(4) over one fixed 2Q basis gate plus parameterized 1Q

@@ -28,14 +28,11 @@
 #include <string>
 #include <thread>
 
-#include "backend/backend.hh"
-#include "backend/json.hh"
 #include "daemon/daemon.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
-#include "service/api.hh"
-#include "service/error.hh"
+#include "service/cli.hh"
 
 #ifndef REQISC_VERSION
 #define REQISC_VERSION "unknown"
@@ -66,13 +63,6 @@ printUsage(std::ostream &os)
           "(default: 8788)\n"
           "  --port-file FILE      write the bound port to FILE "
           "once listening\n"
-          "  --jobs N              compile worker threads; 0 = all "
-          "cores (default: 1)\n"
-          "  --block-workers N     intra-job resynthesis workers "
-          "(default: 1)\n"
-          "  --cache-dir DIR       persist the SU(4) caches in DIR\n"
-          "  --backend FILE        compile every job to the chip "
-          "described by FILE\n"
           "  --max-queue N         admission bound: reject "
           "submissions with 429\n"
           "                        once N jobs are queued or "
@@ -92,20 +82,18 @@ printUsage(std::ostream &os)
           "                        (default: 4194304)\n"
           "  --http-threads N      HTTP handler threads (default: "
           "2)\n"
-          "  --flight-dump FILE    write the flight recorder's "
-          "last-events dump\n"
-          "                        on job failure, fatal signal and "
-          "shutdown\n"
           "  --version             print the version and exit\n"
-          "  --help                this text\n";
+          "  --help                this text\n"
+          "\n"
+          "service options:\n"
+       << service::kServiceFlagsUsage;
 }
 
 struct DaemonCli
 {
     daemon::DaemonOptions opts;
+    service::ServiceFlags service;
     std::string portFile;
-    std::string backendPath;
-    std::string flightDump;
 };
 
 bool
@@ -122,6 +110,12 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
     cli.opts.http.port = 8788;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const service::FlagParse flag = service::parseServiceFlag(
+            "reqisc-compiled", argc, argv, i, cli.service);
+        if (flag == service::FlagParse::Error)
+            return false;
+        if (flag == service::FlagParse::Consumed)
+            continue;
         if (arg == "--help" || arg == "-h") {
             printUsage(std::cout);
             std::exit(0);
@@ -144,26 +138,6 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
             if (!v)
                 return false;
             cli.portFile = v;
-        } else if (arg == "--jobs") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.opts.service.threads = std::atoi(v);
-        } else if (arg == "--block-workers") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.opts.service.blockWorkers = std::atoi(v);
-        } else if (arg == "--cache-dir") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.opts.service.cacheDir = v;
-        } else if (arg == "--backend") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.backendPath = v;
         } else if (arg == "--max-queue") {
             const char *v = value(i);
             if (!v)
@@ -197,11 +171,6 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
             if (!v)
                 return false;
             cli.opts.http.handlerThreads = std::atoi(v);
-        } else if (arg == "--flight-dump") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.flightDump = v;
         } else {
             std::cerr << "reqisc-compiled: unknown option '" << arg
                       << "'\n";
@@ -226,28 +195,9 @@ main(int argc, char **argv)
     // registry (but not the tracer — span collection grows without
     // bound and a daemon runs indefinitely).
     obs::Registry::global().setEnabled(true);
-    if (!cli.flightDump.empty()) {
-        obs::flight::setDumpPath(cli.flightDump);
-        obs::flight::installSignalHandlers();
-    }
-
-    if (!cli.backendPath.empty()) {
-        try {
-            cli.opts.service.backend =
-                std::make_shared<const backend::Backend>(
-                    backend::Backend::fromJsonFile(
-                        cli.backendPath));
-        } catch (const backend::JsonError &e) {
-            // The one startup failure with a structured shape:
-            // report it the way the wire would.
-            const service::ApiError err = service::makeError(
-                service::errc::kBadChipFile, e.what(),
-                cli.backendPath);
-            std::cerr << "reqisc-compiled: [" << err.code << "] "
-                      << err.message << "\n";
-            return 2;
-        }
-    }
+    if (!service::applyServiceFlags("reqisc-compiled", cli.service))
+        return 2;
+    cli.opts.service = cli.service.options;
 
     daemon::CompileDaemon d(cli.opts);
     std::string error;
@@ -283,7 +233,7 @@ main(int argc, char **argv)
     d.waitDrained();
     d.stop();
     d.service().saveCaches();
-    if (!cli.flightDump.empty())
+    if (!cli.service.flightDump.empty())
         obs::flight::dumpNow("shutdown");
     std::fprintf(stderr, "reqisc-compiled: drained, bye\n");
     return 0;

@@ -154,6 +154,8 @@ metricsToJson(const compiler::Metrics &m)
                   static_cast<double>(m.schedule.instructions)));
         o.set("schedule", std::move(s));
     }
+    o.set("unsolvedClasses",
+          JsonValue::makeNumber(static_cast<double>(m.unsolvedClasses)));
     return o;
 }
 
@@ -168,8 +170,7 @@ compileRequestToJson(const CompileRequest &req)
     o.set("qasm", JsonValue::makeString(
                       req.qasm.empty() ? circuit::toQasm(req.input)
                                        : req.qasm));
-    o.set("pipeline",
-          JsonValue::makeString(req.resolvedPipelineSpec()));
+    o.set("pipeline", JsonValue::makeString(req.pipelineSpec));
     o.set("seed", JsonValue::makeNumber(
                       static_cast<double>(req.options.seed)));
     if (req.options.variationalMode)
@@ -224,8 +225,6 @@ compileRequestFromJson(const JsonValue &v)
             throw ApiException(makeError(errc::kBadPipelineSpec,
                                          error, pipeline->str));
         req.pipelineSpec = pipeline->str;
-    } else {
-        req.pipelineSpec = "full";
     }
     if (const JsonValue *seed =
             field(v, "seed", JsonValue::Kind::Number)) {
@@ -269,13 +268,7 @@ jobResultToJson(const JobResult &r, const ResultEmitOptions &opts)
     o.set("name", JsonValue::makeString(r.name));
     o.set("ok", JsonValue::makeBool(r.ok));
     if (!r.ok) {
-        // A pre-structured-errors result (or one built by hand in a
-        // test) may only carry the legacy string; never emit an
-        // empty code for it.
-        ApiError err = r.errorInfo;
-        if (!err.isError())
-            err = makeError(errc::kInternal, r.error);
-        o.set("error", errorToJson(err));
+        o.set("error", errorToJson(r.errorInfo));
         o.set("seconds", JsonValue::makeNumber(r.seconds));
         return o;
     }
@@ -284,9 +277,6 @@ jobResultToJson(const JobResult &r, const ResultEmitOptions &opts)
     JsonValue metrics = metricsToJson(r.metrics);
     for (auto &[key, value] : metrics.object)
         o.set(key, std::move(value));
-    o.set("unsolvedClasses",
-          JsonValue::makeNumber(
-              static_cast<double>(r.unsolvedClasses)));
     o.set("seconds", JsonValue::makeNumber(r.seconds));
     if (r.metrics.schedule.scheduled) {
         // Report the strategy that actually ran: a custom schedule:X

@@ -53,8 +53,8 @@ cacheCountersToJson(const compiler::CacheCounters &c);
 
 /**
  * Full circuit metrics: counts, duration, cache counters, per-pass
- * trace, plus `backend` / `schedule` sub-objects when those stages
- * ran.
+ * trace, `backend` / `schedule` sub-objects when those stages ran,
+ * and unsolvedClasses.
  */
 backend::JsonValue metricsToJson(const compiler::Metrics &m);
 
@@ -105,7 +105,8 @@ struct ResultEmitOptions
  * id, name, ok: false, seconds, error: {...}} on failure. The
  * metric keys match what `reqisc-compile --json` always printed
  * (count2Q, depth2Q, duration, distinctSU4, synthCache, pulseCache,
- * passes, backend, schedule), because this *is* that emitter now.
+ * passes, backend, schedule, unsolvedClasses), because this *is*
+ * that emitter now.
  */
 backend::JsonValue
 jobResultToJson(const JobResult &r,

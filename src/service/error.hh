@@ -1,7 +1,8 @@
 /**
  * @file
  * The one structured error shape shared by every failure surface:
- * daemon wire responses, JobResult::error, and the CLI exit paths.
+ * daemon wire responses, JobResult::errorInfo, and the CLI exit
+ * paths.
  *
  * An ApiError carries a stable kebab-case `code` (the wire
  * identifier clients branch on), the HTTP status the daemon maps it
@@ -40,6 +41,8 @@ inline constexpr const char *kCanceled = "canceled";
 inline constexpr const char *kBodyTooLarge = "body-too-large";
 inline constexpr const char *kQueueFull = "queue-full";
 inline constexpr const char *kQuotaExceeded = "quota-exceeded";
+/** No longer raised (calibration cannot fail on its own); kept
+ *  because v1 never drops a code. */
 inline constexpr const char *kCalibrateFailed = "calibrate-failed";
 inline constexpr const char *kShuttingDown = "shutting-down";
 inline constexpr const char *kInternal = "internal";
@@ -66,9 +69,7 @@ ApiError makeError(const std::string &code, std::string message,
 
 /**
  * An ApiError as a C++ exception, for the classified throw sites in
- * the service and daemon. what() is the message alone, so catch
- * sites that only keep the string (JobResult::error's legacy field)
- * read exactly what they did before codes existed.
+ * the service and daemon. what() is the message alone.
  */
 class ApiException : public std::runtime_error
 {

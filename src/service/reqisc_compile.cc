@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "obs/obs.hh"
 #include "obs/trace_json.hh"
 #include "service/api.hh"
+#include "service/cli.hh"
 #include "service/error.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
@@ -54,16 +54,11 @@ struct CliOptions
 {
     std::vector<std::string> files;
     std::string suite;           //!< "", "small" or "medium"
-    std::string backendPath;     //!< chip JSON file; "" = no backend
-    service::Pipeline pipeline = service::Pipeline::Full;
-    std::string pipelineSpec;    //!< set for --pipeline custom:...
-    int jobs = 1;
-    int blockWorkers = 1;        //!< intra-job resynthesis workers
-    std::string cacheDir;        //!< persistent caches; "" = off
+    service::ServiceFlags service;
+    std::string pipelineSpec = "full";
     int repeat = 1;
     unsigned seed = 777;
     bool variational = false;
-    bool noCache = false;
     bool calibrate = true;
     bool stats = false;
     bool json = false;
@@ -75,7 +70,6 @@ struct CliOptions
     std::string metricsOut;      //!< Prometheus exposition; "" = off
     std::string logOut;          //!< JSON-lines log file; "" = off
     std::string logLevel = "info";  //!< min severity for --log-out
-    std::string flightDump;      //!< flight-recorder dump; "" = off
 };
 
 void
@@ -94,31 +88,13 @@ printUsage(std::ostream &os)
           "the pass\n"
           "                        lists of the named pipelines, "
           "then exit\n"
-          "  --jobs N              worker threads; 0 = all cores "
-          "(default: 1)\n"
-          "  --block-workers N     intra-job 3Q block-resynthesis "
-          "workers;\n"
-          "                        0 = leftover cores (default: 1, "
-          "serial);\n"
-          "                        results are bit-identical at any "
-          "N\n"
-          "  --cache-dir DIR       persist the SU(4) caches in DIR: "
-          "load\n"
-          "                        them at start-up, save them on "
-          "exit\n"
           "  --repeat K            submit each input K times "
           "(default: 1)\n"
           "  --suite small|medium  also compile the built-in suite\n"
-          "  --backend FILE        compile to the chip described by "
-          "FILE (JSON);\n"
-          "                        routes onto its topology and "
-          "reports per-edge\n"
-          "                        reconfigured vs uniform gate-set "
-          "fidelity\n"
           "  --seed N              instantiation seed (default: 777)\n"
           "  --variational         variational (fixed-basis) mode\n"
           "  --no-cache            disable the shared SU(4) caches\n"
-          "  --no-calibrate        skip calibration planning\n"
+          "  --no-calibrate        skip the calibrate pass\n"
           "  --schedule STRATEGY   lower into a timed RQISA program "
           "(serial|asap|alap)\n"
           "  --emit-isa            print each program's RQISA "
@@ -144,17 +120,13 @@ printUsage(std::ostream &os)
           "  --log-level LVL       minimum severity for --log-out: "
           "debug,\n"
           "                        info (default), warn or error\n"
-          "  --flight-dump FILE    write the always-on flight "
-          "recorder's\n"
-          "                        last-events dump at exit; the "
-          "same file\n"
-          "                        is written on job failure and on "
-          "fatal\n"
-          "                        signals (SIGSEGV etc.)\n"
           "  --stats               print cache statistics\n"
           "  --json                machine-readable output\n"
           "  --version             print the version and exit\n"
-          "  --help                this text\n";
+          "  --help                this text\n"
+          "\n"
+          "service options:\n"
+       << service::kServiceFlagsUsage;
 }
 
 void
@@ -186,9 +158,11 @@ printPassList(std::ostream &os)
         os << "\n";
     }
     os << "\nthe service appends route (with --backend), estimate,\n"
-          "reconfigure (with --backend) and schedule (with "
-          "--schedule)\nto the named pipelines; custom lists run "
-          "literally (plus a\ntrailing estimate when absent).\n";
+          "reconfigure (with --backend), schedule (with --schedule)\n"
+          "and calibrate (unless --no-calibrate) to the named "
+          "pipelines;\ncustom lists run literally, followed by "
+          "whichever of estimate,\nschedule and calibrate is "
+          "requested and absent.\n";
 }
 
 bool
@@ -204,6 +178,12 @@ parseArgs(int argc, char **argv, CliOptions &cli)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const service::FlagParse flag = service::parseServiceFlag(
+            "reqisc-compile", argc, argv, i, cli.service);
+        if (flag == service::FlagParse::Error)
+            return false;
+        if (flag == service::FlagParse::Consumed)
+            continue;
         if (arg == "--help" || arg == "-h") {
             printUsage(std::cout);
             std::exit(0);
@@ -222,33 +202,10 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                           << error << "\n";
                 return false;
             }
-            if (spec.kind == compiler::PipelineSpec::Kind::Custom) {
-                cli.pipelineSpec = v;
-            } else {
-                cli.pipelineSpec.clear();
-                cli.pipeline =
-                    spec.kind == compiler::PipelineSpec::Kind::Eff
-                        ? service::Pipeline::Eff
-                        : service::Pipeline::Full;
-            }
+            cli.pipelineSpec = v;
         } else if (arg == "--list-passes") {
             printPassList(std::cout);
             std::exit(0);
-        } else if (arg == "--jobs") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.jobs = std::atoi(v);
-        } else if (arg == "--block-workers") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.blockWorkers = std::atoi(v);
-        } else if (arg == "--cache-dir") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.cacheDir = v;
         } else if (arg == "--repeat") {
             const char *v = value(i);
             if (!v)
@@ -264,11 +221,6 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                           << cli.suite << "'\n";
                 return false;
             }
-        } else if (arg == "--backend") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.backendPath = v;
         } else if (arg == "--seed") {
             const char *v = value(i);
             if (!v)
@@ -277,7 +229,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
         } else if (arg == "--variational") {
             cli.variational = true;
         } else if (arg == "--no-cache") {
-            cli.noCache = true;
+            cli.service.options.enableCaches = false;
         } else if (arg == "--no-calibrate") {
             cli.calibrate = false;
         } else if (arg == "--schedule") {
@@ -322,11 +274,6 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                 return false;
             }
             cli.logLevel = v;
-        } else if (arg == "--flight-dump") {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            cli.flightDump = v;
         } else if (arg == "--stats") {
             cli.stats = true;
         } else if (arg == "--json") {
@@ -461,7 +408,6 @@ main(int argc, char **argv)
         }
     }
     for (service::CompileRequest &req : batch) {
-        req.pipeline = cli.pipeline;
         req.pipelineSpec = cli.pipelineSpec;
         req.options.seed = cli.seed;
         req.options.variationalMode = cli.variational;
@@ -484,38 +430,11 @@ main(int argc, char **argv)
         obs::Logger::global().setMinLevel(level);
         obs::Logger::global().setEnabled(true);
     }
-    // The flight recorder itself is always on; the flag arms the
-    // dump triggers (job failure, fatal signal, exit).
-    if (!cli.flightDump.empty()) {
-        obs::flight::setDumpPath(cli.flightDump);
-        obs::flight::installSignalHandlers();
-    }
-
-    service::ServiceOptions sopts;
-    sopts.threads = cli.jobs;
-    sopts.blockWorkers = cli.blockWorkers;
-    sopts.cacheDir = cli.cacheDir;
-    sopts.enableSynthCache = !cli.noCache;
-    sopts.enablePulseCache = !cli.noCache;
-    if (!cli.backendPath.empty()) {
-        try {
-            sopts.backend =
-                std::make_shared<const backend::Backend>(
-                    backend::Backend::fromJsonFile(
-                        cli.backendPath));
-        } catch (const backend::JsonError &e) {
-            // Same classification the daemon reports on the wire.
-            const service::ApiError err = service::makeError(
-                service::errc::kBadChipFile, e.what(),
-                cli.backendPath);
-            std::cerr << "reqisc-compile: [" << err.code << "] "
-                      << err.message << "\n";
-            return 2;
-        }
-    }
+    if (!service::applyServiceFlags("reqisc-compile", cli.service))
+        return 2;
 
     const auto t0 = std::chrono::steady_clock::now();
-    service::CompileService svc(sopts);
+    service::CompileService svc(cli.service.options);
     svc.submitBatch(std::move(batch));
     std::vector<service::JobResult> results = svc.waitAll();
     const double wall = std::chrono::duration<double>(
@@ -631,7 +550,7 @@ main(int argc, char **argv)
         for (const service::JobResult &r : results) {
             if (!r.ok) {
                 std::printf("%-28s ERROR: %s\n", r.name.c_str(),
-                            r.error.c_str());
+                            r.errorInfo.message.c_str());
                 continue;
             }
             std::printf(
@@ -732,11 +651,11 @@ main(int argc, char **argv)
     // Written last so a failed run leaves the job-failure dump's
     // context in place alongside the exit snapshot (same rings; the
     // exit dump still contains the failure's final events).
-    if (!cli.flightDump.empty() &&
+    if (!cli.service.flightDump.empty() &&
         !obs::flight::dumpNow(failures ? "exit-after-failure"
                                        : "exit")) {
         std::cerr << "reqisc-compile: --flight-dump: cannot write "
-                  << cli.flightDump << "\n";
+                  << cli.service.flightDump << "\n";
         return 1;
     }
 

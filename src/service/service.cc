@@ -135,6 +135,46 @@ class CountingPulseMemo final : public uarch::PulseMemo
     CacheCounters counters_;
 };
 
+/**
+ * The job's complete pass list. Named specs expand to their compile
+ * stage plus route and reconfigure on a backend and estimate; custom
+ * specs are taken literally. Either way, whichever of estimate
+ * (always), schedule and calibrate is requested and missing is
+ * appended. Throws ApiException on a malformed spec.
+ */
+std::vector<std::string>
+jobPassList(const CompileRequest &req,
+            const compiler::CompileOptions &opts, bool backend)
+{
+    compiler::PipelineSpec spec;
+    std::string error;
+    if (!compiler::parsePipelineSpec(req.pipelineSpec, spec, error))
+        throw ApiException(makeError(errc::kBadPipelineSpec, error,
+                                     req.pipelineSpec));
+    std::vector<std::string> list = spec.passes;
+    if (spec.kind != compiler::PipelineSpec::Kind::Custom) {
+        list = compiler::compilePassList(spec.kind, opts);
+        if (backend)
+            list.push_back("route");
+        list.push_back("estimate");
+        if (backend)
+            list.push_back("reconfigure");
+    }
+    auto missing = [&list](const std::string &pass) {
+        return std::none_of(
+            list.begin(), list.end(), [&pass](const std::string &t) {
+                return t == pass || t.rfind(pass + ":", 0) == 0;
+            });
+    };
+    if (missing("estimate"))
+        list.push_back("estimate");
+    if (req.schedule && missing("schedule"))
+        list.push_back("schedule");
+    if (req.calibrate && missing("calibrate"))
+        list.push_back("calibrate");
+    return list;
+}
+
 /** Cache file names inside ServiceOptions::cacheDir. */
 constexpr const char *kSynthCacheFile = "synth.cache";
 constexpr const char *kPulseCacheFile = "pulse.cache";
@@ -155,6 +195,7 @@ CompileService::CompileService(ServiceOptions opts)
         const unsigned hw = std::thread::hardware_concurrency();
         threads_ = hw ? static_cast<int>(hw) : 1;
     }
+    bool pulse_cache = opts_.enableCaches;
     if (opts_.backend) {
         // The gate-set selection loop runs once per service; jobs
         // only read the tables.
@@ -169,16 +210,13 @@ CompileService::CompileService(ServiceOptions opts)
         } else {
             // The pulse cache is bound to a single coupling, which
             // heterogeneous chips do not have.
-            opts_.enablePulseCache = false;
+            pulse_cache = false;
         }
     }
-    if (opts_.enableSynthCache)
-        synthCache_ = std::make_unique<SynthCache>(
-            opts_.synthCacheCapacity);
-    if (opts_.enablePulseCache)
-        pulseCache_ = std::make_unique<PulseCache>(
-            opts_.coupling, opts_.pulseClusterTol,
-            opts_.pulseCacheCapacity);
+    if (opts_.enableCaches)
+        synthCache_ = std::make_unique<SynthCache>();
+    if (pulse_cache)
+        pulseCache_ = std::make_unique<PulseCache>(opts_.coupling);
     if (!opts_.cacheDir.empty()) {
         if (synthCache_)
             synthLoaded_ = synthCache_->load(
@@ -423,22 +461,13 @@ CompileService::runJob(const Job &job)
         }
         compiler::CompileOptions copts = job.req.options;
         CountingBlockMemo synthMemo(synthCache_.get());
+        CountingPulseMemo pulseMemo(pulseCache_.get());
         if (synthCache_)
             copts.synthMemo = &synthMemo;
+        if (pulseCache_)
+            copts.pulseMemo = &pulseMemo;
         copts.synthPool = blockPool_.get();
 
-        // One canonical path: the request resolves to a spec string
-        // (pipelineSpec, or the deprecated enum spelled as its name)
-        // and everything goes through the spec grammar.
-        compiler::PipelineSpec spec;
-        std::string error;
-        if (!compiler::parsePipelineSpec(
-                job.req.resolvedPipelineSpec(), spec, error))
-            throw ApiException(
-                makeError(errc::kBadPipelineSpec, error,
-                          job.req.resolvedPipelineSpec()));
-
-        // Build unit, assemble the pipeline, run it, copy out.
         compiler::CompilationUnit unit =
             compiler::CompilationUnit::forInput(std::move(input),
                                                 copts);
@@ -449,97 +478,37 @@ CompileService::runJob(const Job &job)
         unit.onPass = job.req.onPass;
 
         compiler::PassManager pm;
-        if (spec.kind == compiler::PipelineSpec::Kind::Custom) {
-            // Custom lists run literally, except that requested
-            // stages missing from the list are appended: `estimate`
-            // always (so JobResult metrics are filled), `schedule`
-            // when the request asked for a program.
-            compiler::PipelineSpec literal = spec;
-            bool has_estimate = false, has_schedule = false;
-            for (const std::string &tok : literal.passes) {
-                has_estimate |= tok == "estimate";
-                has_schedule |= tok == "schedule" ||
-                                tok.rfind("schedule:", 0) == 0;
-            }
-            if (!has_estimate)
-                literal.passes.push_back("estimate");
-            if (job.req.schedule && !has_schedule)
-                literal.passes.push_back("schedule");
-            if (!compiler::buildPipeline(literal, copts, pm, error))
-                throw ApiException(
-                    makeError(errc::kBadPipelineSpec, error));
-        } else {
-            // Named pipelines: compile stage + the service stages
-            // (the former hand-sequenced route -> estimate ->
-            // reconfigure -> schedule tail of this function).
-            compiler::PipelineSpec staged = spec;
-            staged.kind = compiler::PipelineSpec::Kind::Custom;
-            staged.passes = compiler::compilePassList(
-                spec.kind, copts);
-            if (opts_.backend)
-                staged.passes.push_back("route");
-            staged.passes.push_back("estimate");
-            if (opts_.backend)
-                staged.passes.push_back("reconfigure");
-            if (job.req.schedule)
-                staged.passes.push_back("schedule");
-            if (!compiler::buildPipeline(staged, copts, pm, error))
-                throw ApiException(
-                    makeError(errc::kBadPipelineSpec, error));
-        }
+        std::string error;
+        if (!compiler::buildPipeline(
+                {compiler::PipelineSpec::Kind::Custom,
+                 jobPassList(job.req, copts, opts_.backend != nullptr)},
+                copts, pm, error))
+            throw ApiException(
+                makeError(errc::kBadPipelineSpec, error));
         pm.run(unit);
 
-        {
-            obs::Span copyOut("copy-out");
-            res.metrics = std::move(unit.metrics);
-            if (unit.hasRouted) {
-                res.routed = std::move(unit.routed);
-                res.finalLayout = std::move(unit.finalLayout);
-            }
-            if (unit.hasProgram)
-                res.program = std::move(unit.program);
-            res.compiled.circuit = std::move(unit.circuit);
-            res.compiled.finalPermutation =
-                std::move(unit.finalPermutation);
-        }
-
+        obs::Span copyOut("copy-out");
+        res.metrics = std::move(unit.metrics);
         if (synthCache_)
             res.metrics.synthCache = synthMemo.counters();
-        // On a heterogeneous chip the reconfigured table *is* the
-        // calibration set (one native instruction per edge), so the
-        // per-circuit pulse-solve pass is skipped.
-        const bool heterogeneousChip =
-            opts_.backend && !opts_.backend->isHomogeneous();
-        if (job.req.calibrate && !heterogeneousChip) {
-            obs::Span calibrate("calibrate");
-            CountingPulseMemo pulseMemo(pulseCache_.get());
-            try {
-                const uarch::CalibrationPlan plan =
-                    uarch::planCalibration(
-                        res.compiled.circuit, opts_.coupling,
-                        opts_.pulseClusterTol,
-                        pulseCache_ ? &pulseMemo : nullptr);
-                res.unsolvedClasses = plan.unsolved;
-            } catch (const std::exception &e) {
-                throw ApiException(
-                    makeError(errc::kCalibrateFailed, e.what()));
-            }
-            if (pulseCache_)
-                res.metrics.pulseCache = pulseMemo.counters();
+        if (pulseCache_)
+            res.metrics.pulseCache = pulseMemo.counters();
+        if (unit.hasRouted) {
+            res.routed = std::move(unit.routed);
+            res.finalLayout = std::move(unit.finalLayout);
         }
+        if (unit.hasProgram)
+            res.program = std::move(unit.program);
+        res.compiled.circuit = std::move(unit.circuit);
+        res.compiled.finalPermutation =
+            std::move(unit.finalPermutation);
         res.ok = true;
     } catch (const ApiException &e) {
-        res.ok = false;
         res.errorInfo = e.error();
-        res.error = res.errorInfo.message;
     } catch (const std::exception &e) {
-        res.ok = false;
         res.errorInfo = makeError(errc::kInternal, e.what());
-        res.error = res.errorInfo.message;
     } catch (...) {
-        res.ok = false;
         res.errorInfo = makeError(errc::kInternal, "unknown error");
-        res.error = res.errorInfo.message;
     }
     res.seconds = jobSpan.stop();
     ServiceMetrics &m = serviceMetrics();
@@ -557,7 +526,7 @@ CompileService::runJob(const Job &job)
                  {{"id", std::to_string(job.id)},
                   {"name", jobName},
                   {"seconds", std::to_string(res.seconds)},
-                  {"error", res.error}});
+                  {"error", res.errorInfo.message}});
         // Black-box dump: the final spans + error record of the
         // failing job are still in the rings right now.
         obs::flight::dumpNow("job-failure");

@@ -20,7 +20,7 @@
  * bit-identical regardless of the thread count or the order in which
  * jobs interleave. tests/test_service.cc pins this down. Outside the
  * contract: pulse-solve *attribution* (cache hit/miss splits, and
- * JobResult::unsolvedClasses when two distinct classes fall within
+ * Metrics::unsolvedClasses when two distinct classes fall within
  * the cluster tolerance and only one of them converges) follows the
  * schedule, because the PulseCache deliberately shares solutions
  * within tolerance — pulse solutions never feed back into compiled
@@ -58,33 +58,18 @@
 namespace reqisc::service
 {
 
-/**
- * DEPRECATED alias for the two named pipeline specs. The canonical
- * pipeline field is CompileRequest::pipelineSpec ("eff", "full" or
- * "custom:..."); this enum survives only so pre-spec call sites
- * (`req.pipeline = Pipeline::Eff`) keep compiling. It is consulted
- * solely by CompileRequest::resolvedPipelineSpec() when pipelineSpec
- * is empty.
- */
-enum class Pipeline
-{
-    Eff,   //!< alias for pipelineSpec = "eff"
-    Full,  //!< alias for pipelineSpec = "full"
-};
-
 /** Service-wide configuration (fixed at construction). */
 struct ServiceOptions
 {
     /** Worker threads; 0 means hardware_concurrency(). */
     int threads = 1;
-    bool enableSynthCache = true;
-    bool enablePulseCache = true;
-    std::size_t synthCacheCapacity = 1 << 14;
-    std::size_t pulseCacheCapacity = 1 << 14;
+    /**
+     * The shared SU(4) synth and pulse caches (`--no-cache` turns
+     * both off). A heterogeneous backend has no pulse cache anyway.
+     */
+    bool enableCaches = true;
     /** Target hardware: duration model, pulse solves, calibration. */
     uarch::Coupling coupling = uarch::Coupling::xy(1.0);
-    /** SU(4)-class clustering tolerance (calibration + pulse cache). */
-    double pulseClusterTol = 1e-6;
     /**
      * Intra-job block-resynthesis workers for hier-synth: 1 solves
      * blocks serially (no pool), N > 1 creates one synth::BlockPool
@@ -124,11 +109,6 @@ struct JobResult
     std::string name;
     bool ok = false;
     /**
-     * Legacy flat error text — exactly errorInfo.message (kept so
-     * pre-structured-error consumers read what they always did).
-     */
-    std::string error;
-    /**
      * Structured failure report: classified code + HTTP status +
      * message + detail (service/error.hh). Default-constructed
      * (isError() == false) on success.
@@ -146,12 +126,6 @@ struct JobResult
     std::vector<int> finalLayout;
     /** Timed program (empty unless CompileRequest::schedule). */
     isa::Program program;
-    /**
-     * Calibration classes the solver could not reach. Like the cache
-     * hit/miss split, this can follow the schedule in the corner case
-     * of near-coincident classes (see the determinism contract above).
-     */
-    int unsolvedClasses = 0;
     double seconds = 0.0;            //!< wall time in the worker
 };
 
@@ -161,24 +135,22 @@ struct CompileRequest
     std::string name;             //!< label echoed in the result
     circuit::Circuit input;       //!< used unless `qasm` is set
     std::string qasm;             //!< parsed in the worker when set
-    /** DEPRECATED alias; see resolvedPipelineSpec(). */
-    Pipeline pipeline = Pipeline::Full;
     /**
-     * The canonical pipeline field: "eff", "full" or
-     * "custom:pass,pass,..." (the pass-manager grammar,
-     * compiler/pass_manager.hh). Custom lists run literally, except
-     * that requested stages missing from the list are appended: an
-     * `estimate` pass always (so JobResult metrics are evaluated)
-     * and a `schedule` pass when `schedule` below is set; named
-     * specs get the service stages (route on a backend, estimate,
-     * reconfigure, schedule when requested) appended automatically.
-     * A malformed spec is captured as the job's error like any
-     * other per-job failure. Empty falls back to the deprecated
-     * `pipeline` enum alias above.
+     * The pipeline: "eff", "full" or "custom:pass,pass,..." (the
+     * pass-manager grammar, compiler/pass_manager.hh). Named specs
+     * get the service stages appended: route and reconfigure on a
+     * backend, estimate, schedule and calibrate when requested.
+     * Custom lists run literally, followed by whichever of
+     * estimate (always), schedule and calibrate is requested and
+     * missing from the list. A malformed spec is captured as the
+     * job's error like any other per-job failure.
      */
-    std::string pipelineSpec;
+    std::string pipelineSpec = "full";
     compiler::CompileOptions options;
-    /** Build the per-circuit calibration plan (shared pulse cache). */
+    /**
+     * Run the calibrate pass: plan the per-circuit pulse calibration
+     * through the shared pulse cache (Metrics::unsolvedClasses).
+     */
     bool calibrate = true;
     /**
      * Lower the compiled circuit into a timed RQISA program
@@ -204,19 +176,6 @@ struct CompileRequest
      * removed by cancel() never invoke it.
      */
     std::function<void(JobResult)> onDone;
-
-    /**
-     * The canonical pipeline spec this request runs: pipelineSpec
-     * when non-empty, else the deprecated enum alias spelled as its
-     * spec name. Everything downstream (runJob, the wire schema)
-     * routes through this and compiler::parsePipelineSpec.
-     */
-    std::string resolvedPipelineSpec() const
-    {
-        if (!pipelineSpec.empty())
-            return pipelineSpec;
-        return pipeline == Pipeline::Eff ? "eff" : "full";
-    }
 };
 
 /** The concurrent compilation service. */

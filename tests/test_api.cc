@@ -54,7 +54,7 @@ compileOne(const std::string &pipeline, bool schedule = false)
     svc.submit(std::move(req));
     auto results = svc.waitAll();
     EXPECT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results.front().ok) << results.front().error;
+    EXPECT_TRUE(results.front().ok) << results.front().errorInfo.message;
     return results.front();
 }
 
@@ -113,21 +113,19 @@ TEST(ApiRequest, RoundTripsQasmVerbatim)
     // The circuit travels as 17-significant-digit OpenQASM, so the
     // reparsed circuit is gate-for-gate bit-identical.
     EXPECT_EQ(back.qasm, circuit::toQasm(req.input));
-    EXPECT_EQ(back.resolvedPipelineSpec(), "eff");
+    EXPECT_EQ(back.pipelineSpec, "eff");
     EXPECT_EQ(back.options.seed, 12345u);
     EXPECT_TRUE(back.schedule);
     EXPECT_EQ(back.scheduleOptions.strategy, isa::Strategy::Alap);
 }
 
-TEST(ApiRequest, LegacyEnumResolvesThroughTheSpecField)
+TEST(ApiRequest, DefaultSpecGoesOnTheWire)
 {
     service::CompileRequest req;
     req.input = suite::smallSuite().front().circuit;
-    req.pipeline = service::Pipeline::Eff;  // deprecated alias
-    EXPECT_EQ(req.resolvedPipelineSpec(), "eff");
     const JsonValue doc = api::compileRequestToJson(req);
     ASSERT_NE(doc.find("pipeline"), nullptr);
-    EXPECT_EQ(doc.find("pipeline")->str, "eff");
+    EXPECT_EQ(doc.find("pipeline")->str, "full");
 }
 
 TEST(ApiRequest, StrictParserRejectsBadBodies)
@@ -159,9 +157,14 @@ TEST(ApiRequest, StrictParserRejectsBadBodies)
 
 TEST(ApiRequest, DefaultsPipelineToFull)
 {
+    // Every default of a minimal body, as docs/SERVICE.md lists them.
     const service::CompileRequest req = api::compileRequestFromJson(
         parseJson(R"({"qasm": "OPENQASM 2.0;"})", "req"));
-    EXPECT_EQ(req.resolvedPipelineSpec(), "full");
+    EXPECT_EQ(req.pipelineSpec, "full");
+    EXPECT_EQ(req.options.seed, 777u);
+    EXPECT_FALSE(req.options.variationalMode);
+    EXPECT_TRUE(req.calibrate);
+    EXPECT_FALSE(req.schedule);
 }
 
 // ---- Result documents --------------------------------------------------
@@ -266,24 +269,8 @@ TEST(ApiResult, FailureCarriesTheStructuredError)
     const service::ApiError e = api::errorFromJson(*err);
     EXPECT_EQ(e.code, service::errc::kParseError);
     EXPECT_EQ(e.httpStatus, 400);
-    // The legacy string field mirrors the structured message.
-    EXPECT_EQ(e.message, r.error);
     // No metrics keys on a failed result.
     EXPECT_EQ(doc.find("count2Q"), nullptr);
-}
-
-TEST(ApiResult, LegacyStringOnlyErrorGetsAFallbackCode)
-{
-    service::JobResult r;
-    r.id = 3;
-    r.name = "legacy";
-    r.ok = false;
-    r.error = "something broke";  // no errorInfo set
-    const JsonValue doc = api::jobResultToJson(r);
-    const service::ApiError e =
-        api::errorFromJson(*doc.find("error"));
-    EXPECT_EQ(e.code, service::errc::kInternal);
-    EXPECT_EQ(e.message, "something broke");
 }
 
 // ---- Serializer exactness ----------------------------------------------

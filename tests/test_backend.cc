@@ -581,7 +581,7 @@ TEST(BackendService, RoutesOntoTheChipAndSchedulesPerEdge)
         req.schedule = true;
     svc.submitBatch(std::move(batch));
     for (const service::JobResult &r : svc.waitAll()) {
-        ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+        ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
         EXPECT_TRUE(r.metrics.backend.used);
         // The routed circuit respects the chip topology.
         EXPECT_EQ(r.routed.numQubits(),
@@ -626,7 +626,7 @@ TEST(BackendService, AcceptanceReconfiguredBeatsUniformOnHeteroChips)
         int strictly = 0;
         for (const service::JobResult &r : svc.waitAll()) {
             ASSERT_TRUE(r.ok) << name << "/" << r.name << ": "
-                              << r.error;
+                              << r.errorInfo.message;
             const auto &b = r.metrics.backend;
             EXPECT_GE(b.fidelityReconfigured,
                       b.fidelityUniform - 1e-12)
@@ -655,7 +655,7 @@ TEST(BackendService, HomogeneousChipKeepsThePulseCacheAlive)
         req.calibrate = true;
     svc.submitBatch(std::move(batch));
     for (const service::JobResult &r : svc.waitAll())
-        ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+        ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
     // Calibration planning ran against the shared pulse cache.
     const compiler::CacheCounters stats = svc.pulseCacheStats();
     EXPECT_GT(stats.hits + stats.misses, 0);

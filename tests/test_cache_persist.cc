@@ -563,9 +563,8 @@ compileAdder5Once(const std::string &cache_dir, bool expect_warm,
     service::CompileRequest req;
     req.name = "adder5";
     req.input = loadExample("/examples/qasm/adder5.qasm");
-    req.pipeline = service::Pipeline::Full;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
-    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.ok) << r.errorInfo.message;
     if (flat_out)
         *flat_out = flatten(r);
     if (expect_warm) {
@@ -619,9 +618,8 @@ TEST(ServiceCachePersist, CorruptCacheFileColdStartsTheService)
     service::CompileRequest req;
     req.name = "adder5";
     req.input = loadExample("/examples/qasm/adder5.qasm");
-    req.pipeline = service::Pipeline::Full;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
     again_flat = flatten(r);
     EXPECT_EQ(again_flat, cold_flat);
 

@@ -463,7 +463,7 @@ TEST(DaemonProtocol, ArtifactsBitIdenticalToDirectService)
     req.pipelineSpec = "eff";
     svc.submit(std::move(req));
     const service::JobResult direct = svc.waitAll().front();
-    ASSERT_TRUE(direct.ok) << direct.error;
+    ASSERT_TRUE(direct.ok) << direct.errorInfo.message;
 
     // Via the daemon, over the wire.
     Daemon dm(baseOptions());

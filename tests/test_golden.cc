@@ -134,7 +134,7 @@ caseLine(const std::string &name, const service::JobResult &r)
         {"makespan", exact(m.schedule.makespan)},
         {"fidelityReconfigured", exact(m.backend.fidelityReconfigured)},
         {"fidelityUniform", exact(m.backend.fidelityUniform)},
-        {"unsolvedClasses", std::to_string(r.unsolvedClasses)},
+        {"unsolvedClasses", std::to_string(m.unsolvedClasses)},
         {"pulseHits", std::to_string(m.pulseCache.hits)},
         {"pulseMisses", std::to_string(m.pulseCache.misses)},
     };

@@ -499,12 +499,12 @@ TEST(ServiceSchedule, JobsOptionallyScheduleAndFillMetrics)
     const auto timed_id = svc.submit(std::move(timed));
 
     const service::JobResult pr = svc.wait(plain_id);
-    ASSERT_TRUE(pr.ok) << pr.error;
+    ASSERT_TRUE(pr.ok) << pr.errorInfo.message;
     EXPECT_FALSE(pr.metrics.schedule.scheduled);
     EXPECT_TRUE(pr.program.empty());
 
     const service::JobResult tr = svc.wait(timed_id);
-    ASSERT_TRUE(tr.ok) << tr.error;
+    ASSERT_TRUE(tr.ok) << tr.errorInfo.message;
     EXPECT_TRUE(tr.metrics.schedule.scheduled);
     EXPECT_GT(tr.metrics.schedule.makespan, 0.0);
     EXPECT_EQ(tr.metrics.schedule.instructions,

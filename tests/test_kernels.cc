@@ -346,7 +346,7 @@ compileExample(const std::string &source)
     req.pipelineSpec = "full";
     svc.submit(std::move(req));
     const service::JobResult r = svc.waitAll().front();
-    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.ok) << r.errorInfo.message;
     return {circuit::toQasm(r.compiled.circuit),
             r.compiled.finalPermutation};
 }

@@ -398,7 +398,7 @@ TEST(ObsEndToEnd, PassSpansMatchPassTraces)
         svc.submit(req);
         const auto results = svc.waitAll();
         ASSERT_EQ(results.size(), 1u);
-        ASSERT_TRUE(results[0].ok) << results[0].error;
+        ASSERT_TRUE(results[0].ok) << results[0].errorInfo.message;
 
         const auto events = obs::Tracer::global().collect();
         // Every PassTrace row has a matching pass:<name> span whose

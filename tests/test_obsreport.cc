@@ -5,8 +5,8 @@
  * array), Prometheus histogram reconstruction, Chrome-trace span
  * aggregation, the attribution pipeline (a deliberately slowed
  * hier-synth must rank as top regressor — the same invariant the CI
- * attribution smoke pins end-to-end), the empty-histogram NaN
- * guard, and the baselines gross-regression/sign-flip rule.
+ * attribution smoke pins end-to-end) and the empty-histogram NaN
+ * guard.
  */
 
 #include <gtest/gtest.h>
@@ -262,49 +262,4 @@ TEST(ObsReport, ReportJsonIsParseable)
     const backend::JsonValue *total = doc.find("total");
     ASSERT_NE(total, nullptr);
     EXPECT_NEAR(total->find("deltaSeconds")->number, 1.15, 1e-6);
-}
-
-TEST(ObsReport, BaselinesGuardAppliesTheCheckRule)
-{
-    RunData cand;
-    ingestBenchJson(cand, kServiceCand, "cand");
-    cand.scalars["neg"] = -0.5;
-    const backend::JsonValue baselines = backend::parseJson(R"({
-      "metrics": [
-        {"name": "ok1", "key": "memoSpeedup", "baseline": 10.0,
-         "maxRegression": 2.0},
-        {"name": "skipme", "key": "absentKey", "baseline": 1.0},
-        {"name": "regressed", "key": "obsEfficiency",
-         "baseline": 1.0, "maxRegression": 1.05},
-        {"name": "flip", "key": "neg", "baseline": 1.0,
-         "requirePositive": true},
-        {"name": "badmr", "key": "memoSpeedup", "baseline": 1.0,
-         "maxRegression": 0},
-        {"key": "memoSpeedup"}
-      ]
-    })");
-    std::string out;
-    const int failures =
-        tools::checkBaselines(baselines, cand, out);
-    // regressed (0.90 < 1/1.05), flip, badmr, and the entry with no
-    // baseline: four failures; ok1 passes, skipme skips.
-    EXPECT_EQ(failures, 4);
-    EXPECT_NE(out.find("OK    ok1"), std::string::npos) << out;
-    EXPECT_NE(out.find("SKIP  skipme"), std::string::npos) << out;
-    EXPECT_NE(out.find("FAIL  regressed: gross regression"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("FAIL  flip: sign flip"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("FAIL  badmr: maxRegression"),
-              std::string::npos)
-        << out;
-    EXPECT_NE(out.find("FAIL  metric[5]"), std::string::npos)
-        << out;
-
-    // A document without a metrics array is a usage error.
-    EXPECT_THROW(tools::checkBaselines(
-                     backend::parseJson("{}", "b"), cand, out),
-                 backend::JsonError);
 }

@@ -391,13 +391,13 @@ TEST(PassManagerEquivalence, ServiceMatchesLegacyRunJobOnChip)
         service::CompileRequest req;
         req.name = "ghz8";
         req.input = input;
-        req.pipeline = service::Pipeline::Eff;
+        req.pipelineSpec = "eff";
         req.schedule = true;
         req.scheduleOptions.strategy = isa::Strategy::Asap;
         req.calibrate = false;
         const auto id = svc.submit(req);
         const service::JobResult r = svc.wait(id);
-        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_TRUE(r.ok) << r.errorInfo.message;
 
         // Oracle: standalone compile + the legacy tail.
         const CompileResult compiled =
@@ -445,12 +445,11 @@ TEST(PassManagerEquivalence, ServiceNoBackendMatchesLegacySequence)
     service::CompileRequest req;
     req.name = "adder5";
     req.input = input;
-    req.pipeline = service::Pipeline::Full;
     req.schedule = true;
     req.scheduleOptions.strategy = isa::Strategy::Alap;
     req.calibrate = false;
     const service::JobResult r = svc.wait(svc.submit(req));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
 
     compiler::CompileOptions copts = req.options;
     // The service installs its synth memo; memo hits are re-verified
@@ -593,7 +592,7 @@ TEST(PipelineSpec, ServiceCapturesMalformedSpecAsJobError)
     req.pipelineSpec = "custom:synth,bogus";
     const service::JobResult r = svc.wait(svc.submit(req));
     EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("unknown pass 'bogus'"),
+    EXPECT_NE(r.errorInfo.message.find("unknown pass 'bogus'"),
               std::string::npos);
 }
 
@@ -606,7 +605,7 @@ TEST(PipelineSpec, ServiceAppendsEstimateToCustomLists)
     req.pipelineSpec = "custom:synth,group-pauli,fuse,lower";
     req.calibrate = false;
     const service::JobResult r = svc.wait(svc.submit(req));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
     ASSERT_EQ(r.metrics.passes.size(), 5u);
     EXPECT_EQ(r.metrics.passes.back().pass, "estimate");
     EXPECT_GT(r.metrics.count2Q, 0);  // estimate actually ran
@@ -626,7 +625,7 @@ TEST(PipelineSpec, ServiceAppendsScheduleToCustomListsWhenRequested)
     req.scheduleOptions.strategy = isa::Strategy::Asap;
     req.calibrate = false;
     const service::JobResult r = svc.wait(svc.submit(req));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
     EXPECT_EQ(r.metrics.passes.back().pass, "schedule");
     EXPECT_TRUE(r.metrics.schedule.scheduled);
     EXPECT_FALSE(r.program.instructions().empty());
@@ -636,12 +635,72 @@ TEST(PipelineSpec, ServiceAppendsScheduleToCustomListsWhenRequested)
     req2.pipelineSpec =
         "custom:synth,group-pauli,fuse,lower,schedule:alap";
     const service::JobResult r2 = svc.wait(svc.submit(req2));
-    ASSERT_TRUE(r2.ok) << r2.error;
+    ASSERT_TRUE(r2.ok) << r2.errorInfo.message;
     int schedule_passes = 0;
     for (const auto &t : r2.metrics.passes)
         schedule_passes += t.pass.rfind("schedule", 0) == 0;
     EXPECT_EQ(schedule_passes, 1);
     EXPECT_TRUE(r2.metrics.schedule.scheduled);
+}
+
+TEST(PipelineSpec, ServiceEndsCalibratedJobsWithTheCalibratePass)
+{
+    service::CompileService svc{service::ServiceOptions{}};
+    const Circuit input = loadExample(kExampleQasm[1]);
+
+    // Named spec: calibrate runs last, through the shared pulse cache.
+    service::CompileRequest req;
+    req.name = "calibrated";
+    req.input = input;
+    req.pipelineSpec = "eff";
+    req.schedule = true;
+    const service::JobResult r = svc.wait(svc.submit(req));
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
+    const std::vector<std::string> want = {
+        "synth", "group-pauli", "fuse",     "mirror",
+        "lower", "estimate",    "schedule", "calibrate"};
+    std::vector<std::string> got;
+    for (const auto &t : r.metrics.passes)
+        got.push_back(t.pass);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(r.metrics.pulseCache.misses, 0);
+    EXPECT_EQ(r.metrics.unsolvedClasses, 0);
+
+    // Custom specs: appended after the literal list when missing,
+    // never twice when listed.
+    req.pipelineSpec = "custom:synth,lower";
+    req.schedule = false;
+    got.clear();
+    for (const auto &t : svc.wait(svc.submit(req)).metrics.passes)
+        got.push_back(t.pass);
+    EXPECT_EQ(got, (std::vector<std::string>{"synth", "lower",
+                                             "estimate", "calibrate"}));
+    req.pipelineSpec = "custom:synth,lower,calibrate";
+    got.clear();
+    for (const auto &t : svc.wait(svc.submit(req)).metrics.passes)
+        got.push_back(t.pass);
+    EXPECT_EQ(got, (std::vector<std::string>{"synth", "lower",
+                                             "calibrate", "estimate"}));
+}
+
+TEST(PipelineSpec, CalibrateIsANoOpOnAHeterogeneousChip)
+{
+    service::ServiceOptions sopts;
+    sopts.backend = std::make_shared<const backend::Backend>(
+        backend::Backend::fromJsonFile(
+            std::string(REQISC_SOURCE_DIR) +
+            "/examples/chips/hetero_heavy_hex.json"));
+    service::CompileService svc(sopts);
+    service::CompileRequest req;
+    req.input = loadExample(kExampleQasm[1]);
+    req.pipelineSpec = "eff";
+    const service::JobResult r = svc.wait(svc.submit(req));
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
+    ASSERT_FALSE(r.metrics.passes.empty());
+    EXPECT_EQ(r.metrics.passes.back().pass, "calibrate");
+    EXPECT_EQ(r.metrics.pulseCache.hits + r.metrics.pulseCache.misses,
+              0);
+    EXPECT_EQ(r.metrics.unsolvedClasses, 0);
 }
 
 // ---- PassTrace invariants ----------------------------------------------
@@ -652,11 +711,10 @@ TEST(PassTrace, NamedFullPipelineTraceIsChainedAndConsistent)
     service::CompileRequest req;
     req.name = "trace";
     req.input = loadExample(kExampleQasm[3]);  // ising6
-    req.pipeline = service::Pipeline::Full;
     req.schedule = true;
     req.calibrate = false;
     const service::JobResult r = svc.wait(svc.submit(req));
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
 
     const auto &trace = r.metrics.passes;
     const std::vector<std::string> want = {
@@ -697,8 +755,7 @@ TEST(PassTrace, WrapperTraceMatchesJobArtifactDeltas)
     // (seconds may differ; nothing else may).
     const Circuit input = loadExample(kExampleQasm[0]);
     service::ServiceOptions sopts;
-    sopts.enableSynthCache = false;
-    sopts.enablePulseCache = false;
+    sopts.enableCaches = false;
     std::vector<compiler::PassTrace> traces[2];
     for (int run = 0; run < 2; ++run) {
         service::CompileService svc(sopts);
@@ -706,7 +763,7 @@ TEST(PassTrace, WrapperTraceMatchesJobArtifactDeltas)
         req.input = input;
         req.calibrate = false;
         const service::JobResult r = svc.wait(svc.submit(req));
-        ASSERT_TRUE(r.ok) << r.error;
+        ASSERT_TRUE(r.ok) << r.errorInfo.message;
         traces[run] = r.metrics.passes;
     }
     ASSERT_EQ(traces[0].size(), traces[1].size());

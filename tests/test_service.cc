@@ -60,7 +60,6 @@ twentyCircuitBatch()
         req.name = bms[i % bms.size()].name + "#" +
                    std::to_string(i / bms.size());
         req.input = bms[i % bms.size()].circuit;
-        req.pipeline = service::Pipeline::Full;
         batch.push_back(std::move(req));
     }
     return batch;
@@ -259,7 +258,7 @@ TEST(CompileService, CachedResultsMatchStandaloneCompilation)
     auto results = svc.waitAll();
     ASSERT_EQ(results.size(), 8u);
     for (const auto &r : results) {
-        ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+        ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
         const auto &bm =
             *std::find_if(bms.begin(), bms.end(),
                           [&](const suite::Benchmark &b) {
@@ -297,7 +296,7 @@ TEST(CompileService, DeterministicAcrossThreadCounts)
         auto &flat = jobs == 1 ? flat1 : flat8;
         auto &consults = jobs == 1 ? consults1 : consults8;
         for (const auto &r : results) {
-            ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+            ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
             flat.push_back(flatten(r));
             consults.push_back(r.metrics.synthCache.hits +
                                r.metrics.synthCache.misses);
@@ -329,11 +328,11 @@ TEST(CompileService, QasmJobsCompileAndParseErrorsAreCaptured)
 
     service::JobResult bad_res = svc.wait(bad_id);
     EXPECT_FALSE(bad_res.ok);
-    EXPECT_NE(bad_res.error.find("unknown op"), std::string::npos)
-        << bad_res.error;
+    EXPECT_NE(bad_res.errorInfo.message.find("unknown op"), std::string::npos)
+        << bad_res.errorInfo.message;
 
     service::JobResult good_res = svc.wait(good_id);
-    ASSERT_TRUE(good_res.ok) << good_res.error;
+    ASSERT_TRUE(good_res.ok) << good_res.errorInfo.message;
     EXPECT_GT(good_res.metrics.count2Q, 0);
 
     // Semantics of the QASM path: compiled circuit matches input.
@@ -378,14 +377,14 @@ TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
     for (size_t i = 0; i < bad_ids.size(); ++i) {
         const service::JobResult r = svc.wait(bad_ids[i]);
         EXPECT_FALSE(r.ok) << bad[i].first;
-        EXPECT_NE(r.error.find("qasm parse error"),
+        EXPECT_NE(r.errorInfo.message.find("qasm parse error"),
                   std::string::npos)
-            << r.error;
-        EXPECT_NE(r.error.find(bad[i].second), std::string::npos)
-            << r.error;
+            << r.errorInfo.message;
+        EXPECT_NE(r.errorInfo.message.find(bad[i].second), std::string::npos)
+            << r.errorInfo.message;
     }
     const service::JobResult gr = svc.wait(good_id);
-    ASSERT_TRUE(gr.ok) << gr.error;
+    ASSERT_TRUE(gr.ok) << gr.errorInfo.message;
     EXPECT_GT(gr.metrics.count2Q, 0);
 }
 
@@ -413,15 +412,14 @@ TEST(CompileService, DisabledCachesStillCompile)
 {
     service::ServiceOptions sopts;
     sopts.threads = 2;
-    sopts.enableSynthCache = false;
-    sopts.enablePulseCache = false;
+    sopts.enableCaches = false;
     service::CompileService svc(sopts);
     service::CompileRequest req;
     req.name = "qft";
     req.input = suite::smallSuite()[5].circuit;
     const auto id = svc.submit(std::move(req));
     service::JobResult r = svc.wait(id);
-    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_TRUE(r.ok) << r.errorInfo.message;
     EXPECT_EQ(svc.synthCacheStats().hits +
                   svc.synthCacheStats().misses,
               0);
@@ -542,7 +540,7 @@ TEST(CompileService, BlockWorkersProduceBitIdenticalArtifacts)
         ASSERT_EQ(results.size(), 20u);
         auto &flat = bw == 1 ? flat1 : flat4;
         for (const auto &r : results) {
-            ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
+            ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
             flat.push_back(flatten(r));
         }
     }
@@ -564,5 +562,5 @@ TEST(CompileService, AutoBlockWorkersResolveToAtLeastOne)
     req.name = "adder";
     req.input = suite::smallSuite()[2].circuit;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
-    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.ok) << r.errorInfo.message;
 }

@@ -4,9 +4,7 @@
  * two instrumented runs. All the real work lives in report.cc; this
  * file only parses flags, slurps files, and renders.
  *
- * Exit codes: 0 report produced (and baselines guard, if requested,
- * passed); 1 the baselines guard found regressions; 2 usage, I/O or
- * parse errors.
+ * Exit codes: 0 report produced; 2 usage, I/O or parse errors.
  */
 
 #include <fstream>
@@ -41,12 +39,6 @@ void printUsage(std::ostream &os)
           "                        durations stand in for a missing\n"
           "                        BASE.json summary\n"
           "  --trace-cand FILE     same, candidate run\n"
-          "  --baselines FILE      apply the bench/baselines.json\n"
-          "                        guard (gross-regression / "
-          "sign-flip\n"
-          "                        rule) to the candidate's "
-          "scalars;\n"
-          "                        exit 1 on any failure\n"
           "  --json                machine-readable report\n"
           "  --top N               passes shown in the text report\n"
           "                        (default 10)\n"
@@ -134,7 +126,7 @@ bool loadSide(const SideInputs &in, const char *side, RunData &run)
 int main(int argc, char **argv)
 {
     SideInputs base, cand;
-    std::string baselinesPath, outPath;
+    std::string outPath;
     bool json = false;
     std::size_t topN = 10;
 
@@ -177,11 +169,6 @@ int main(int argc, char **argv)
         else if (arg == "--trace-cand")
         {
             if (!value(cand.tracePath))
-                return 2;
-        }
-        else if (arg == "--baselines")
-        {
-            if (!value(baselinesPath))
                 return 2;
         }
         else if (arg == "--out")
@@ -253,38 +240,5 @@ int main(int argc, char **argv)
         }
     }
 
-    if (!baselinesPath.empty())
-    {
-        std::string text, guard;
-        int failures = 0;
-        if (!slurp(baselinesPath, text))
-        {
-            std::cerr << "obsreport: cannot read " << baselinesPath
-                      << "\n";
-            return 2;
-        }
-        try
-        {
-            failures = reqisc::tools::checkBaselines(
-                reqisc::backend::parseJson(text, baselinesPath),
-                candRun, guard);
-        }
-        catch (const std::exception &e)
-        {
-            std::cerr << "obsreport: " << e.what() << "\n";
-            return 2;
-        }
-        // Guard verdicts go to stderr so the report (possibly JSON
-        // on stdout) stays machine-parseable.
-        std::cerr << guard;
-        if (failures)
-        {
-            std::cerr << "obsreport: " << failures
-                      << " metric(s) regressed\n";
-            return 1;
-        }
-        std::cerr << "obsreport: all baseline metrics within "
-                     "bounds\n";
-    }
     return 0;
 }

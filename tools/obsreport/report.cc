@@ -453,92 +453,4 @@ std::string reportText(const Report &r, std::size_t topN)
     return out;
 }
 
-int checkBaselines(const backend::JsonValue &baselines,
-                   const RunData &cand, std::string &out)
-{
-    const backend::JsonValue *metrics =
-        baselines.isObject() ? baselines.find("metrics") : nullptr;
-    if (!metrics || !metrics->isArray())
-        throw backend::JsonError(
-            "baselines: expected an object with a \"metrics\" "
-            "array");
-
-    int failures = 0;
-    for (std::size_t i = 0; i < metrics->array.size(); ++i)
-    {
-        const backend::JsonValue &m = metrics->array[i];
-        const backend::JsonValue *nameV =
-            m.isObject() ? m.find("name") : nullptr;
-        const std::string label =
-            nameV && nameV->isString()
-                ? nameV->str
-                : "metric[" + std::to_string(i) + "]";
-        const backend::JsonValue *keyV =
-            m.isObject() ? m.find("key") : nullptr;
-        const backend::JsonValue *baseV =
-            m.isObject() ? m.find("baseline") : nullptr;
-        if (!keyV || !keyV->isString() || !baseV ||
-            !baseV->isNumber())
-        {
-            out += "FAIL  " + label +
-                   ": baselines entry needs a string \"key\" and "
-                   "numeric \"baseline\"\n";
-            ++failures;
-            continue;
-        }
-        const auto ci = cand.scalars.find(keyV->str);
-        if (ci == cand.scalars.end())
-        {
-            // Unlike check_baselines.py (which sees every bench's
-            // output at once), obsreport usually ingests one run —
-            // keys from other benches are expected to be absent.
-            out += "SKIP  " + label + ": key '" + keyV->str +
-                   "' not present in this run\n";
-            continue;
-        }
-        double maxRegression = 2.0;
-        const backend::JsonValue *mr = m.find("maxRegression");
-        if (mr)
-        {
-            if (!mr->isNumber() || mr->number <= 0.0)
-            {
-                out += "FAIL  " + label +
-                       ": maxRegression must be a positive "
-                       "number\n";
-                ++failures;
-                continue;
-            }
-            maxRegression = mr->number;
-        }
-        const backend::JsonValue *rp = m.find("requirePositive");
-        const bool requirePositive =
-            rp && rp->kind == backend::JsonValue::Kind::Bool &&
-            rp->boolean;
-        const double value = ci->second;
-        const double floor = baseV->number / maxRegression;
-        if (requirePositive && value <= 0.0)
-        {
-            out += "FAIL  " + label + ": sign flip: " +
-                   fmtNum(value) + " <= 0 (baseline " +
-                   fmtNum(baseV->number) + ")\n";
-            ++failures;
-        }
-        else if (value < floor)
-        {
-            out += "FAIL  " + label + ": gross regression: " +
-                   fmtNum(value) + " < " + fmtNum(floor) +
-                   " (= baseline " + fmtNum(baseV->number) + " / " +
-                   fmtNum(maxRegression) + ")\n";
-            ++failures;
-        }
-        else
-        {
-            out += "OK    " + label + ": " + fmtNum(value) +
-                   " (baseline " + fmtNum(baseV->number) +
-                   ", floor " + fmtNum(floor) + ")\n";
-        }
-    }
-    return failures;
-}
-
 } // namespace reqisc::tools

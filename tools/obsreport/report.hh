@@ -8,10 +8,7 @@
  * for a BASE run and a CANDIDATE run, and answers "where did the
  * time go": per-pass absolute and share-of-total-delta attribution,
  * a top-regressors ranking, histogram quantile shifts, and flat
- * scalar diffs. A machine-readable mode lets CI diff the candidate
- * against bench/baselines.json with the exact check_baselines.py
- * rule (gross regression / sign flip), so the attribution report
- * and the guard agree on what counts as a regression.
+ * scalar diffs, as text or as one machine-readable JSON document.
  *
  * Everything here is pure: parse into RunData, compare() into a
  * Report, render. The CLI in obsreport.cc only does file I/O and
@@ -148,20 +145,6 @@ std::string reportJson(const Report &r);
 
 /** Human-readable report (aligned tables, worst regressor first). */
 std::string reportText(const Report &r, std::size_t topN = 10);
-
-/**
- * Apply the committed perf-guard to the candidate run: for every
- * entry of a bench/baselines.json document whose dotted "key" is
- * present in cand.scalars, fail on a gross regression
- * (current < baseline / maxRegression, default 2.0) or, with
- * "requirePositive", on current <= 0 — the exact check_baselines.py
- * rule. Keys absent from the candidate are skipped (obsreport
- * usually sees one bench's output, not all of them). Appends one
- * OK/SKIP/FAIL line per metric to `out`; returns the number of
- * failures. Throws backend::JsonError on a malformed document.
- */
-int checkBaselines(const backend::JsonValue &baselines,
-                   const RunData &cand, std::string &out);
 
 } // namespace reqisc::tools
 
