@@ -1,10 +1,12 @@
 /**
  * @file
  * Microkernels for the hot numerical paths: the fixed-size qmath
- * kernels (8x8 mul, 4x4 kron — specialized vs generic), KAK
- * decomposition, genAshN pulse solving per subscheme, 4x4 Hermitian
- * exponentials and one QFactor instantiation. These throughput
- * numbers bound the compiler's scalability (Fig 16(b)).
+ * kernels (8x8 mul, 4x4 kron — specialized vs generic), the
+ * fixed-size 4x4 Jacobi SVD and Hermitian eigensolver (vs their
+ * runtime-n references), KAK decomposition, genAshN pulse solving
+ * per subscheme, 4x4 Hermitian exponentials and one QFactor
+ * instantiation. These throughput numbers bound the compiler's
+ * scalability (Fig 16(b)).
  *
  * Runs on the shared bench/common harness like every other bench
  * binary (no external benchmark dependency): each case is
@@ -23,9 +25,11 @@
 
 #include "backend/json.hh"
 #include "common.hh"
+#include "qmath/eig.hh"
 #include "qmath/expm.hh"
 #include "qmath/kernels.hh"
 #include "qmath/random.hh"
+#include "qmath/svd.hh"
 #include "synth/instantiate.hh"
 #include "uarch/genashn.hh"
 #include "weyl/weyl.hh"
@@ -85,6 +89,7 @@ main(int argc, char **argv)
     const qmath::Matrix a4 = qmath::randomUnitary(4, rng);
     const qmath::Matrix b2 = qmath::randomUnitary(2, rng);
     const qmath::Matrix h4 = qmath::randomHermitian(4, rng);
+    const qmath::Matrix g4 = qmath::randomGinibre(4, rng);
     std::vector<qmath::Matrix> us;
     for (int i = 0; i < 64; ++i)
         us.push_back(qmath::randomUnitary(4, rng));
@@ -133,6 +138,16 @@ main(int argc, char **argv)
         },
         budget);
 
+    // ---- Fixed-size Jacobi solvers vs their runtime-n references ----
+    const double svd4_fast = usPerOp(
+        [&] { g_sink += qmath::svd(g4).s[0]; }, budget);
+    const double svd4_generic = usPerOp(
+        [&] { g_sink += qmath::svdGeneric(g4).s[0]; }, budget);
+    const double eigh4_fast = usPerOp(
+        [&] { g_sink += qmath::eigh(h4).values[0]; }, budget);
+    const double eigh4_generic = usPerOp(
+        [&] { g_sink += qmath::eighGeneric(h4).values[0]; }, budget);
+
     // ---- Compiler hot-path cases ------------------------------------
     size_t ui = 0;
     const double kak_us = usPerOp(
@@ -173,6 +188,10 @@ main(int argc, char **argv)
         mul8_fast > 0.0 ? mul8_generic / mul8_fast : 0.0;
     const double kron4_speedup =
         kron4_fast > 0.0 ? kron4_generic / kron4_fast : 0.0;
+    const double svd4_speedup =
+        svd4_fast > 0.0 ? svd4_generic / svd4_fast : 0.0;
+    const double eigh4_speedup =
+        eigh4_fast > 0.0 ? eigh4_generic / eigh4_fast : 0.0;
 
     if (opt.json) {
         using backend::JsonValue;
@@ -188,6 +207,14 @@ main(int argc, char **argv)
         doc.set("kron4Us", JsonValue::makeNumber(kron4_fast));
         doc.set("kron4GenericUs",
                 JsonValue::makeNumber(kron4_generic));
+        doc.set("svd4SpeedupOverGeneric",
+                JsonValue::makeNumber(svd4_speedup));
+        doc.set("svd4Us", JsonValue::makeNumber(svd4_fast));
+        doc.set("svd4GenericUs", JsonValue::makeNumber(svd4_generic));
+        doc.set("eigh4SpeedupOverGeneric",
+                JsonValue::makeNumber(eigh4_speedup));
+        doc.set("eigh4Us", JsonValue::makeNumber(eigh4_fast));
+        doc.set("eigh4GenericUs", JsonValue::makeNumber(eigh4_generic));
         doc.set("kakDecomposeUs", JsonValue::makeNumber(kak_us));
         doc.set("expm4x4Us", JsonValue::makeNumber(expm_us));
         doc.set("genAshNSolveNdUs", JsonValue::makeNumber(nd_us));
@@ -209,6 +236,12 @@ main(int argc, char **argv)
     tbl.addRow({"kron 4x4(x)2x2 kernel", fmt(kron4_fast, 3),
                 fmt(kron4_speedup, 2) + "x over generic"});
     tbl.addRow({"kron 4x4(x)2x2 generic", fmt(kron4_generic, 3), ""});
+    tbl.addRow({"svd 4x4 fixed", fmt(svd4_fast, 3),
+                fmt(svd4_speedup, 2) + "x over generic"});
+    tbl.addRow({"svd 4x4 generic", fmt(svd4_generic, 3), ""});
+    tbl.addRow({"eigh 4x4 fixed", fmt(eigh4_fast, 3),
+                fmt(eigh4_speedup, 2) + "x over generic"});
+    tbl.addRow({"eigh 4x4 generic", fmt(eigh4_generic, 3), ""});
     tbl.addRow({"kakDecompose 4x4", fmt(kak_us, 2), ""});
     tbl.addRow({"expim 4x4", fmt(expm_us, 2), ""});
     tbl.addRow({"genAshN solve ND", fmt(nd_us, 2), ""});

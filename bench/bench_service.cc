@@ -28,8 +28,6 @@
 #include <system_error>
 #include <vector>
 
-#include <algorithm>
-
 #include "backend/json.hh"
 #include "common.hh"
 #include "compiler/metrics.hh"
@@ -176,30 +174,32 @@ main(int argc, char **argv)
         // ---- Observability overhead -------------------------------
         // The near-zero-cost-when-disabled claim, measured: the warm
         // suite on a 1-thread service with tracing+metrics fully on
-        // vs fully off. Three alternating timed runs per config with
-        // min-of-3 (the standard noise shield on shared CI runners);
-        // the guarded key is the inverted ratio obsEfficiency =
-        // off/on (check_baselines floors are higher-is-better, and
-        // 1/1.05 ~ 0.952 encodes the required < 1.05x overhead).
+        // vs fully off, one suite copy per timed run, 7 x copies runs
+        // per config. Which config runs first alternates per
+        // repetition, so neither side always inherits the other's
+        // warm state, and each side reports its total time. A shared
+        // host's speed shifts every few hundred ms: a min of each
+        // side compares two lucky phases (min of 7 whole-workload
+        // runs spread 0.87-1.11 over ten invocations), while many
+        // short interleaved runs put both sides in every phase. The
+        // guarded key is the inverted ratio obsEfficiency = off/on
+        // (check_baselines floors are higher-is-better, and 1/1.05 ~
+        // 0.952 encodes the required < 1.05x overhead).
         double obs_on = 0.0, obs_off = 0.0;
         {
             service::ServiceOptions oo;
             oo.threads = 1;
             service::CompileService svc(oo);
             runBatch(svc, workload(1));  // warm the caches
-            std::vector<double> on_runs, off_runs;
-            for (int rep = 0; rep < 3; ++rep) {
-                obs::setEnabled(false);
-                off_runs.push_back(runBatch(svc, workload(copies)));
-                obs::setEnabled(true);
-                on_runs.push_back(runBatch(svc, workload(copies)));
-                obs::setEnabled(false);
-                obs::Tracer::global().clear();
+            for (int rep = 0; rep < 7 * copies; ++rep) {
+                for (const bool on : {rep % 2 == 1, rep % 2 == 0}) {
+                    obs::setEnabled(on);
+                    (on ? obs_on : obs_off) +=
+                        runBatch(svc, workload(1));
+                    obs::setEnabled(false);
+                    obs::Tracer::global().clear();
+                }
             }
-            obs_on = *std::min_element(on_runs.begin(),
-                                       on_runs.end());
-            obs_off = *std::min_element(off_runs.begin(),
-                                        off_runs.end());
         }
 
         // Emitted through the shared JsonValue builders (the v1

@@ -4,11 +4,15 @@
 #include <array>
 #include <cmath>
 
+#include "qmath/raw_complex.hh"
+
 namespace reqisc::qmath
 {
 
 namespace
 {
+
+using detail::Cx;
 
 /** Sum of squared magnitudes of off-diagonal entries. */
 double
@@ -108,9 +112,114 @@ sortEigenpairs(EigResult &r)
     r.vectors = std::move(v);
 }
 
-EigResult
-jacobiEig(Matrix a)
+/** jacobiRotate on the fixed-size path's raw storage. */
+template <int N>
+void
+jacobiRotateFixed(Cx (&a)[N][N], Cx (&v)[N][N], int p, int q)
 {
+    const Cx apq = a[p][q];
+    const double mag = abs(apq);
+    if (mag == 0.0)
+        return;
+    const double app = a[p][p].re;
+    const double aqq = a[q][q].re;
+    const Cx phase = apq / mag;
+    const double zeta = (app - aqq) / (2.0 * mag);
+    const double t = (zeta >= 0.0)
+        ? 1.0 / (zeta + std::sqrt(1.0 + zeta * zeta))
+        : 1.0 / (zeta - std::sqrt(1.0 + zeta * zeta));
+    const double c = 1.0 / std::sqrt(1.0 + t * t);
+    const double s = t * c;
+    const Cx sp = s * phase;
+    for (int i = 0; i < N; ++i) {
+        const Cx aip = a[i][p];
+        const Cx aiq = a[i][q];
+        a[i][p] = c * aip + conj(sp) * aiq;
+        a[i][q] = -sp * aip + c * aiq;
+    }
+    for (int j = 0; j < N; ++j) {
+        const Cx apj = a[p][j];
+        const Cx aqj = a[q][j];
+        a[p][j] = c * apj + sp * aqj;
+        a[q][j] = -conj(sp) * apj + c * aqj;
+    }
+    for (int i = 0; i < N; ++i) {
+        const Cx vip = v[i][p];
+        const Cx viq = v[i][q];
+        v[i][p] = c * vip + conj(sp) * viq;
+        v[i][q] = -sp * vip + c * viq;
+    }
+}
+
+/**
+ * eighGeneric for a compile-time N, on raw doubles in local arrays.
+ * Every statement mirrors the generic one — same pair order, sweep
+ * cap, off-diagonal test, early exits and sort comparator — so the
+ * result is bit-identical; the win is full unrolling and no Matrix
+ * indexing or std::complex temporaries in the sweeps.
+ */
+template <int N>
+EigResult
+jacobiEigFixed(const Matrix &in)
+{
+    Cx a[N][N];
+    Cx v[N][N];
+    for (int i = 0; i < N; ++i)
+        for (int j = 0; j < N; ++j) {
+            a[i][j] = {in(i, j).real(), in(i, j).imag()};
+            v[i][j] = {i == j ? 1.0 : 0.0, 0.0};
+        }
+    const double scale = std::max(in.frobeniusNorm(), 1e-300);
+    for (int sweep = 0; sweep < 100; ++sweep) {
+        double off = 0.0;
+        for (int i = 0; i < N; ++i)
+            for (int j = 0; j < N; ++j)
+                if (i != j)
+                    off += norm(a[i][j]);
+        if (std::sqrt(off) < 1e-15 * scale)
+            break;
+        for (int p = 0; p < N - 1; ++p)
+            for (int q = p + 1; q < N; ++q)
+                jacobiRotateFixed(a, v, p, q);
+    }
+    double w[N];
+    int order[N];
+    for (int j = 0; j < N; ++j) {
+        w[j] = a[j][j].re;
+        order[j] = j;
+    }
+    std::sort(order, order + N,
+              [&](int x, int y) { return w[x] < w[y]; });
+    EigResult r;
+    r.values.resize(N);
+    r.vectors.resizeForOverwrite(N, N);
+    for (int j = 0; j < N; ++j) {
+        r.values[j] = w[order[j]];
+        for (int i = 0; i < N; ++i)
+            r.vectors(i, j) =
+                Complex(v[i][order[j]].re, v[i][order[j]].im);
+    }
+    return r;
+}
+
+/** The one dispatch point: fixed-size for n in {2, 4}. */
+EigResult
+jacobiEig(const Matrix &a)
+{
+    switch (a.rows()) {
+      case 2: return jacobiEigFixed<2>(a);
+      case 4: return jacobiEigFixed<4>(a);
+      default: return eighGeneric(a);
+    }
+}
+
+} // namespace
+
+EigResult
+eighGeneric(const Matrix &in)
+{
+    assert(in.rows() == in.cols());
+    Matrix a = in;
     const int n = a.rows();
     Matrix v = Matrix::identity(n);
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
@@ -129,8 +238,6 @@ jacobiEig(Matrix a)
     sortEigenpairs(r);
     return r;
 }
-
-} // namespace
 
 EigResult
 eigh(const Matrix &a)

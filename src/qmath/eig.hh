@@ -29,10 +29,22 @@ struct EigResult
  * Eigendecomposition of a complex Hermitian matrix via two-sided
  * Jacobi rotations.
  *
+ * 2x2 and 4x4 inputs (the expim and KAK sizes) run a fixed-size
+ * path that returns exactly eighGeneric's bits, faster; every other
+ * size runs eighGeneric itself. The same holds for eighReal.
+ *
  * @param a Hermitian input (asserted in debug builds)
  * @return eigenvalues (ascending) and unitary eigenvector matrix
  */
 EigResult eigh(const Matrix &a);
+
+/**
+ * The runtime-n reference eigh() and eighReal() are pinned against:
+ * the same Jacobi sweeps over Matrix storage. Exposed so tests can
+ * oracle the fixed-size path against it and benches can measure the
+ * specialization win (as kernels::mulGenericInto backs mulInto).
+ */
+EigResult eighGeneric(const Matrix &a);
 
 /**
  * Eigendecomposition of a real symmetric matrix (stored as a complex

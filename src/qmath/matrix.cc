@@ -213,8 +213,9 @@ Matrix::approxEqual(const Matrix &o, double tol) const
 {
     if (rows_ != o.rows_ || cols_ != o.cols_)
         return false;
+    // !(d <= tol) rather than d > tol: a NaN entry is never near.
     for (size_t k = 0; k < size(); ++k)
-        if (std::abs(data_[k] - o.data_[k]) > tol)
+        if (!(std::abs(data_[k] - o.data_[k]) <= tol))
             return false;
     return true;
 }
@@ -241,7 +242,7 @@ Matrix::approxEqualUpToPhase(const Matrix &o, double tol) const
         return false;
     phase /= mag;
     for (size_t k = 0; k < size(); ++k)
-        if (std::abs(data_[k] - phase * o.data_[k]) > tol)
+        if (!(std::abs(data_[k] - phase * o.data_[k]) <= tol))
             return false;
     return true;
 }

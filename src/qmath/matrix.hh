@@ -154,12 +154,15 @@ class Matrix
     /** Largest entrywise magnitude. */
     double maxAbs() const;
 
-    /** Entrywise comparison with absolute tolerance. */
+    /**
+     * Entrywise comparison with absolute tolerance. A NaN entry in
+     * either matrix makes it false, and so isUnitary/isHermitian too.
+     */
     bool approxEqual(const Matrix &o, double tol = kDefaultTol) const;
 
     /**
      * Compare up to a global phase: true iff there is a unit-modulus
-     * phase p with |this - p*o| <= tol entrywise.
+     * phase p with |this - p*o| <= tol entrywise (false on NaN).
      */
     bool approxEqualUpToPhase(const Matrix &o,
                               double tol = kDefaultTol) const;

@@ -27,10 +27,25 @@ struct SvdResult
 /**
  * One-sided Jacobi SVD of a square complex matrix.
  *
+ * 2x2 and 4x4 inputs (every polar update synthesis makes) run a
+ * fixed-size path that returns exactly svdGeneric's bits, faster;
+ * every other size runs svdGeneric itself. A zero matrix, or one
+ * small enough (|a| below ~1e-154) that its squared entries
+ * underflow, gives s = 0 (or the tiny exact value) with u and v
+ * still exactly unitary.
+ *
  * @param a square input matrix
  * @return SVD with singular values sorted descending
  */
 SvdResult svd(const Matrix &a);
+
+/**
+ * The runtime-n reference svd() is pinned against: the same Jacobi
+ * sweeps over Matrix storage. Exposed so tests can oracle the
+ * fixed-size path against it and benches can measure the
+ * specialization win (as kernels::mulGenericInto backs mulInto).
+ */
+SvdResult svdGeneric(const Matrix &a);
 
 /**
  * Closest unitary to a in Frobenius norm (the unitary polar factor

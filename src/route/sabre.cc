@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <stdexcept>
+#include <string>
 
 #include "circuit/dag.hh"
 
@@ -325,7 +327,14 @@ RouteResult
 sabreRoute(const Circuit &logical, const Topology &topo,
            const RouteOptions &opts)
 {
-    assert(logical.numQubits() <= topo.numQubits());
+    // Not an assert: Release builds would route a wider circuit off
+    // the end of the layout arrays.
+    if (logical.numQubits() > topo.numQubits())
+        throw std::invalid_argument(
+            "sabreRoute: circuit has " +
+            std::to_string(logical.numQubits()) +
+            " qubits but the topology has " +
+            std::to_string(topo.numQubits()));
 #ifndef NDEBUG
     for (const Gate &g : logical)
         assert(g.numQubits() <= 2 && "route expects a 2Q-basis input");

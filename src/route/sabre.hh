@@ -48,6 +48,9 @@ struct RouteResult
  * Route a logical circuit onto the topology. Every 2Q gate of the
  * output acts on connected physical wires. Inserted SWAPs appear as
  * Op::SWAP gates (callers lower or fuse them per ISA).
+ *
+ * @throws std::invalid_argument when the circuit is wider than the
+ *         topology
  */
 RouteResult sabreRoute(const circuit::Circuit &logical,
                        const Topology &topo,

@@ -459,6 +459,13 @@ CompileService::runJob(const Job &job)
                     makeError(errc::kParseError, e.what()));
             }
         }
+        if (opts_.backend &&
+            input.numQubits() > opts_.backend->numQubits())
+            throw ApiException(makeError(
+                errc::kBadRequest,
+                "circuit has " + std::to_string(input.numQubits()) +
+                    " qubits but the chip has " +
+                    std::to_string(opts_.backend->numQubits())));
         compiler::CompileOptions copts = job.req.options;
         CountingBlockMemo synthMemo(synthCache_.get());
         CountingPulseMemo pulseMemo(pulseCache_.get());

@@ -18,6 +18,12 @@
  *  3. Allocation-freedom: the 4x4/8x8 hot expressions (the synthesis
  *     inner loops) perform zero heap allocations once their
  *     destinations exist, counted by a global operator new hook.
+ *
+ *  4. Fixed-size solvers: svd() and eigh() at n = 2 and 4 return
+ *     exactly the bits of their runtime-n references svdGeneric() /
+ *     eighGeneric(), oracled with memcmp over 10k+ seeded inputs per
+ *     size per solver across the degenerate families synthesis and
+ *     pulse solving feed them.
  */
 
 #include <gtest/gtest.h>
@@ -33,8 +39,10 @@
 #include <vector>
 
 #include "circuit/qasm.hh"
+#include "qmath/eig.hh"
 #include "qmath/kernels.hh"
 #include "qmath/random.hh"
+#include "qmath/svd.hh"
 #include "service/service.hh"
 #include "test_util.hh"
 
@@ -315,6 +323,147 @@ TEST(KernelsAllocation, LargeMatricesStillSpillToTheHeap)
     Matrix dst;
     kernels::mulInto(dst, a, b);
     EXPECT_GT(g_allocs.load(std::memory_order_relaxed), before);
+}
+
+// ---- Contract 4: fixed-size solvers vs their runtime-n references --
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/** 2 * (U + 1e-9 G): a scaled unitary under tiny noise. */
+Matrix
+nearUnitary(int n, qmath::Rng &rng)
+{
+    Matrix a = qmath::randomUnitary(n, rng);
+    kernels::axpyInPlace(a, Complex(1e-9, 0.0),
+                         qmath::randomGinibre(n, rng));
+    kernels::scaleInPlace(a, Complex(2.0, 0.0));
+    return a;
+}
+
+/** Ginibre with its last columns exact copies (x2) of earlier ones. */
+Matrix
+rankDeficient(int n, qmath::Rng &rng)
+{
+    Matrix a = qmath::randomGinibre(n, rng);
+    const int rank = 1 + static_cast<int>(rng() % (n - 1));
+    for (int j = rank; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            a(i, j) = a(i, j % rank) * 2.0;
+    return a;
+}
+
+/** U diag(w) U^dagger, w drawn from `distinct` values (repeats). */
+Matrix
+conjugatedSpectrum(int n, int distinct, qmath::Rng &rng)
+{
+    std::normal_distribution<double> g(0.0, 1.0);
+    std::vector<double> vals(distinct);
+    for (double &x : vals)
+        x = g(rng);
+    Matrix d(n, n);
+    for (int i = 0; i < n; ++i)
+        d(i, i) = vals[i % distinct];
+    const Matrix u = qmath::randomUnitary(n, rng);
+    return u * d * u.dagger();
+}
+
+/** Real diagonal plus Hermitian off-diagonal entries of size 1e-9. */
+Matrix
+nearDiagonal(int n, qmath::Rng &rng)
+{
+    Matrix h = qmath::randomHermitian(n, rng);
+    std::normal_distribution<double> g(0.0, 1.0);
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+            h(i, j) = i == j ? Complex(g(rng), 0.0) : h(i, j) * 1e-9;
+    return h;
+}
+
+/** The fixed inputs every oracle also runs: identity, zero, repeats. */
+std::vector<Matrix>
+fixedInputs(int n)
+{
+    std::vector<Matrix> out = {Matrix::identity(n), Matrix(n, n),
+                               Matrix::identity(n) * Complex(2.0, 0.0)};
+    Matrix rep(n, n);
+    for (int i = 0; i < n; ++i)
+        rep(i, i) = i < n / 2 ? 1.0 : -2.0;
+    out.push_back(rep);
+    return out;
+}
+
+constexpr int kOracleInputs = 10000;
+
+TEST(FixedSolversBitIdentity, SvdMatchesGenericAtTwoAndFour)
+{
+    for (int n : {2, 4}) {
+        qmath::Rng rng(1000 + n);
+        std::vector<Matrix> inputs = fixedInputs(n);
+        for (int k = 0; k < kOracleInputs; ++k) {
+            switch (k % 4) {
+              case 0: inputs.push_back(qmath::randomGinibre(n, rng)); break;
+              case 1: inputs.push_back(qmath::randomUnitary(n, rng)); break;
+              case 2: inputs.push_back(rankDeficient(n, rng)); break;
+              default: inputs.push_back(nearUnitary(n, rng)); break;
+            }
+        }
+        int mismatches = 0;
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            const qmath::SvdResult fast = qmath::svd(inputs[k]);
+            const qmath::SvdResult ref = qmath::svdGeneric(inputs[k]);
+            const bool same = bitIdentical(fast.u, ref.u) &&
+                              bitIdentical(fast.v, ref.v) &&
+                              sameBits(fast.s, ref.s);
+            if (!same && ++mismatches <= 3)
+                ADD_FAILURE() << "n=" << n << " input " << k << ":\n"
+                              << inputs[k].toString(17);
+        }
+        EXPECT_EQ(mismatches, 0) << "n=" << n << " of " << inputs.size();
+    }
+}
+
+TEST(FixedSolversBitIdentity, EighMatchesGenericAtTwoAndFour)
+{
+    for (int n : {2, 4}) {
+        qmath::Rng rng(2000 + n);
+        std::vector<Matrix> inputs = fixedInputs(n);
+        for (int k = 0; k < kOracleInputs; ++k) {
+            switch (k % 5) {
+              case 0: inputs.push_back(qmath::randomHermitian(n, rng)); break;
+              case 1: inputs.push_back(conjugatedSpectrum(n, n, rng)); break;
+              case 2: {
+                  // Real symmetric (the KAK eighReal inputs).
+                  Matrix h = qmath::randomHermitian(n, rng);
+                  for (int i = 0; i < n; ++i)
+                      for (int j = 0; j < n; ++j)
+                          h(i, j) = Complex(h(i, j).real(), 0.0);
+                  inputs.push_back(h);
+                  break;
+              }
+              case 3: inputs.push_back(nearDiagonal(n, rng)); break;
+              default:
+                  // Exactly repeated eigenvalues.
+                  inputs.push_back(conjugatedSpectrum(n, n / 2, rng));
+                  break;
+            }
+        }
+        int mismatches = 0;
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            const qmath::EigResult fast = qmath::eigh(inputs[k]);
+            const qmath::EigResult ref = qmath::eighGeneric(inputs[k]);
+            const bool same = bitIdentical(fast.vectors, ref.vectors) &&
+                              sameBits(fast.values, ref.values);
+            if (!same && ++mismatches <= 3)
+                ADD_FAILURE() << "n=" << n << " input " << k << ":\n"
+                              << inputs[k].toString(17);
+        }
+        EXPECT_EQ(mismatches, 0) << "n=" << n << " of " << inputs.size();
+    }
 }
 
 // ---- Contract 1, end to end: artifacts with SIMD on vs off ---------

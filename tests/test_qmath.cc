@@ -216,6 +216,48 @@ TEST(Svd, RankDeficient)
     EXPECT_TRUE(r.u.isUnitary(1e-9));
 }
 
+TEST(Svd, ZeroAndTinyMatricesGiveFiniteUnitaryFactors)
+{
+    // |a| below ~1e-154 underflows the rotation threshold to 0; the
+    // zero pairs must be skipped, not divided through (0/0 = NaN).
+    Rng rng(43);
+    for (int n : {2, 4}) {
+        const Matrix x = randomGinibre(n, rng);
+        Matrix tiny(n, n);  // 1e-170 * x_0 x_1^dagger, rank one
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                tiny(i, j) = 1e-170 * x(i, 0) * std::conj(x(j, 1));
+        for (const Matrix &a : {Matrix(n, n), tiny}) {
+            for (auto solve : {&svd, &svdGeneric}) {
+                const SvdResult r = solve(a);
+                for (double s : r.s) {
+                    EXPECT_GE(s, 0.0);
+                    EXPECT_LE(s, 1e-168);
+                }
+                for (const Matrix *m : {&r.u, &r.v})
+                    for (int k = 0; k < n * n; ++k)
+                        EXPECT_TRUE(std::isfinite(m->data()[k].real()) &&
+                                    std::isfinite(m->data()[k].imag()))
+                            << "n=" << n;
+                EXPECT_TRUE(r.u.isUnitary(1e-12)) << "n=" << n;
+                EXPECT_TRUE(r.v.isUnitary(1e-12)) << "n=" << n;
+            }
+            EXPECT_TRUE(polarUnitary(a).isUnitary(1e-12)) << "n=" << n;
+        }
+    }
+}
+
+TEST(Matrix, NaNIsNeverNear)
+{
+    Matrix m = Matrix::identity(2);
+    m(0, 1) = Complex(std::nan(""), 0.0);
+    EXPECT_FALSE(m.isUnitary());
+    EXPECT_FALSE(m.isHermitian());
+    EXPECT_FALSE(m.approxEqual(m));
+    EXPECT_FALSE(m.approxEqualUpToPhase(m));
+    EXPECT_FALSE(test::matrixNear(m, m, 1e-8));
+}
+
 TEST(Svd, PolarUnitaryOfUnitaryIsItself)
 {
     Rng rng(37);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "circuit/lower.hh"
 #include "qmath/random.hh"
 #include "qsim/statevector.hh"
@@ -237,6 +239,16 @@ TEST(Sabre, MirroringAbsorbsSwaps)
         total_absorbed += r.swapsAbsorbed;
     }
     EXPECT_GT(total_absorbed, 0);
+}
+
+TEST(Sabre, WiderThanDeviceThrowsInEveryBuild)
+{
+    // A checked error, not an assert that Release compiles out (the
+    // router would index its layout arrays past the chip's width).
+    Circuit c(4);
+    c.add(Gate::cx(0, 3));
+    EXPECT_THROW(sabreRoute(c, Topology::chain(3)),
+                 std::invalid_argument);
 }
 
 TEST(Sabre, FewerQubitsThanDevice)

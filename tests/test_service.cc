@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "backend/backend.hh"
 #include "circuit/lower.hh"
 #include "circuit/qasm.hh"
 #include "compiler/pipeline.hh"
@@ -344,6 +346,37 @@ TEST(CompileService, QasmJobsCompileAndParseErrorsAreCaptured)
         good_res.compiled.circuit,
         good_res.compiled.finalPermutation);
     EXPECT_LT(qmath::traceInfidelity(ref, got), 1e-6);
+}
+
+TEST(CompileService, CircuitWiderThanTheChipIsABadRequest)
+{
+    service::ServiceOptions sopts;
+    sopts.threads = 1;
+    sopts.backend = std::make_shared<const backend::Backend>(
+        backend::Backend::uniform(route::Topology::chain(3)));
+    service::CompileService svc(sopts);
+
+    service::CompileRequest wide;
+    wide.name = "ghz4";
+    wide.qasm = "qreg q[4];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+                "cx q[2],q[3];\n";
+    service::CompileRequest fits;
+    fits.name = "ghz3";
+    fits.qasm = "qreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n";
+    const auto wide_id = svc.submit(std::move(wide));
+    const auto fits_id = svc.submit(std::move(fits));
+
+    const service::JobResult bad = svc.wait(wide_id);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorInfo.code, service::errc::kBadRequest);
+    EXPECT_EQ(bad.errorInfo.httpStatus, 400);
+    EXPECT_NE(bad.errorInfo.message.find("4 qubits"), std::string::npos)
+        << bad.errorInfo.message;
+    EXPECT_NE(bad.errorInfo.message.find("chip has 3"), std::string::npos)
+        << bad.errorInfo.message;
+
+    const service::JobResult good = svc.wait(fits_id);
+    EXPECT_TRUE(good.ok) << good.errorInfo.message;
 }
 
 TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
