@@ -4,8 +4,9 @@
  * kernels (8x8 mul, 4x4 kron — specialized vs generic), the
  * fixed-size 4x4 Jacobi SVD and Hermitian eigensolver (vs their
  * runtime-n references), KAK decomposition, genAshN pulse solving
- * per subscheme, 4x4 Hermitian exponentials and one QFactor
- * instantiation. These throughput numbers bound the compiler's
+ * per subscheme, 4x4 Hermitian exponentials, one QFactor
+ * instantiation and one instantiation the light-cone certificate
+ * rules out. These throughput numbers bound the compiler's
  * scalability (Fig 16(b)).
  *
  * Runs on the shared bench/common harness like every other bench
@@ -173,6 +174,22 @@ main(int argc, char **argv)
             g_sink += synth::instantiate(target, 2, slots).infidelity;
         },
         budget);
+    // dagCompact's exchange structure on a Haar 8x8 target: the
+    // light-cone certificate settles it without a sweep.
+    const qmath::Matrix haar8 = qmath::randomUnitary(8, rng);
+    std::vector<synth::Slot> exchange = {synth::Slot::free2Q(1, 2),
+                                         synth::Slot::free2Q(0, 1)};
+    synth::InstantiateOptions exchange_opts;
+    exchange_opts.tol = 1e-9;
+    exchange_opts.restarts = 2;
+    exchange_opts.maxSweeps = 200;
+    const double ruled_out_us = usPerOp(
+        [&] {
+            g_sink += synth::instantiate(haar8, 3, exchange,
+                                         exchange_opts)
+                          .infidelity;
+        },
+        budget);
     const uarch::Coupling xy = uarch::Coupling::xy(1.0);
     size_t ci = 0;
     const double dur_us = usPerOp(
@@ -221,6 +238,8 @@ main(int argc, char **argv)
         doc.set("genAshNSolveEaUs", JsonValue::makeNumber(ea_us));
         doc.set("instantiateTwoQubitUs",
                 JsonValue::makeNumber(inst_us));
+        doc.set("instantiateRuledOutUs",
+                JsonValue::makeNumber(ruled_out_us));
         doc.set("optimalDurationUs", JsonValue::makeNumber(dur_us));
         std::fputs(backend::dumpJson(doc, true).c_str(), stdout);
         return 0;
@@ -247,6 +266,8 @@ main(int argc, char **argv)
     tbl.addRow({"genAshN solve ND", fmt(nd_us, 2), ""});
     tbl.addRow({"genAshN solve EA", fmt(ea_us, 2), ""});
     tbl.addRow({"instantiate 2q free block", fmt(inst_us, 2), ""});
+    tbl.addRow({"instantiate ruled out (exchange)",
+                fmt(ruled_out_us, 2), "light-cone certificate"});
     tbl.addRow({"optimalDuration", fmt(dur_us, 2), ""});
     tbl.print(opt.csv);
     return 0;

@@ -172,7 +172,7 @@ class DagCompactPass final : public Pass
     std::string name() const override { return "dag-compact"; }
     void run(CompilationUnit &u) override
     {
-        u.circuit = dagCompact(u.circuit);
+        u.circuit = dagCompact(u.circuit, u.options.synthTol);
     }
 };
 

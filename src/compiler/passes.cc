@@ -272,6 +272,7 @@ Circuit
 dagCompact(const Circuit &input, double tol)
 {
     Circuit c = input;
+    int score = compactnessScore(c);
     // A few greedy passes of adjacent exchanges.
     for (int pass = 0; pass < 3; ++pass) {
         bool changed = false;
@@ -317,11 +318,12 @@ dagCompact(const Circuit &input, double tol)
                         ++shared;
             if (shared != 1)
                 continue;
-            // Try the exchange on a copy and keep it if it lowers the
-            // compactness score.
-            Circuit trial = c;
-            std::swap(trial[i], trial[j]);
-            if (compactnessScore(trial) >= compactnessScore(c))
+            // Score the exchange in place; keep going only if it
+            // lowers the compactness score.
+            std::swap(c[i], c[j]);
+            const int trial = compactnessScore(c);
+            std::swap(c[i], c[j]);
+            if (trial >= score)
                 continue;
             // Re-instantiate the swapped pair against the joint
             // unitary on the union qubits.
@@ -364,6 +366,7 @@ dagCompact(const Circuit &input, double tol)
             // on sorted-local indices matching g's qubit order.
             c[i] = ng2;
             c[j] = ng1;
+            score = trial;
             changed = true;
         }
         if (!changed)
@@ -378,7 +381,7 @@ hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
                       synth::BlockPool *pool)
 {
     Circuit fused = fuse2QBlocks(fuse1Q(input));
-    Circuit compacted = dagCompact(fused);
+    Circuit compacted = dagCompact(fused, tol);
     std::vector<Partition3Q> blocks = partition3Q(compacted);
 
     // Collect the resynthesis targets first: each solve is a pure

@@ -70,7 +70,9 @@ int compactnessScore(const Circuit &c);
  * DAG compacting (Section 5.1.3): exchange approximately commuting
  * adjacent SU(4)s when doing so lowers the compactness score, using
  * numeric re-instantiation of the swapped pair (parameters change,
- * Figure 8).
+ * Figure 8). A trial is scored by swapping the pair in place, so no
+ * trial copies the circuit; most non-exchangeable pairs are then
+ * settled by instantiate()'s light-cone certificate without a sweep.
  *
  * @param c circuit over {U4/CAN/1Q}
  * @param tol accepted infidelity for an exchange
@@ -80,7 +82,9 @@ Circuit dagCompact(const Circuit &c, double tol = 1e-9);
 /**
  * Approximate synthesis over the 3Q partition: blocks with more than
  * `m_th` 2Q gates are re-synthesized into fewer SU(4)s when possible
- * (Section 5.1.2, threshold m_th = 4). `seed` drives the numeric
+ * (Section 5.1.2, threshold m_th = 4). `tol` is the accepted
+ * infidelity of both the dagCompact exchanges that run first and the
+ * block resyntheses. `seed` drives the numeric
  * instantiation (deterministic per call); `memo` optionally shares
  * block-synthesis results across calls/circuits (service layer).
  *

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
+#include "obs/metrics.hh"
 #include "qmath/kernels.hh"
 #include "qmath/svd.hh"
 
@@ -85,6 +87,104 @@ liftGate(const Matrix &g, const std::vector<int> &qubits,
 namespace
 {
 
+struct InstantiateMetrics
+{
+    obs::Counter *calls;
+    obs::Counter *ruledOut;
+};
+
+InstantiateMetrics &instantiateMetrics()
+{
+    static InstantiateMetrics m = [] {
+        auto &r = obs::Registry::global();
+        return InstantiateMetrics{
+            r.counter("reqisc_instantiate_calls_total",
+                      "Numeric instantiation calls"),
+            r.counter("reqisc_instantiate_ruled_out_total",
+                      "Instantiation calls the light-cone "
+                      "certificate answered without sweeping"),
+        };
+    }();
+    return m;
+}
+
+/** Bit of qubit q in a row/column index (liftGate's convention). */
+int
+indexBit(int q, int num_qubits)
+{
+    return 1 << (num_qubits - 1 - q);
+}
+
+/**
+ * Backward light cone of `qubit` through the structure, as a mask
+ * of row-index bits: walking from the last slot to the first, every
+ * slot touching the cone joins it.
+ */
+int
+lightCone(const std::vector<Slot> &structure, int qubit,
+          int num_qubits)
+{
+    int cone = indexBit(qubit, num_qubits);
+    for (auto it = structure.rbegin(); it != structure.rend(); ++it) {
+        int touched = 0;
+        for (int q : it->qubits)
+            touched |= indexBit(q, num_qubits);
+        if (touched & cone)
+            cone |= touched;
+    }
+    return cone;
+}
+
+/**
+ * ||(1 - P_C) a||_F, with C a mask of row-index bits. P_C(a)(r, c) is
+ * zero unless r and c agree outside C; there it is the mean of
+ * a(r_C | s, c_C | s) over the outside bit patterns s.
+ */
+double
+offConeNorm(const Matrix &a, int dim, int cone)
+{
+    const int rest = (dim - 1) & ~cone;
+    const double share =
+        1.0 / (1 << std::popcount(static_cast<unsigned>(rest)));
+    Matrix mean;
+    mean.setZero(dim, dim);
+    for (int r = 0; r < dim; ++r)
+        for (int c = 0; c < dim; ++c)
+            if ((r & rest) == (c & rest))
+                mean(r & cone, c & cone) += share * a(r, c);
+    double sum = 0.0;
+    for (int r = 0; r < dim; ++r)
+        for (int c = 0; c < dim; ++c)
+            sum += std::norm((r & rest) == (c & rest)
+                                 ? a(r, c) - mean(r & cone, c & cone)
+                                 : a(r, c));
+    return std::sqrt(sum);
+}
+
+/** supportDefect with C given as a mask of row-index bits. */
+double
+supportDefectMask(const Matrix &target, int num_qubits, int qubit,
+                  int cone)
+{
+    const int dim = 1 << num_qubits;
+    const int bit = indexBit(qubit, num_qubits);
+    Matrix tdag, ot, a;
+    kernels::daggerInto(tdag, target);
+    ot.setZero(dim, dim);
+    double defect = 0.0;
+    for (const bool flip : {true, false}) {
+        // O_q T: X_q swaps the rows differing in q's bit, Z_q negates
+        // the rows with q's bit set.
+        for (int r = 0; r < dim; ++r)
+            for (int c = 0; c < dim; ++c)
+                ot(r, c) = flip ? target(r ^ bit, c)
+                                : (r & bit ? -1.0 : 1.0) * target(r, c);
+        kernels::mulInto(a, tdag, ot);
+        defect = std::max(defect, offConeNorm(a, dim, cone));
+    }
+    return defect;
+}
+
 /**
  * Partial trace of E over all qubits except `qubits`:
  * F[p, q] = sum_rest E[(q,rest), (p,rest)] arranged so the optimal
@@ -125,6 +225,16 @@ environmentInto(Matrix &f, const Matrix &e,
 
 } // namespace
 
+double
+supportDefect(const Matrix &target, int num_qubits, int qubit,
+              const std::vector<int> &cone)
+{
+    int mask = 0;
+    for (int q : cone)
+        mask |= indexBit(q, num_qubits);
+    return supportDefectMask(target, num_qubits, qubit, mask);
+}
+
 InstantiateResult
 instantiate(const Matrix &target, int num_qubits,
             const std::vector<Slot> &structure,
@@ -133,8 +243,25 @@ instantiate(const Matrix &target, int num_qubits,
     const int dim = 1 << num_qubits;
     assert(target.rows() == dim && target.cols() == dim);
     const size_t m = structure.size();
+    InstantiateMetrics &metrics = instantiateMetrics();
+    metrics.calls->inc();
 
     InstantiateResult best;
+    // Light-cone certificate (see the header for the proof).
+    const double bound = 4.0 * std::sqrt(2.0 * dim * opts.tol);
+    for (int q = 0; q < num_qubits; ++q) {
+        const int cone = lightCone(structure, q, num_qubits);
+        if (cone == dim - 1)
+            continue;
+        const double d = supportDefectMask(target, num_qubits, q, cone);
+        if (d > bound) {
+            metrics.ruledOut->inc();
+            best.infidelity = d * d / (8.0 * dim);
+            best.slots = structure;
+            return best;
+        }
+    }
+
     qmath::Rng rng(opts.seed);
 
     const Matrix tdag = target.dagger();

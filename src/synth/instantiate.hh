@@ -61,6 +61,21 @@ struct InstantiateResult
  * Optimize the free slots to match the target unitary up to global
  * phase. Slot order is circuit order: slots[0] acts first.
  *
+ * Before any sweep, a light-cone certificate rules out structures
+ * that provably cannot reach `opts.tol`. For each qubit q, the
+ * structure's backward light cone C_q (walk the slots from last to
+ * first; a slot touching the cone joins it) bounds where any circuit
+ * V of this structure can send q's operators: V^dagger O_q V acts as
+ * identity outside C_q. A converged fit W = e^{i phi} V has
+ * ||T - W||_F^2 = 2 dim infid, so supportDefect(T, q, C_q) <=
+ * 2 ||T - W||_F < 2 sqrt(2 dim tol). When some defect d_q exceeds
+ * twice that bound, 4 sqrt(2 dim tol) (the factor 2 absorbs
+ * rounding), the call returns at once with converged = false,
+ * sweeps = 0, slots = the structure as given, and infidelity =
+ * d_q^2 / (8 dim), a certified lower bound on the infidelity of
+ * every circuit with this structure. Structures whose cones cover
+ * every qubit are never ruled out.
+ *
  * @param target 2^n x 2^n unitary to match
  * @param num_qubits register width n (<= 4 by design)
  * @param slots circuit structure
@@ -68,6 +83,22 @@ struct InstantiateResult
 InstantiateResult instantiate(const Matrix &target, int num_qubits,
                               const std::vector<Slot> &slots,
                               const InstantiateOptions &opts = {});
+
+/**
+ * How far `target` spreads qubit `qubit`'s operators beyond `cone`:
+ * max over O in {X, Z} of ||(1 - P_C)(T^dagger O_q T)||_F, where P_C
+ * keeps only the part of an operator that acts as identity outside
+ * the qubits in `cone`. Zero when T maps q's Paulis into C; the
+ * light-cone certificate of instantiate() compares it against the
+ * fit tolerance.
+ *
+ * @param target 2^n x 2^n unitary
+ * @param num_qubits register width n
+ * @param qubit the qubit whose Paulis are conjugated
+ * @param cone qubit indices of C (should contain `qubit`)
+ */
+double supportDefect(const Matrix &target, int num_qubits, int qubit,
+                     const std::vector<int> &cone);
 
 /** Lift a k-qubit gate matrix to the full register dimension. */
 Matrix liftGate(const Matrix &g, const std::vector<int> &qubits,

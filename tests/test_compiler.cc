@@ -3,20 +3,35 @@
  * Tests for the compiler passes, pipelines and baselines. The core
  * invariant: every pass and pipeline preserves circuit semantics up
  * to global phase (and the tracked output permutation for mirroring).
+ * dagCompact is also pinned gate for gate against its pre-certificate
+ * implementation, kept verbatim below as the oracle.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "circuit/lower.hh"
+#include "circuit/qasm.hh"
 #include "compiler/baselines.hh"
 #include "compiler/metrics.hh"
+#include "compiler/pass_manager.hh"
 #include "compiler/passes.hh"
 #include "compiler/pipeline.hh"
+#include "qmath/expm.hh"
 #include "qmath/random.hh"
 #include "qsim/statevector.hh"
+#include "suite/suite.hh"
+#include "synth/instantiate.hh"
 #include "test_util.hh"
+
+#ifndef REQISC_SOURCE_DIR
+#define REQISC_SOURCE_DIR "."
+#endif
 
 using namespace reqisc;
 using namespace reqisc::circuit;
@@ -62,6 +77,152 @@ sameSemantics(const Circuit &a, const Circuit &b,
     return ::testing::AssertionFailure()
            << "circuits differ, fidelity="
            << qmath::traceFidelity(ua, ub);
+}
+
+// ---- The pre-certificate dagCompact, kept verbatim as the oracle -------
+
+Circuit
+legacyDagCompact(const Circuit &input, double tol = 1e-9)
+{
+    Circuit c = input;
+    // A few greedy passes of adjacent exchanges.
+    for (int pass = 0; pass < 3; ++pass) {
+        bool changed = false;
+        for (size_t i = 0; i + 1 < c.size(); ++i) {
+            Gate &g1 = c[i];
+            // Find the next multi-qubit gate adjacent in the DAG.
+            if (!g1.is2Q() || (g1.op != Op::U4 && g1.op != Op::CAN))
+                continue;
+            size_t j = i + 1;
+            bool blocked = false;
+            for (; j < c.size(); ++j) {
+                const Gate &gj = c[j];
+                bool touches = false;
+                for (int q : gj.qubits)
+                    for (int p : g1.qubits)
+                        if (q == p)
+                            touches = true;
+                if (touches) {
+                    if (gj.is2Q() &&
+                        (gj.op == Op::U4 || gj.op == Op::CAN))
+                        break;
+                    blocked = true;
+                    break;
+                }
+            }
+            if (blocked || j >= c.size())
+                continue;
+            Gate &g2 = c[j];
+            // The exchange moves g2 before the gates between i and j;
+            // it is only legal when none of them touch g2's qubits.
+            for (size_t k = i + 1; k < j && !blocked; ++k)
+                for (int q : c[k].qubits)
+                    for (int p : g2.qubits)
+                        if (q == p)
+                            blocked = true;
+            if (blocked)
+                continue;
+            // Exchange only pairs sharing exactly one qubit.
+            int shared = 0;
+            for (int q : g2.qubits)
+                for (int p : g1.qubits)
+                    if (q == p)
+                        ++shared;
+            if (shared != 1)
+                continue;
+            // Try the exchange on a copy and keep it if it lowers the
+            // compactness score.
+            Circuit trial = c;
+            std::swap(trial[i], trial[j]);
+            if (compactnessScore(trial) >= compactnessScore(c))
+                continue;
+            // Re-instantiate the swapped pair against the joint
+            // unitary on the union qubits.
+            std::vector<int> uq = g1.qubits;
+            for (int q : g2.qubits)
+                if (std::find(uq.begin(), uq.end(), q) == uq.end())
+                    uq.push_back(q);
+            std::sort(uq.begin(), uq.end());
+            auto local = [&](const Gate &g) {
+                std::vector<int> idx;
+                for (int q : g.qubits)
+                    idx.push_back(static_cast<int>(
+                        std::find(uq.begin(), uq.end(), q) -
+                        uq.begin()));
+                return idx;
+            };
+            const Matrix m1 = synth::liftGate(g1.matrix(), local(g1),
+                                              3);
+            const Matrix m2 = synth::liftGate(g2.matrix(), local(g2),
+                                              3);
+            const Matrix joint = m2 * m1;   // g1 first
+            // Reversed order: g2' first, then g1'.
+            std::vector<synth::Slot> slots = {
+                synth::Slot::free2Q(local(g2)[0], local(g2)[1]),
+                synth::Slot::free2Q(local(g1)[0], local(g1)[1]),
+            };
+            synth::InstantiateOptions iopts;
+            iopts.tol = tol;
+            iopts.restarts = 2;
+            iopts.maxSweeps = 200;
+            synth::InstantiateResult r =
+                test::legacyInstantiate(joint, 3, slots, iopts);
+            if (!r.converged)
+                continue;
+            Gate ng2 = Gate::u4(g2.qubits[0], g2.qubits[1],
+                                r.slots[0].value);
+            Gate ng1 = Gate::u4(g1.qubits[0], g1.qubits[1],
+                                r.slots[1].value);
+            // Keep the slot qubit order consistent: free2Q was built
+            // on sorted-local indices matching g's qubit order.
+            c[i] = ng2;
+            c[j] = ng1;
+            changed = true;
+        }
+        if (!changed)
+            break;
+    }
+    return c;
+}
+
+/** What hier-synth hands dagCompact: the template-lowered, fused IR. */
+Circuit
+compactInput(const Circuit &c)
+{
+    return fuse2QBlocks(
+        fuse1Q(templateSynthesis(circuit::decomposeMcx(c))));
+}
+
+/**
+ * A random 3-6 qubit circuit mixing Haar SU(4)s with diagonal ZZ
+ * rotations and CXs, so some adjacent pairs exchange exactly.
+ */
+Circuit
+randomU4Circuit(Rng &rng)
+{
+    std::uniform_int_distribution<int> width(3, 6), length(6, 14),
+        kind(0, 5);
+    std::uniform_real_distribution<double> ang(-1.5, 1.5);
+    const Matrix z = Gate::z(0).matrix();
+    const int n = width(rng);
+    std::uniform_int_distribution<int> wire(0, n - 1);
+    Circuit c(n);
+    for (int g = length(rng); g > 0; --g) {
+        const int a = wire(rng);
+        int b = wire(rng);
+        while (b == a)
+            b = wire(rng);
+        const int k = kind(rng);
+        if (k < 2)
+            c.add(Gate::u4(a, b, randomUnitary(4, rng)));
+        else if (k < 4)
+            c.add(Gate::u4(a, b, expim(kron(z, z), ang(rng))));
+        else if (k == 4)
+            c.add(Gate::cx(a, b));
+        else
+            c.add(Gate::rx(a, ang(rng)));
+    }
+    return c;
 }
 
 } // namespace
@@ -140,6 +301,90 @@ TEST(Passes, DagCompactPreservesSemantics)
     Circuit d = dagCompact(c);
     EXPECT_TRUE(sameSemantics(c, d, {}, 1e-4));
     EXPECT_LE(compactnessScore(d), compactnessScore(c));
+}
+
+TEST(Passes, DagCompactMatchesTheLegacyOracle)
+{
+    std::vector<std::pair<std::string, Circuit>> inputs;
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(REQISC_SOURCE_DIR) + "/examples/qasm"))
+        if (e.path().extension() == ".qasm")
+            files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+    for (const auto &f : files) {
+        std::ifstream in(f);
+        std::ostringstream text;
+        text << in.rdbuf();
+        inputs.emplace_back(f.filename().string(),
+                            circuit::fromQasm(text.str()));
+    }
+    for (const auto &b : suite::smallSuite())
+        inputs.emplace_back(b.name, b.circuit);
+    Rng rng(61);
+    for (int i = 0; i < 200; ++i)
+        inputs.emplace_back("random_" + std::to_string(i),
+                            randomU4Circuit(rng));
+
+    int exchanged = 0;
+    for (const auto &[name, c] : inputs) {
+        const Circuit in = name.rfind("random_", 0) == 0
+            ? fuse2QBlocks(fuse1Q(c))
+            : compactInput(c);
+        const Circuit got = dagCompact(in);
+        ASSERT_TRUE(test::circuitsIdentical(got, legacyDagCompact(in)))
+            << name;
+        exchanged += !test::circuitsIdentical(got, in);
+    }
+    // Some inputs really exchange, so the oracle covers both paths.
+    EXPECT_GT(exchanged, 20);
+}
+
+TEST(Passes, DagCompactHonoursSynthTol)
+{
+    // A ZZ rotation on (0, 1) and a ZZ rotation on (1, 2) carrying an
+    // XX admixture of 1e-5: the best exchange has an infidelity in
+    // (1e-12, 1e-9), and exchanging lets the two (0, 1) gates fuse.
+    const Matrix z = Gate::z(0).matrix(), x = Gate::x(0).matrix();
+    const Matrix zz = kron(z, z), xx = kron(x, x);
+    const Matrix a = expim(zz, 0.4);
+    const Matrix b = expim(zz * 0.7 + xx * 1e-5);
+    Circuit c(3);
+    c.add(Gate::u4(0, 1, a));
+    c.add(Gate::u4(1, 2, b));
+    c.add(Gate::u4(0, 1, expim(xx, 0.3)));
+
+    synth::InstantiateOptions iopts;
+    iopts.tol = 1e-9;
+    iopts.restarts = 2;
+    iopts.maxSweeps = 200;
+    const synth::InstantiateResult best = synth::instantiate(
+        synth::liftGate(b, {1, 2}, 3) * synth::liftGate(a, {0, 1}, 3),
+        3, {synth::Slot::free2Q(1, 2), synth::Slot::free2Q(0, 1)},
+        iopts);
+    ASSERT_TRUE(best.converged);
+    EXPECT_GT(best.infidelity, 1e-12);
+
+    auto run = [&](const std::string &pass, double tol) {
+        CompileOptions opts;
+        opts.synthTol = tol;
+        CompilationUnit u = CompilationUnit::forInput(c, opts);
+        std::string error;
+        std::unique_ptr<Pass> p = makePass(pass, error);
+        EXPECT_TRUE(p) << error;
+        p->run(u);
+        return u.circuit;
+    };
+    for (const char *pass : {"dag-compact", "hier-synth"}) {
+        const Circuit loose = run(pass, CompileOptions{}.synthTol);
+        const Circuit tight = run(pass, 1e-12);
+        EXPECT_EQ(loose[0].qubits, (std::vector<int>{1, 2})) << pass;
+        EXPECT_EQ(tight[0].qubits, (std::vector<int>{0, 1})) << pass;
+        EXPECT_TRUE(sameSemantics(c, loose, {}, 1e-4)) << pass;
+    }
+    EXPECT_EQ(run("hier-synth", 1e-9).count2Q(), 2);
+    EXPECT_EQ(run("hier-synth", 1e-12).count2Q(), 3);
 }
 
 TEST(Passes, HierarchicalSynthesisReducesCount)

@@ -114,6 +114,7 @@ namespace
 using namespace reqisc;
 using qmath::Complex;
 using qmath::Matrix;
+using test::bitIdentical;
 namespace kernels = qmath::kernels;
 
 /** Restore the dispatch state a test toggled, exception-safe. */
@@ -122,29 +123,6 @@ struct SimdGuard
     bool was = kernels::simdActive();
     ~SimdGuard() { kernels::setSimdEnabled(was); }
 };
-
-::testing::AssertionResult
-bitIdentical(const Matrix &a, const Matrix &b)
-{
-    if (a.rows() != b.rows() || a.cols() != b.cols())
-        return ::testing::AssertionFailure()
-               << "shape " << a.rows() << "x" << a.cols() << " vs "
-               << b.rows() << "x" << b.cols();
-    if (std::memcmp(a.data(), b.data(),
-                    a.size() * sizeof(Complex)) != 0) {
-        for (int i = 0; i < a.rows(); ++i)
-            for (int j = 0; j < a.cols(); ++j)
-                if (std::memcmp(&a(i, j), &b(i, j),
-                                sizeof(Complex)) != 0)
-                    return ::testing::AssertionFailure()
-                           << "first mismatch at (" << i << "," << j
-                           << "): scalar (" << a(i, j).real() << ","
-                           << a(i, j).imag() << ") simd ("
-                           << b(i, j).real() << "," << b(i, j).imag()
-                           << ")";
-    }
-    return ::testing::AssertionSuccess();
-}
 
 // ---- Contract 1: scalar-vs-SIMD oracle -----------------------------
 

@@ -73,44 +73,7 @@ loadExample(const std::string &rel)
     return circuit::fromQasm(text.str());
 }
 
-/** Bit-exact gate-stream equality (no tolerance anywhere). */
-::testing::AssertionResult
-circuitsIdentical(const Circuit &a, const Circuit &b)
-{
-    if (a.numQubits() != b.numQubits())
-        return ::testing::AssertionFailure()
-               << "qubit count " << a.numQubits() << " vs "
-               << b.numQubits();
-    if (a.size() != b.size())
-        return ::testing::AssertionFailure()
-               << "gate count " << a.size() << " vs " << b.size();
-    for (size_t i = 0; i < a.size(); ++i) {
-        const Gate &g = a[i], &h = b[i];
-        if (g.op != h.op || g.qubits != h.qubits ||
-            g.params != h.params)
-            return ::testing::AssertionFailure()
-                   << "gate " << i << ": " << g.toString() << " vs "
-                   << h.toString();
-        const bool gp = g.payload != nullptr,
-                   hp = h.payload != nullptr;
-        if (gp != hp)
-            return ::testing::AssertionFailure()
-                   << "gate " << i << ": payload presence differs";
-        if (gp) {
-            const Matrix &m = *g.payload, &n = *h.payload;
-            if (m.rows() != n.rows() || m.cols() != n.cols())
-                return ::testing::AssertionFailure()
-                       << "gate " << i << ": payload shape differs";
-            for (int r = 0; r < m.rows(); ++r)
-                for (int c = 0; c < m.cols(); ++c)
-                    if (m(r, c) != n(r, c))
-                        return ::testing::AssertionFailure()
-                               << "gate " << i << ": payload ("
-                               << r << "," << c << ") differs";
-        }
-    }
-    return ::testing::AssertionSuccess();
-}
+using test::circuitsIdentical;
 
 // ---- The pre-refactor pipelines, kept verbatim as the oracle -----------
 

@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the gtest suites: matrix near-equality assertions
  * (entrywise and up-to-global-phase, the right notion for comparing
- * compiled circuits) and fixed-seed random-matrix shorthands. Linked
- * into every suite as the reqisc_test_util object library.
+ * compiled circuits), bit-exact matrix and circuit equality, and the
+ * legacy instantiation oracle. Linked into every suite as the
+ * reqisc_test_util object library.
  */
 
 #ifndef REQISC_TESTS_TEST_UTIL_HH
@@ -11,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "circuit/circuit.hh"
 #include "qmath/matrix.hh"
 #include "qmath/random.hh"
+#include "synth/instantiate.hh"
 
 namespace reqisc::test
 {
@@ -26,6 +29,24 @@ namespace reqisc::test
 ::testing::AssertionResult matrixNearUpToPhase(const qmath::Matrix &a,
                                                const qmath::Matrix &b,
                                                double tol);
+
+/** Bit-exact matrix equality: memcmp of every entry. */
+::testing::AssertionResult bitIdentical(const qmath::Matrix &a,
+                                        const qmath::Matrix &b);
+
+/** Bit-exact gate-stream equality (no tolerance anywhere). */
+::testing::AssertionResult circuitsIdentical(const circuit::Circuit &a,
+                                             const circuit::Circuit &b);
+
+/**
+ * synth::instantiate as it was before the light-cone certificate,
+ * kept verbatim as the oracle the certificate is checked against:
+ * every result it reports converged must come back bit-identical.
+ */
+synth::InstantiateResult
+legacyInstantiate(const qmath::Matrix &target, int num_qubits,
+                  const std::vector<synth::Slot> &structure,
+                  const synth::InstantiateOptions &opts = {});
 
 #define EXPECT_MATRIX_NEAR(a, b, tol) \
     EXPECT_TRUE(::reqisc::test::matrixNear((a), (b), (tol)))
