@@ -4,9 +4,10 @@
  * kernels (8x8 mul, 4x4 kron — specialized vs generic), the
  * fixed-size 4x4 Jacobi SVD and Hermitian eigensolver (vs their
  * runtime-n references), KAK decomposition, genAshN pulse solving
- * per subscheme, 4x4 Hermitian exponentials, one QFactor
- * instantiation and one instantiation the light-cone certificate
- * rules out. These throughput numbers bound the compiler's
+ * per subscheme (plus the EA solve over a fixed coordinate set,
+ * serial and on a one-helper pool), 4x4 Hermitian exponentials, one
+ * QFactor instantiation and one instantiation the light-cone
+ * certificate rules out. These throughput numbers bound the compiler's
  * scalability (Fig 16(b)).
  *
  * Runs on the shared bench/common harness like every other bench
@@ -32,6 +33,7 @@
 #include "qmath/random.hh"
 #include "qmath/svd.hh"
 #include "synth/instantiate.hh"
+#include "synth/pool.hh"
 #include "uarch/genashn.hh"
 #include "weyl/weyl.hh"
 
@@ -167,6 +169,29 @@ main(int argc, char **argv)
         [&] { g_sink += scheme.solveCoord(cnot).tau; }, budget);
     const double ea_us = usPerOp(
         [&] { g_sink += scheme.solveCoord(swap).tau; }, budget);
+    // SWAP's multistart stops after 14 starts, so the multistart is
+    // timed on 16 fixed EA-scheme coordinates too: mean us per solve,
+    // serial and with the starts on a one-helper pool.
+    std::vector<weyl::WeylCoord> ea_set;
+    for (qmath::Rng ea_rng(16); ea_set.size() < 16;) {
+        const weyl::WeylCoord c = weyl::randomWeylCoord(ea_rng);
+        if (uarch::durationInfo(scheme.coupling(), c).scheme !=
+            uarch::SubScheme::ND)
+            ea_set.push_back(c);
+    }
+    auto eaSetUs = [&](const uarch::GateScheme &s) {
+        return usPerOp(
+                   [&] {
+                       for (const weyl::WeylCoord &c : ea_set)
+                           g_sink += s.solveCoord(c).delta;
+                   },
+                   budget) /
+               static_cast<double>(ea_set.size());
+    };
+    const double ea_set_us = eaSetUs(scheme);
+    synth::BlockPool ea_pool(1);
+    const double ea_set_pooled_us =
+        eaSetUs(uarch::GateScheme(scheme.coupling(), &ea_pool));
     qmath::Matrix target = qmath::randomUnitary(4, rng);
     std::vector<synth::Slot> slots = {synth::Slot::free2Q(0, 1)};
     const double inst_us = usPerOp(
@@ -236,6 +261,9 @@ main(int argc, char **argv)
         doc.set("expm4x4Us", JsonValue::makeNumber(expm_us));
         doc.set("genAshNSolveNdUs", JsonValue::makeNumber(nd_us));
         doc.set("genAshNSolveEaUs", JsonValue::makeNumber(ea_us));
+        doc.set("genAshNSolveEaSetUs", JsonValue::makeNumber(ea_set_us));
+        doc.set("genAshNSolveEaSetPooledUs",
+                JsonValue::makeNumber(ea_set_pooled_us));
         doc.set("instantiateTwoQubitUs",
                 JsonValue::makeNumber(inst_us));
         doc.set("instantiateRuledOutUs",
@@ -264,7 +292,12 @@ main(int argc, char **argv)
     tbl.addRow({"kakDecompose 4x4", fmt(kak_us, 2), ""});
     tbl.addRow({"expim 4x4", fmt(expm_us, 2), ""});
     tbl.addRow({"genAshN solve ND", fmt(nd_us, 2), ""});
-    tbl.addRow({"genAshN solve EA", fmt(ea_us, 2), ""});
+    tbl.addRow({"genAshN solve EA", fmt(ea_us, 2), "SWAP"});
+    tbl.addRow({"genAshN solve EA set", fmt(ea_set_us, 2),
+                "mean of 16 EA coords"});
+    tbl.addRow({"genAshN solve EA set pooled", fmt(ea_set_pooled_us, 2),
+                "1 helper; " + fmt(ea_set_us / ea_set_pooled_us, 2) +
+                    "x over serial"});
     tbl.addRow({"instantiate 2q free block", fmt(inst_us, 2), ""});
     tbl.addRow({"instantiate ruled out (exchange)",
                 fmt(ruled_out_us, 2), "light-cone certificate"});

@@ -445,9 +445,10 @@ class SchedulePass final : public Pass
 /**
  * Plan the per-circuit calibration (Section 6.5): pulse-solve each
  * distinct SU(4) class of the logical circuit on the unit's coupling,
- * through the options' pulse memo when one is installed. No-op on a
- * heterogeneous backend, whose reconfigured per-edge table already is
- * the calibration set (one native instruction per edge).
+ * through the options' pulse memo when one is installed, with each
+ * EA multistart on the options' synth pool when one is installed.
+ * No-op on a heterogeneous backend, whose reconfigured per-edge table
+ * already is the calibration set (one native instruction per edge).
  */
 class CalibratePass final : public Pass
 {
@@ -459,7 +460,8 @@ class CalibratePass final : public Pass
             return;
         u.metrics.unsolvedClasses =
             uarch::planCalibration(u.circuit, u.coupling, 1e-6,
-                                   u.options.pulseMemo)
+                                   u.options.pulseMemo,
+                                   u.options.synthPool)
                 .unsolved;
     }
 };

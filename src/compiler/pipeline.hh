@@ -44,11 +44,13 @@ struct CompileOptions
      */
     synth::BlockMemo *synthMemo = nullptr;
     /**
-     * Optional shared task pool for intra-job parallel block
-     * resynthesis inside hier-synth (the service layer installs its
-     * BlockPool here). Results are bit-identical to the serial path
-     * at every worker count — see hierarchicalSynthesis; nullptr
-     * solves blocks serially.
+     * Optional shared task pool for intra-job parallelism (the
+     * service layer installs its BlockPool here): hier-synth fans its
+     * 3Q block resynthesis out across it, and the calibrate pass its
+     * genAshN EA multistarts (workers claim Newton starts, folded in
+     * start order). Results are bit-identical to the serial path at
+     * every worker count — see hierarchicalSynthesis and
+     * uarch::GateScheme; nullptr runs both serially.
      */
     synth::BlockPool *synthPool = nullptr;
     /**

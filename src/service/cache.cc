@@ -483,11 +483,9 @@ PulseCache::cellOf(const weyl::WeylCoord &c) const
     return fnv1a(cell);
 }
 
-bool
-PulseCache::lookup(const weyl::WeylCoord &coord,
-                   uarch::PulseSolution &sol)
+PulseCache::Entry *
+PulseCache::nearest(const weyl::WeylCoord &coord)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     // Probe the coordinate's cell and all 26 neighbours so a match
     // within tolerance is found regardless of cell-boundary effects.
     auto lexLess = [](const weyl::WeylCoord &a,
@@ -522,6 +520,15 @@ PulseCache::lookup(const weyl::WeylCoord &coord,
             }
         }
     }
+    return best;
+}
+
+bool
+PulseCache::lookup(const weyl::WeylCoord &coord,
+                   uarch::PulseSolution &sol)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    Entry *best = nearest(coord);
     // Only verified solutions are served: converged, and the solver's
     // own re-extraction matched its target class.
     if (best && best->sol.converged && best->sol.coordError <= tol_) {
@@ -546,18 +553,15 @@ PulseCache::store(const weyl::WeylCoord &coord,
     stats_.solveSeconds += solve_seconds;
     if (!sol.converged)
         return;  // never serve unverified work; re-solve instead
-    const std::uint64_t h = cellOf(coord);
-    auto [it, last] = entries_.equal_range(h);
-    for (; it != last; ++it)
-        if (it->second.coord.distance(coord) <= tol_)
-            return;  // racing job stored this class first
+    if (nearest(coord))
+        return;  // racing job stored this class first
     Entry e;
     e.coord = coord;
     e.sol = sol;
     e.solveSeconds = solve_seconds;
     e.uses = 1;
     e.lastUse = ++clock_;
-    entries_.emplace(h, std::move(e));
+    entries_.emplace(cellOf(coord), std::move(e));
     evictIfNeeded();
 }
 
@@ -761,19 +765,10 @@ PulseCache::load(const std::string &path)
     for (Entry &e : parsed) {
         if (!e.sol.converged)
             continue;  // store() never admits these; neither do we
-        const std::uint64_t h = cellOf(e.coord);
-        auto [it, last] = entries_.equal_range(h);
-        bool dup = false;
-        for (; it != last; ++it) {
-            if (it->second.coord.distance(e.coord) <= tol_) {
-                dup = true;
-                break;
-            }
-        }
-        if (dup)
+        if (nearest(e.coord))
             continue;  // live entry wins over the persisted one
         e.lastUse = ++clock_;
-        entries_.emplace(h, std::move(e));
+        entries_.emplace(cellOf(e.coord), std::move(e));
         evictIfNeeded();
     }
     obs::log(obs::LogLevel::Info, "persist", "pulse cache loaded",

@@ -206,6 +206,13 @@ class PulseCache final : public uarch::PulseMemo
     };
 
     std::uint64_t cellOf(const weyl::WeylCoord &c) const;
+    /**
+     * The entry nearest `coord` within the tolerance, searched over
+     * its cell and the 26 neighbouring cells (ties broken
+     * coordinate-lexicographically), or nullptr. lookup, store and
+     * load all find a class through this one scan. Requires mu_ held.
+     */
+    Entry *nearest(const weyl::WeylCoord &coord);
     void evictIfNeeded();  //!< requires mu_ held
 
     uarch::Coupling cpl_;

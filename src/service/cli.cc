@@ -15,8 +15,9 @@ namespace reqisc::service
 const char *const kServiceFlagsUsage =
     "  --jobs N              compile worker threads; 0 = all cores "
     "(default: 1)\n"
-    "  --block-workers N     intra-job 3Q block-resynthesis "
-    "workers;\n"
+    "  --block-workers N     intra-job workers for 3Q block "
+    "resynthesis\n"
+    "                        and calibrate's EA pulse solves;\n"
     "                        0 = leftover cores (default: 1, "
     "serial);\n"
     "                        results are bit-identical at any N\n"

@@ -71,10 +71,11 @@ struct ServiceOptions
     /** Target hardware: duration model, pulse solves, calibration. */
     uarch::Coupling coupling = uarch::Coupling::xy(1.0);
     /**
-     * Intra-job block-resynthesis workers for hier-synth: 1 solves
-     * blocks serially (no pool), N > 1 creates one synth::BlockPool
-     * with N-1 helper threads shared across all jobs (the submitting
-     * worker participates, so the service's total thread count stays
+     * Intra-job workers for hier-synth's block resynthesis and
+     * calibrate's EA multistarts: 1 solves both serially (no pool),
+     * N > 1 creates one synth::BlockPool with N-1 helper threads
+     * shared across all jobs (the submitting worker participates, so
+     * the service's total thread count stays
      * `threads + blockWorkers - 1` no matter how many jobs are in
      * flight), 0 sizes the pool to the hardware concurrency left
      * over after the job workers. Compiled artifacts are
@@ -226,7 +227,7 @@ class CompileService
     CancelOutcome cancel(std::uint64_t id);
 
     int threads() const { return threads_; }
-    /** Effective block-resynthesis workers (>= 1). */
+    /** Effective intra-job block workers (>= 1). */
     int blockWorkers() const;
 
     /**

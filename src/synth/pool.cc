@@ -32,8 +32,8 @@ PoolMetrics &poolMetrics()
         auto &r = obs::Registry::global();
         return PoolMetrics{
             r.gauge("reqisc_blockpool_queue_depth",
-                    "Block-synthesis tasks waiting in the shared "
-                    "pool queue"),
+                    "Block-synthesis and EA-multistart worker tasks "
+                    "waiting in the shared pool queue"),
             r.gauge("reqisc_blockpool_workers",
                     "Executors a batch can use at once (helper "
                     "threads + the joining caller)"),
@@ -41,9 +41,11 @@ PoolMetrics &poolMetrics()
                     "Busy seconds / (wall seconds x workers) since "
                     "pool construction, in [0, 1]"),
             r.counter("reqisc_blockpool_tasks_total",
-                      "Block-synthesis tasks executed"),
+                      "Block-synthesis and EA-multistart worker "
+                      "tasks executed"),
             r.histogram("reqisc_blockpool_task_seconds",
-                        "Latency of one block-synthesis task"),
+                        "Latency of one block-synthesis or "
+                        "EA-multistart worker task"),
         };
     }();
     return m;

@@ -1,14 +1,17 @@
 /**
  * @file
- * Bounded task pool for intra-job block-resynthesis parallelism.
+ * Bounded task pool for intra-job parallelism: block resynthesis and
+ * pulse solving.
  *
  * The 3Q resynthesis targets inside compiler::hierarchicalSynthesis
  * are independent (each synthesizeBlock call is a pure function of
  * its target and options), so a single large circuit can fan its
- * blocks out across workers. A BlockPool owns a fixed number of
- * helper threads and is designed to be *shared* — the service keeps
- * one pool beside its job pool so the total thread count stays
- * capped no matter how many jobs are in flight.
+ * blocks out across workers; likewise the Newton starts of a genAshN
+ * EA solve (uarch::GateScheme) inside the calibrate pass. A BlockPool
+ * owns a fixed number of helper threads and is designed to be
+ * *shared* — the service keeps one pool beside its job pool so the
+ * total thread count stays capped no matter how many jobs are in
+ * flight.
  *
  * run() is a fan-out/join primitive with caller participation: the
  * submitting thread executes queued tasks itself until its batch
@@ -21,7 +24,10 @@
  * disjoint slots — exactly the contract hierarchicalSynthesis
  * upholds (results land in an index-addressed vector and are emitted
  * in block order afterwards), which is what keeps the parallel gate
- * stream bit-identical to the serial one at every worker count.
+ * stream bit-identical to the serial one at every worker count. The
+ * EA multistart upholds it too: its worker tasks claim starts under
+ * one mutex, each start lands in its own slot and a fold consumes the
+ * slots in start order.
  */
 
 #ifndef REQISC_SYNTH_POOL_HH
@@ -43,7 +49,7 @@
 namespace reqisc::synth
 {
 
-/** Shared bounded pool for independent block-synthesis tasks. */
+/** Shared bounded pool for block-synthesis and pulse-solve tasks. */
 class BlockPool
 {
   public:

@@ -7,10 +7,11 @@ namespace reqisc::uarch
 
 CalibrationPlan
 planCalibration(const circuit::Circuit &c, const Coupling &cpl,
-                double cluster_tol, PulseMemo *memo)
+                double cluster_tol, PulseMemo *memo,
+                synth::BlockPool *pool)
 {
     CalibrationPlan plan;
-    GateScheme scheme(cpl);
+    GateScheme scheme(cpl, pool);
     for (const auto &g : c) {
         if (!g.is2Q())
             continue;

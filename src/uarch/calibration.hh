@@ -87,12 +87,16 @@ struct CalibrationPlan
  * already pulse-solved elsewhere (e.g. by another circuit of a batch
  * going through the same service cache) are reused instead of
  * re-solved — the clustering itself stays per-circuit, so the
- * entry list is deterministic regardless of cache state.
+ * entry list is deterministic regardless of cache state. With a
+ * `pool`, each class's EA multistart fans its Newton starts out
+ * across it (see GateScheme); the plan is bit-identical to the
+ * serial one.
  */
 CalibrationPlan planCalibration(const circuit::Circuit &c,
                                 const Coupling &cpl,
                                 double cluster_tol = 1e-6,
-                                PulseMemo *memo = nullptr);
+                                PulseMemo *memo = nullptr,
+                                synth::BlockPool *pool = nullptr);
 
 } // namespace reqisc::uarch
 

@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <mutex>
 #include <numbers>
+#include <optional>
+#include <vector>
 
+#include "obs/metrics.hh"
 #include "qmath/expm.hh"
 #include "qmath/kernels.hh"
 #include "qmath/optimize.hh"
+#include "synth/pool.hh"
 
 namespace reqisc::uarch
 {
@@ -101,6 +108,126 @@ smallestSincRoot(double coef, double tau, double t, double lo,
     return false;
 }
 
+/** Lazily registered EA-multistart counters. */
+struct GenAshNMetrics
+{
+    obs::Counter *starts;
+    obs::Counter *discarded;
+};
+
+GenAshNMetrics &
+genAshNMetrics()
+{
+    static GenAshNMetrics m = [] {
+        auto &r = obs::Registry::global();
+        return GenAshNMetrics{
+            r.counter("reqisc_genashn_starts_total",
+                      "Newton starts the genAshN EA multistart "
+                      "evaluated"),
+            r.counter("reqisc_genashn_starts_discarded_total",
+                      "EA multistart starts evaluated past the "
+                      "fold's stop point (speculation waste)"),
+        };
+    }();
+    return m;
+}
+
+/** What one Newton start of the EA multistart produced. */
+struct EaStart
+{
+    bool verified = false;  //!< converged and passed verification
+    double omega = 0.0;     //!< the driven Omega (O2 for EA+, O1 for EA-)
+    double delta = 0.0;
+    double penalty = 0.0;   //!< PulseSolution::amplitudePenalty()
+};
+
+/**
+ * The multistart's selection rule, fed one start at a time in grid
+ * order: keep the verified root with the smallest amplitude penalty;
+ * stop at a penalty <= 1e-9, or at a verified root above 3x the best
+ * + 1e-9 (the grid is ordered by magnitude, so the first couple of
+ * verified roots are near-minimal).
+ */
+struct EaFold
+{
+    bool found = false;
+    EaStart best;
+
+    /** @return false when the multistart stops after `s`. */
+    bool take(const EaStart &s)
+    {
+        if (!s.verified)
+            return true;
+        if (!found || s.penalty < best.penalty) {
+            best = s;
+            found = true;
+        }
+        if (best.penalty <= 1e-9)
+            return false;
+        if (s.penalty > best.penalty * 3.0 + 1e-9)
+            return false;
+        return true;
+    }
+};
+
+/**
+ * One EA solve's fixed data, shared read-only by its Newton starts;
+ * each start brings its own Hamiltonian scratch, so starts can run
+ * on any thread.
+ */
+struct EaProblem
+{
+    Matrix hc;       //!< coupling Hamiltonian
+    Matrix xdrive;   //!< XI - IX (EA+) or XI + IX (EA-)
+    Matrix zzDrive;  //!< ZI + IZ
+    Matrix yy;
+    Complex target;  //!< targetTrace(eff)
+    weyl::WeylCoord effcan;
+    double tau;
+    bool plus;
+
+    /** H(omega, delta), assembled in place in `h` (axpy). */
+    const Matrix &ham(Matrix &h, double omega, double delta) const
+    {
+        h = hc;
+        qmath::kernels::axpyInPlace(h, Complex(omega, 0.0), xdrive);
+        qmath::kernels::axpyInPlace(h, Complex(delta, 0.0), zzDrive);
+        return h;
+    }
+
+    /** Newton-solve the trace equation from (w0, d0), then verify. */
+    EaStart start(double w0, double d0) const
+    {
+        // The trace is taken without forming expim(h) * yy, so each
+        // residual evaluation allocates nothing new.
+        Matrix h;
+        auto residual = [&](const std::vector<double> &p) {
+            const Complex d =
+                qmath::kernels::mulTrace(
+                    qmath::expim(ham(h, p[0], p[1]), tau), yy) -
+                target;
+            return std::vector<double>{d.real(), d.imag()};
+        };
+        const qmath::RootResult r =
+            qmath::newtonSolve(residual, {w0, d0}, 1e-12, 60);
+        if (!r.converged)
+            return {};
+        // Verify: the produced evolution must have the effective
+        // coordinates (trace aliasing can admit spurious roots).
+        // Near chamber corners the coordinate map has square-root
+        // sensitivity, so accept a looser bound here; the chosen
+        // root is polished afterwards.
+        const Matrix ev = qmath::expim(ham(h, r.x[0], r.x[1]), tau);
+        if (weyl::weylCoordinate(ev).distance(effcan) > 3e-5)
+            return {};
+        PulseSolution cand;
+        cand.omega1 = plus ? 0.0 : r.x[0];
+        cand.omega2 = plus ? r.x[0] : 0.0;
+        cand.delta = r.x[1];
+        return {true, r.x[0], r.x[1], cand.amplitudePenalty()};
+    }
+};
+
 } // namespace
 
 double
@@ -110,7 +237,8 @@ PulseSolution::amplitudePenalty() const
            2.0 * std::abs(delta);
 }
 
-GateScheme::GateScheme(const Coupling &cpl) : cpl_(cpl)
+GateScheme::GateScheme(const Coupling &cpl, synth::BlockPool *pool)
+    : cpl_(cpl), pool_(pool)
 {
     assert(cpl.isCanonical(1e-9));
 }
@@ -159,37 +287,22 @@ GateScheme::solveNd(double tau, const weyl::WeylCoord &eff,
 }
 
 bool
-GateScheme::solveEa(double tau, const weyl::WeylCoord &eff, bool plus,
+GateScheme::solveEa(double tau, const weyl::WeylCoord &eff,
+                    const weyl::WeylCoord &effcan, bool plus,
                     PulseSolution &sol) const
 {
-    const Matrix hc = cpl_.hamiltonian();
     const Matrix &id = qmath::pauliI();
     const Matrix xi = kron(qmath::pauliX(), id);
     const Matrix ix = kron(id, qmath::pauliX());
-    const Matrix zz_drive =
-        kron(qmath::pauliZ(), id) + kron(id, qmath::pauliZ());
-    const Matrix xdrive = plus ? (xi - ix) : (xi + ix);
-    const Matrix yy = qmath::pauliYY();
-
-    const Complex t_target = targetTrace(eff);
-
-    // Solver-loop scratch: the Hamiltonian is assembled in place
-    // (axpy) and the trace taken without forming expim(h) * yy, so
-    // each Newton residual evaluation allocates nothing new.
-    Matrix h;
-    auto hamAt = [&](double omega, double delta) -> const Matrix & {
-        h = hc;
-        qmath::kernels::axpyInPlace(h, Complex(omega, 0.0), xdrive);
-        qmath::kernels::axpyInPlace(h, Complex(delta, 0.0), zz_drive);
-        return h;
-    };
-    auto traceOf = [&](double omega, double delta) {
-        return qmath::kernels::mulTrace(
-            qmath::expim(hamAt(omega, delta), tau), yy);
-    };
-    auto residual = [&](const std::vector<double> &p) {
-        const Complex d = traceOf(p[0], p[1]) - t_target;
-        return std::vector<double>{d.real(), d.imag()};
+    const EaProblem problem{
+        cpl_.hamiltonian(),
+        plus ? (xi - ix) : (xi + ix),
+        kron(qmath::pauliZ(), id) + kron(id, qmath::pauliZ()),
+        qmath::pauliYY(),
+        targetTrace(eff),
+        effcan,
+        tau,
+        plus,
     };
 
     const double g = std::max(cpl_.strength(), 1e-12);
@@ -206,63 +319,56 @@ GateScheme::solveEa(double tau, const weyl::WeylCoord &eff, bool plus,
                                 std::abs(q.first) + std::abs(q.second);
                      });
 
-    PulseSolution best;
-    bool found = false;
-    for (const auto &[w0, d0] : starts) {
-        qmath::RootResult r =
-            qmath::newtonSolve(residual, {w0, d0}, 1e-12, 60);
-        if (!r.converged)
-            continue;
-        PulseSolution cand = sol;
-        cand.tau = tau;
-        if (plus) {
-            cand.omega1 = 0.0;
-            cand.omega2 = r.x[0];
-        } else {
-            cand.omega1 = r.x[0];
-            cand.omega2 = 0.0;
+    // Speculative multistart: each worker claims the next start,
+    // solves it unlocked and stores it in its slot; the fold then
+    // consumes the finished prefix of slots in grid order, so it sees
+    // exactly the serial loop's sequence. Once the fold stops, no
+    // further start is claimed. Run inline, one worker is the serial
+    // loop itself.
+    EaFold fold;
+    std::mutex mu;  // guards claimed, done, next, stop and fold
+    std::vector<std::optional<EaStart>> done(starts.size());
+    std::size_t claimed = 0;           // starts handed to workers
+    std::size_t next = 0;              // first start the fold lacks
+    std::size_t stop = starts.size();  // later starts are unneeded
+    auto worker = [&] {
+        std::unique_lock<std::mutex> lock(mu);
+        while (claimed < stop) {
+            const std::size_t i = claimed++;
+            lock.unlock();
+            const EaStart s =
+                problem.start(starts[i].first, starts[i].second);
+            lock.lock();
+            done[i] = s;
+            for (; next < stop && done[next]; ++next)
+                if (!fold.take(*done[next]))
+                    stop = next + 1;
         }
-        cand.delta = r.x[1];
-        // Verify: the produced evolution must have the effective
-        // coordinates (trace aliasing can admit spurious roots).
-        // Near chamber corners the coordinate map has square-root
-        // sensitivity, so accept a looser bound here and polish
-        // below.
-        const Matrix ev = qmath::expim(hamAt(r.x[0], r.x[1]), tau);
-        weyl::WeylCoord got = weyl::weylCoordinate(ev);
-        weyl::WeylCoord effc = eff;
-        // Compare in canonicalized form: the effective coordinate may
-        // sit outside the chamber (tau2 branch mirrors it back).
-        weyl::WeylCoord effcan =
-            weyl::weylCoordinate(weyl::canonicalGate(effc));
-        if (got.distance(effcan) > 3e-5)
-            continue;
-        if (!found ||
-            cand.amplitudePenalty() < best.amplitudePenalty()) {
-            best = cand;
-            found = true;
-        }
-        if (found && best.amplitudePenalty() <= 1e-9)
-            break;
-        // The grid is ordered by magnitude; the first couple of
-        // verified solutions are near-minimal. Stop after a margin.
-        if (found && cand.amplitudePenalty() >
-                         best.amplitudePenalty() * 3.0 + 1e-9)
-            break;
-    }
-    if (!found)
+    };
+    if (pool_)
+        pool_->run(std::vector<std::function<void()>>(
+            static_cast<std::size_t>(pool_->workers()), worker));
+    else
+        worker();
+    // Every claimed start was evaluated; the fold consumed exactly
+    // the first `stop` of them.
+    GenAshNMetrics &m = genAshNMetrics();
+    m.starts->add(static_cast<std::int64_t>(claimed));
+    if (claimed > stop)
+        m.discarded->add(static_cast<std::int64_t>(claimed - stop));
+    if (!fold.found)
         return false;
+
     // Pattern-search polish on the coordinate distance: robust to
     // the non-smooth chamber folds that defeat Newton at corners.
     {
-        weyl::WeylCoord effcan =
-            weyl::weylCoordinate(weyl::canonicalGate(eff));
+        Matrix h;
         auto coordDist = [&](double w, double d) {
-            const Matrix ev = qmath::expim(hamAt(w, d), tau);
+            const Matrix ev = qmath::expim(problem.ham(h, w, d), tau);
             return weyl::weylCoordinate(ev).distance(effcan);
         };
-        double w = plus ? best.omega2 : best.omega1;
-        double d = best.delta;
+        double w = fold.best.omega;
+        double d = fold.best.delta;
         double step = 1e-5;
         double cur = coordDist(w, d);
         for (int it = 0; it < 120 && step > 1e-14; ++it) {
@@ -289,15 +395,10 @@ GateScheme::solveEa(double tau, const weyl::WeylCoord &eff, bool plus,
             if (cur < 1e-10)
                 break;
         }
-        if (plus)
-            best.omega2 = w;
-        else
-            best.omega1 = w;
-        best.delta = d;
+        sol.omega1 = plus ? 0.0 : w;
+        sol.omega2 = plus ? w : 0.0;
+        sol.delta = d;
     }
-    sol.omega1 = best.omega1;
-    sol.omega2 = best.omega2;
-    sol.delta = best.delta;
     sol.tau = tau;
     return true;
 }
@@ -319,16 +420,21 @@ GateScheme::solveCoord(const weyl::WeylCoord &target) const
         return sol;
     }
 
+    // Solutions are verified against the canonicalized effective
+    // coordinate: the effective one may sit outside the chamber (the
+    // tau2 branch mirrors it back).
+    const weyl::WeylCoord effcan =
+        weyl::weylCoordinate(weyl::canonicalGate(info.effective));
     bool ok = false;
     switch (info.scheme) {
       case SubScheme::ND:
         ok = solveNd(info.tau, info.effective, sol);
         break;
       case SubScheme::EAPlus:
-        ok = solveEa(info.tau, info.effective, true, sol);
+        ok = solveEa(info.tau, info.effective, effcan, true, sol);
         break;
       case SubScheme::EAMinus:
-        ok = solveEa(info.tau, info.effective, false, sol);
+        ok = solveEa(info.tau, info.effective, effcan, false, sol);
         break;
     }
     if (!ok) {
@@ -344,10 +450,12 @@ GateScheme::solveCoord(const weyl::WeylCoord &target) const
                 got = solveNd(info.tau, info.effective, sol);
                 break;
               case SubScheme::EAPlus:
-                got = solveEa(info.tau, info.effective, true, sol);
+                got = solveEa(info.tau, info.effective, effcan, true,
+                              sol);
                 break;
               case SubScheme::EAMinus:
-                got = solveEa(info.tau, info.effective, false, sol);
+                got = solveEa(info.tau, info.effective, effcan, false,
+                              sol);
                 break;
             }
             if (got) {
@@ -362,10 +470,7 @@ GateScheme::solveCoord(const weyl::WeylCoord &target) const
 
     // Final verification against the canonicalized effective coords.
     const Matrix ev = evolution(sol);
-    weyl::WeylCoord got = weyl::weylCoordinate(ev);
-    weyl::WeylCoord effcan =
-        weyl::weylCoordinate(weyl::canonicalGate(sol.effective));
-    sol.coordError = got.distance(effcan);
+    sol.coordError = weyl::weylCoordinate(ev).distance(effcan);
     sol.converged = sol.coordError < 1e-6;
     return sol;
 }

@@ -15,7 +15,10 @@
  * V = exp(-i tau H_tot) (YY) against the analytically known target
  * spectrum (Appendix A.5), with a grid-multistart damped-Newton
  * solver, and every solution is verified by re-extracting the Weyl
- * coordinates of the produced evolution.
+ * coordinates of the produced evolution. The multistart's Newton
+ * starts can run speculatively on a shared synth::BlockPool; their
+ * results are folded in grid order, so a solution is bit-identical
+ * at every worker count.
  */
 
 #ifndef REQISC_UARCH_GENASHN_HH
@@ -24,6 +27,11 @@
 #include "uarch/coupling.hh"
 #include "uarch/duration.hh"
 #include "weyl/weyl.hh"
+
+namespace reqisc::synth
+{
+class BlockPool;
+}
 
 namespace reqisc::uarch
 {
@@ -60,7 +68,15 @@ struct PulseSolution
 class GateScheme
 {
   public:
-    explicit GateScheme(const Coupling &cpl);
+    /**
+     * @param pool optional shared task pool (not owned; must outlive
+     *        the scheme). The EA solve runs one worker task per pool
+     *        executor; the workers claim grid starts in order and
+     *        fold their results in grid order, so every solution is
+     *        bit-identical to the serial one; nullptr solves inline.
+     */
+    explicit GateScheme(const Coupling &cpl,
+                        synth::BlockPool *pool = nullptr);
 
     const Coupling &coupling() const { return cpl_; }
 
@@ -84,10 +100,13 @@ class GateScheme
 
   private:
     Coupling cpl_;
+    synth::BlockPool *pool_;
 
     bool solveNd(double tau, const weyl::WeylCoord &eff,
                  PulseSolution &sol) const;
-    bool solveEa(double tau, const weyl::WeylCoord &eff, bool plus,
+    /** @param effcan weylCoordinate(canonicalGate(eff)) */
+    bool solveEa(double tau, const weyl::WeylCoord &eff,
+                 const weyl::WeylCoord &effcan, bool plus,
                  PulseSolution &sol) const;
 };
 

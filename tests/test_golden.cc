@@ -9,7 +9,10 @@
  * examples/chips/hetero_heavy_hex.json. Every job runs with ASAP
  * scheduling and calibration on, on a one-thread service per
  * (chip, pipeline) group fed in a fixed order, so the per-job
- * pulse-cache hit/miss split is deterministic too.
+ * pulse-cache hit/miss split is deterministic too. The cases compile
+ * once serially and once with four block workers, which fan
+ * hier-synth's blocks and calibrate's EA multistarts out across a
+ * pool; both must match the same file.
  *
  * Each case line pins the compiled QASM, finalPermutation, the routed
  * QASM and finalLayout, the RQISA assembly, the circuit metrics,
@@ -157,7 +160,7 @@ split(const std::string &line)
 
 /** Every case, in the fixed order the digest file lists them. */
 std::vector<std::string>
-compileAllCases()
+compileAllCases(int block_workers)
 {
     std::vector<std::pair<std::string, circuit::Circuit>> inputs;
     for (const char *name : {"adder5", "ghz8", "ising6", "qft4"})
@@ -178,6 +181,7 @@ compileAllCases()
         for (const char *pipeline : {"eff", "full"}) {
             service::ServiceOptions sopts;
             sopts.threads = 1;
+            sopts.blockWorkers = block_workers;
             sopts.backend = backend;
             service::CompileService svc(sopts);
             for (const auto &[name, circ] : inputs) {
@@ -197,9 +201,9 @@ compileAllCases()
     return lines;
 }
 
-} // namespace
-
-TEST(Golden, ArtifactsMatchCommittedDigests)
+/** Compare case lines against tests/golden_artifacts.txt. */
+void
+expectMatchesDigestFile(const std::vector<std::string> &got)
 {
     std::map<std::string, std::string> want;
     std::istringstream file(readFile(kDigestFile));
@@ -207,7 +211,6 @@ TEST(Golden, ArtifactsMatchCommittedDigests)
         if (!line.empty() && line[0] != '#')
             want[split(line).front()] = line;
 
-    const std::vector<std::string> got = compileAllCases();
     EXPECT_EQ(got.size(), 96u);
     EXPECT_EQ(want.size(), got.size())
         << "the digest file lists a different set of cases";
@@ -234,4 +237,16 @@ TEST(Golden, ArtifactsMatchCommittedDigests)
             }
         }
     }
+}
+
+} // namespace
+
+TEST(Golden, ArtifactsMatchCommittedDigests)
+{
+    expectMatchesDigestFile(compileAllCases(1));
+}
+
+TEST(Golden, ArtifactsMatchAtFourBlockWorkers)
+{
+    expectMatchesDigestFile(compileAllCases(4));
 }

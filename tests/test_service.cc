@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -207,6 +208,31 @@ TEST(PulseCache, NeverServesUnconvergedSolutions)
     EXPECT_EQ(cache.size(), 0u);
     uarch::PulseSolution out;
     EXPECT_FALSE(cache.lookup(c, out));
+}
+
+TEST(PulseCache, StoreDedupsAcrossCellEdges)
+{
+    // Two stores of one class, 4e-7 apart on either side of a cell
+    // edge: lookup finds the first from the second's cell, so store
+    // must too, or a racing job's store keeps a second entry.
+    const double tol = 1e-6;
+    service::PulseCache cache(uarch::Coupling::xy(1.0), tol);
+    uarch::GateScheme scheme(uarch::Coupling::xy(1.0));
+    const weyl::WeylCoord cnot = weyl::WeylCoord::cnot();
+    const uarch::PulseSolution sol = scheme.solveCoord(cnot);
+    ASSERT_TRUE(sol.converged);
+
+    const double edge = (std::floor(cnot.y / tol) + 1.0) * tol;
+    weyl::WeylCoord below = cnot, above = cnot;
+    below.y = edge - 2e-7;
+    above.y = edge + 2e-7;
+    cache.store(below, sol, 0.01);
+    cache.store(above, sol, 0.01);
+    EXPECT_EQ(cache.size(), 1u);
+
+    uarch::PulseSolution out;
+    EXPECT_TRUE(cache.lookup(above, out));
+    EXPECT_EQ(cache.perClass().front().coord.y, below.y);
 }
 
 TEST(PulseCache, SharedAcrossCalibrationPlans)

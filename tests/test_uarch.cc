@@ -3,13 +3,23 @@
  * Tests for the genAshN microarchitecture (Algorithm 1).
  */
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <numbers>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "qmath/expm.hh"
 #include "qmath/random.hh"
+#include "service/persist.hh"
+#include "synth/pool.hh"
 #include "test_util.hh"
 #include "uarch/coupling.hh"
 #include "uarch/duration.hh"
@@ -362,4 +372,299 @@ TEST(GenAshN, SubschemePartitionOfChamber)
     }
     EXPECT_GT(counts[0], 0);
     EXPECT_GT(counts[1] + counts[2], 0);
+}
+
+// ---- Pulse oracle: the pooled EA multistart against the serial one ----
+
+namespace
+{
+
+/**
+ * Uniform in [lo, hi) from the generator's raw bits, so the oracle's
+ * inputs do not depend on a standard library's distributions.
+ */
+double
+uniform(Rng &rng, double lo, double hi)
+{
+    return lo + (hi - lo) * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
+}
+
+/** A 2x2 unitary exp(-i (a X + b Y + c Z)) with seeded a, b, c. */
+Matrix
+seededSU2(Rng &rng)
+{
+    // One draw per statement: operands of + are unsequenced.
+    const double a = uniform(rng, -2, 2);
+    const double b = uniform(rng, -2, 2);
+    const double c = uniform(rng, -2, 2);
+    return qmath::expim(qmath::pauliX() * Complex(a, 0) +
+                            qmath::pauliY() * Complex(b, 0) +
+                            qmath::pauliZ() * Complex(c, 0),
+                        1.0);
+}
+
+/** One coupling's oracle inputs. */
+struct OracleCase
+{
+    const char *name;
+    Coupling cpl;
+    std::vector<WeylCoord> coords;   //!< solveCoord targets
+    std::vector<Matrix> unitaries;   //!< solve(u) targets
+    std::vector<WeylCoord> fallback; //!< primary subscheme fails
+};
+
+/**
+ * Seeded coordinates: the named corners, points on the x = pi/4 and
+ * z = 0 chamber faces, and interior points, every third one close to
+ * y = x (where XY coupling's EA regions lie). Every eighth
+ * coordinate also becomes a solve(u) target under seeded local
+ * rotations.
+ */
+OracleCase
+makeCase(const char *name, const Coupling &cpl, std::uint64_t seed,
+         int interior, std::vector<WeylCoord> fallback = {})
+{
+    Rng rng(seed);
+    OracleCase oc{name, cpl, {}, {}, fallback};
+    oc.coords = {
+        WeylCoord::identity(), WeylCoord::cnot(), WeylCoord::iswap(),
+        WeylCoord::swap(), WeylCoord::sqisw(), WeylCoord::bgate(),
+        WeylCoord::cv(), {kPi / 4, kPi / 8, kPi / 8},
+        {kPi / 4, kPi / 4, kPi / 8}, {kPi / 4, kPi / 8, -kPi / 8},
+        {kPi / 8, kPi / 8, kPi / 8}, {kPi / 8, kPi / 8, -kPi / 8},
+    };
+    for (int i = 0; i < 16; ++i) {
+        const double y = uniform(rng, 0.0, kPi / 4);
+        oc.coords.push_back({kPi / 4, y, uniform(rng, -y, y)});
+    }
+    for (int i = 0; i < 16; ++i) {
+        const double x = uniform(rng, 0.0, kPi / 4);
+        oc.coords.push_back({x, uniform(rng, 0.0, x), 0.0});
+    }
+    for (int i = 0; i < interior; ++i) {
+        const double x = uniform(rng, 0.0, kPi / 4);
+        const double y = i % 3 ? uniform(rng, 0.0, x)
+                               : uniform(rng, 0.7 * x, x);
+        oc.coords.push_back({x, y, uniform(rng, -y, y)});
+    }
+    oc.coords.insert(oc.coords.end(), fallback.begin(), fallback.end());
+    for (std::size_t i = 0; i < oc.coords.size(); i += 8) {
+        const Matrix a1 = seededSU2(rng), a2 = seededSU2(rng);
+        const Matrix b1 = seededSU2(rng), b2 = seededSU2(rng);
+        oc.unitaries.push_back(kron(a1, a2) *
+                               weyl::canonicalGate(oc.coords[i]) *
+                               kron(b1, b2));
+    }
+    return oc;
+}
+
+/** The oracle: XY, XX and one generic canonical coupling. */
+const std::vector<OracleCase> &
+oracleCases()
+{
+    static const std::vector<OracleCase> cases = {
+        makeCase("xy", Coupling::xy(1.0), 101, 110),
+        makeCase("xx", Coupling::xx(1.0), 102, 30),
+        // On these z = +-y points the primary subscheme finds no
+        // verified root, so solveCoord runs the cross-scheme fallback
+        // (every full multistart there fails too).
+        makeCase("generic",
+                 {0.6916474463010851, 0.26398316075479666,
+                  0.044369392944118236},
+                 103, 30,
+                 {{0.20503192021753913, 0.11300978124769397,
+                   0.11300978124769397},
+                  {0.1945128121927856, 0.10773578739267187,
+                   0.10773578739267187},
+                  {0.30526027761068392, 0.21099228745005677,
+                   -0.21099228745005677},
+                  {0.56289664932707428, 0.38905802349750446,
+                   -0.38905802349750446}}),
+    };
+    return cases;
+}
+
+/** solveCoord on every coordinate, then solve(u) on every unitary. */
+std::vector<PulseSolution>
+solveAll(const GateScheme &scheme, const OracleCase &oc)
+{
+    std::vector<PulseSolution> out;
+    for (const WeylCoord &c : oc.coords)
+        out.push_back(scheme.solveCoord(c));
+    for (const Matrix &u : oc.unitaries)
+        out.push_back(scheme.solve(u));
+    return out;
+}
+
+template <typename T>
+std::string
+bytesOf(const T &v)
+{
+    std::string s(sizeof v, '\0');
+    std::memcpy(s.data(), &v, sizeof v);
+    return s;
+}
+
+std::string
+bytesOf(const Matrix &m)
+{
+    std::string s = bytesOf(m.rows()) + bytesOf(m.cols());
+    for (int i = 0; i < m.rows(); ++i)
+        for (int j = 0; j < m.cols(); ++j)
+            s += bytesOf(m(i, j));
+    return s;
+}
+
+/** The raw bytes of every pinned PulseSolution field, by name. */
+std::vector<std::pair<const char *, std::string>>
+pinnedFields(const PulseSolution &s)
+{
+    return {
+        {"converged", bytesOf(s.converged)},
+        {"scheme", bytesOf(s.scheme)},
+        {"tau", bytesOf(s.tau)},
+        {"omega1", bytesOf(s.omega1)},
+        {"omega2", bytesOf(s.omega2)},
+        {"delta", bytesOf(s.delta)},
+        {"coordError", bytesOf(s.coordError)},
+        {"a1", bytesOf(s.a1)},
+        {"a2", bytesOf(s.a2)},
+        {"b1", bytesOf(s.b1)},
+        {"b2", bytesOf(s.b2)},
+    };
+}
+
+::testing::AssertionResult
+sameBits(const PulseSolution &want, const PulseSolution &got)
+{
+    const auto w = pinnedFields(want), g = pinnedFields(got);
+    for (std::size_t i = 0; i < w.size(); ++i)
+        if (w[i].second != g[i].second)
+            return ::testing::AssertionFailure()
+                   << "field " << w[i].first << " differs";
+    return ::testing::AssertionSuccess();
+}
+
+/** Every EA-scheme coordinate of a case (the pooled path's inputs). */
+std::vector<WeylCoord>
+eaCoords(const OracleCase &oc)
+{
+    std::vector<WeylCoord> out;
+    for (const WeylCoord &c : oc.coords)
+        if (durationInfo(oc.cpl, c).scheme != SubScheme::ND)
+            out.push_back(c);
+    return out;
+}
+
+} // namespace
+
+TEST(GenAshN, PooledSolveIsBitIdentical)
+{
+    synth::BlockPool one(1), three(3);
+    std::size_t total = 0;
+    for (const OracleCase &oc : oracleCases()) {
+        total += oc.coords.size();
+        EXPECT_GE(eaCoords(oc).size(), 20u) << oc.name;
+        const std::vector<PulseSolution> serial =
+            solveAll(GateScheme(oc.cpl), oc);
+        for (std::size_t i = 0; i < oc.fallback.size(); ++i)
+            EXPECT_FALSE(
+                serial[oc.coords.size() - oc.fallback.size() + i]
+                    .converged)
+                << oc.name << " fallback point " << i;
+        for (synth::BlockPool *pool : {&one, &three}) {
+            const std::vector<PulseSolution> pooled =
+                solveAll(GateScheme(oc.cpl, pool), oc);
+            ASSERT_EQ(pooled.size(), serial.size());
+            for (std::size_t i = 0; i < serial.size(); ++i)
+                EXPECT_TRUE(sameBits(serial[i], pooled[i]))
+                    << oc.name << " solution " << i << " at "
+                    << pool->helperThreads() << " helpers";
+        }
+    }
+    EXPECT_GE(total, 300u);
+}
+
+TEST(GenAshN, SolutionsMatchParentDigest)
+{
+    // FNV-1a over every pinned field of every oracle solution,
+    // solved serially. The pin is the value this test printed before
+    // the EA multistart could run on a pool; the solver must keep
+    // reproducing it bit for bit.
+    std::string bytes;
+    std::size_t solutions = 0;
+    for (const OracleCase &oc : oracleCases())
+        for (const PulseSolution &s : solveAll(GateScheme(oc.cpl), oc)) {
+            for (const auto &field : pinnedFields(s))
+                bytes += field.second;
+            ++solutions;
+        }
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64,
+                  service::persist::fnv1aBytes(bytes.data(), bytes.size()));
+    std::printf("genAshN oracle digest %s over %zu solutions\n", digest,
+                solutions);
+    EXPECT_EQ(std::string(digest), "d2a48cdae2108c1e");
+}
+
+TEST(GenAshN, ConcurrentSolvesShareOnePool)
+{
+    // Two job threads solve through one shared pool at once: their
+    // batches interleave in the queue and either caller may run the
+    // other's starts, yet each solution keeps the serial bits.
+    const OracleCase &oc = oracleCases()[1];
+    std::vector<WeylCoord> coords = eaCoords(oc);
+    coords.resize(12);
+    const GateScheme serial(oc.cpl);
+    std::vector<PulseSolution> want;
+    for (const WeylCoord &c : coords)
+        want.push_back(serial.solveCoord(c));
+
+    synth::BlockPool pool(2);
+    const GateScheme pooled(oc.cpl, &pool);
+    std::vector<PulseSolution> got[2];
+    auto solveInOrder = [&](int t) {
+        for (std::size_t i = 0; i < coords.size(); ++i)
+            got[t].push_back(pooled.solveCoord(
+                coords[t == 0 ? i : coords.size() - 1 - i]));
+    };
+    std::thread first(solveInOrder, 0), second(solveInOrder, 1);
+    first.join();
+    second.join();
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+        EXPECT_TRUE(sameBits(want[i], got[0][i])) << "thread 0, " << i;
+        EXPECT_TRUE(sameBits(want[coords.size() - 1 - i], got[1][i]))
+            << "thread 1, " << i;
+    }
+}
+
+TEST(GenAshN, MultistartCountsStartsAndDiscards)
+{
+    // A pooled multistart evaluates the serial loop's starts plus the
+    // speculative ones it discards past the fold's stop point.
+    auto &reg = obs::Registry::global();
+    const bool was = reg.enabled();
+    reg.setEnabled(true);
+    obs::Counter *starts = reg.counter("reqisc_genashn_starts_total", "");
+    obs::Counter *discarded =
+        reg.counter("reqisc_genashn_starts_discarded_total", "");
+    const OracleCase &oc = oracleCases()[1];
+    std::vector<WeylCoord> coords = eaCoords(oc);
+    coords.resize(8);
+
+    auto countSolves = [&](const GateScheme &scheme) {
+        const std::int64_t s0 = starts->value(), d0 = discarded->value();
+        for (const WeylCoord &c : coords)
+            scheme.solveCoord(c);
+        return std::make_pair(starts->value() - s0,
+                              discarded->value() - d0);
+    };
+    const auto [serial, serial_discarded] = countSolves(GateScheme(oc.cpl));
+    EXPECT_GE(serial, static_cast<std::int64_t>(coords.size()));
+    EXPECT_EQ(serial_discarded, 0);
+    synth::BlockPool pool(3);
+    const auto [pooled, pooled_discarded] =
+        countSolves(GateScheme(oc.cpl, &pool));
+    EXPECT_EQ(pooled - pooled_discarded, serial);
+    reg.setEnabled(was);
 }
