@@ -6,9 +6,9 @@
  * runtime-n references), KAK decomposition, genAshN pulse solving
  * per subscheme (plus the EA solve over a fixed coordinate set,
  * serial and on a one-helper pool), 4x4 Hermitian exponentials, one
- * QFactor instantiation and one instantiation the light-cone
- * certificate rules out. These throughput numbers bound the compiler's
- * scalability (Fig 16(b)).
+ * QFactor instantiation, one instantiation the light-cone
+ * certificate rules out and one mirroring-SABRE route. These
+ * throughput numbers bound the compiler's scalability (Fig 16(b)).
  *
  * Runs on the shared bench/common harness like every other bench
  * binary (no external benchmark dependency): each case is
@@ -32,6 +32,7 @@
 #include "qmath/kernels.hh"
 #include "qmath/random.hh"
 #include "qmath/svd.hh"
+#include "route/sabre.hh"
 #include "synth/instantiate.hh"
 #include "synth/pool.hh"
 #include "uarch/genashn.hh"
@@ -215,6 +216,40 @@ main(int argc, char **argv)
                           .infidelity;
         },
         budget);
+    // Mirroring-SABRE on 16 fixed 12-qubit {Can, U3} circuits of 300
+    // gates (100 U3 U3 Can layers on random pairs): mean us per route.
+    // One draw per statement keeps the set independent of argument
+    // evaluation order.
+    std::vector<circuit::Circuit> route_set;
+    for (qmath::Rng route_rng(12); route_set.size() < 16;) {
+        circuit::Circuit c(12);
+        for (int layer = 0; layer < 100; ++layer) {
+            const int a = static_cast<int>(route_rng() % 12);
+            const int b = (a + 1 + static_cast<int>(route_rng() % 11)) %
+                          12;
+            for (int q : {a, b}) {
+                const double theta = 0.3 * (route_rng() % 11);
+                const double phi = 0.3 * (route_rng() % 21);
+                const double lambda = 0.3 * (route_rng() % 21);
+                c.add(circuit::Gate::u3(q, theta, phi, lambda));
+            }
+            c.add(circuit::Gate::can(a, b,
+                                     weyl::randomWeylCoord(route_rng)));
+        }
+        route_set.push_back(std::move(c));
+    }
+    const route::Topology grid34 = route::Topology::grid(3, 4);
+    route::RouteOptions route_opts;
+    route_opts.mirroring = true;
+    const double route_us =
+        usPerOp(
+            [&] {
+                for (const circuit::Circuit &c : route_set)
+                    g_sink += route::sabreRoute(c, grid34, route_opts)
+                                  .swapsInserted;
+            },
+            budget) /
+        static_cast<double>(route_set.size());
     const uarch::Coupling xy = uarch::Coupling::xy(1.0);
     size_t ci = 0;
     const double dur_us = usPerOp(
@@ -268,6 +303,7 @@ main(int argc, char **argv)
                 JsonValue::makeNumber(inst_us));
         doc.set("instantiateRuledOutUs",
                 JsonValue::makeNumber(ruled_out_us));
+        doc.set("sabreRouteUs", JsonValue::makeNumber(route_us));
         doc.set("optimalDurationUs", JsonValue::makeNumber(dur_us));
         std::fputs(backend::dumpJson(doc, true).c_str(), stdout);
         return 0;
@@ -301,6 +337,8 @@ main(int argc, char **argv)
     tbl.addRow({"instantiate 2q free block", fmt(inst_us, 2), ""});
     tbl.addRow({"instantiate ruled out (exchange)",
                 fmt(ruled_out_us, 2), "light-cone certificate"});
+    tbl.addRow({"sabreRoute 12q grid(3,4)", fmt(route_us, 2),
+                "mean of 16 circuits, mirroring"});
     tbl.addRow({"optimalDuration", fmt(dur_us, 2), ""});
     tbl.print(opt.csv);
     return 0;

@@ -324,7 +324,6 @@ class SabreRoutePass final : public Pass
             return;
         route::RouteOptions ropts;
         ropts.mirroring = true;
-        ropts.seed = u.options.seed;
         const route::RouteResult rr = route::sabreRoute(
             u.circuit, u.backend->topology(), ropts);
         Circuit phys(rr.circuit.numQubits());

@@ -1,8 +1,8 @@
 #include "route/sabre.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
+#include <cassert>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +19,20 @@ using circuit::Op;
 namespace
 {
 
-/** Mutable routing state for one pass. */
+/**
+ * How far back an absorbed SWAP may reach: the mirrored gate is at
+ * most this many gates before the last emitted one. 257 is the reach
+ * of the bounded backward scan the per-wire index replaced; a wider
+ * window absorbs more SWAPs on long circuits and changes artifacts.
+ */
+constexpr int kAbsorbReach = 257;
+
+/**
+ * Mutable routing state for one pass. Work is proportional to the
+ * decisions taken: the ready set, the lookahead scratch and the
+ * per-wire absorb index are kept current as gates are emitted, so no
+ * step rescans the circuit.
+ */
 struct Router
 {
     const Circuit &logical;
@@ -30,9 +43,14 @@ struct Router
     std::vector<int> phys;      //!< logical q -> physical wire
     std::vector<int> host;      //!< physical wire -> logical q or -1
     std::vector<int> pending;   //!< unfinished predecessor count
-    std::vector<bool> done;
+    std::vector<int> ready;     //!< unemitted, pending == 0, ascending
     std::vector<double> decay;
-    std::vector<int> lastTouch; //!< per wire: last emitted gate index
+    std::vector<int> last2q;    //!< per wire: last emitted 2Q gate or -1
+
+    // extendedSet scratch: a gate is seen iff seen[gate] == stamp.
+    std::vector<std::uint64_t> seen;
+    std::uint64_t stamp = 0;
+    std::vector<int> queue;
 
     Circuit out;
     int swapsInserted = 0;
@@ -41,19 +59,21 @@ struct Router
     Router(const Circuit &l, const Topology &t, const RouteOptions &o,
            const std::vector<int> &init)
         : logical(l), topo(t), opts(o), dag(circuit::buildDag(l)),
-          phys(init), host(t.numQubits(), -1),
-          pending(l.size(), 0), done(l.size(), false),
-          decay(t.numQubits(), 0.0), lastTouch(t.numQubits(), -1),
-          out(t.numQubits())
+          phys(init), host(t.numQubits(), -1), pending(l.size(), 0),
+          decay(t.numQubits(), 0.0), last2q(t.numQubits(), -1),
+          seen(l.size(), 0), out(t.numQubits())
     {
         for (int q = 0; q < l.numQubits(); ++q)
             host[phys[q]] = q;
-        for (size_t i = 0; i < l.size(); ++i)
+        for (size_t i = 0; i < l.size(); ++i) {
             pending[i] = static_cast<int>(dag.nodes[i].preds.size());
+            if (pending[i] == 0)
+                ready.push_back(static_cast<int>(i));
+        }
     }
 
     bool
-    executable(size_t i) const
+    executable(int i) const
     {
         const Gate &g = logical[i];
         if (g.numQubits() == 1)
@@ -62,18 +82,20 @@ struct Router
     }
 
     void
-    emitGate(size_t i)
+    emitGate(int i)
     {
         Gate g = logical[i];
         for (int &q : g.qubits)
             q = phys[q];
-        out.add(g);
-        const int idx = static_cast<int>(out.size()) - 1;
-        for (int q : out[idx].qubits)
-            lastTouch[q] = idx;
-        done[i] = true;
+        if (g.numQubits() > 1)
+            for (int q : g.qubits)
+                last2q[q] = static_cast<int>(out.size());
+        out.add(std::move(g));
+        ready.erase(std::lower_bound(ready.begin(), ready.end(), i));
         for (int s : dag.nodes[i].succs)
-            --pending[s];
+            if (--pending[s] == 0)
+                ready.insert(
+                    std::upper_bound(ready.begin(), ready.end(), s), s);
     }
 
     void
@@ -89,60 +111,59 @@ struct Router
         decay[p2] += opts.decayIncrement;
     }
 
-    /** Ready gates (all DAG predecessors emitted). */
-    std::vector<size_t>
-    readyGates() const
+    void
+    insertSwap(int p1, int p2)
     {
-        std::vector<size_t> r;
-        for (size_t i = 0; i < logical.size(); ++i)
-            if (!done[i] && pending[i] == 0)
-                r.push_back(i);
-        return r;
+        last2q[p1] = last2q[p2] = static_cast<int>(out.size());
+        out.add(Gate::swap(p1, p2));
+        applySwap(p1, p2);
+        ++swapsInserted;
     }
 
-    /** The next `count` 2Q gates beyond the front (lookahead set). */
-    std::vector<size_t>
-    extendedSet(const std::vector<size_t> &front) const
+    /**
+     * The lookahead set: about opts.extendedSize 2Q gates beyond the
+     * front, in breadth-first order. Every gate reachable from the
+     * front is still unemitted, so only the stamp filters.
+     */
+    void
+    extendedSet(const std::vector<int> &front, std::vector<int> &ext)
     {
-        std::vector<size_t> ext;
-        std::deque<size_t> queue(front.begin(), front.end());
-        std::vector<bool> seen(logical.size(), false);
-        for (size_t f : front)
-            seen[f] = true;
-        while (!queue.empty() &&
-               static_cast<int>(ext.size()) < opts.extendedSize) {
-            size_t i = queue.front();
-            queue.pop_front();
-            for (int s : dag.nodes[i].succs) {
-                if (seen[s] || done[s])
+        ext.clear();
+        ++stamp;
+        queue.assign(front.begin(), front.end());
+        for (int f : front)
+            seen[f] = stamp;
+        for (size_t head = 0;
+             head < queue.size() &&
+             static_cast<int>(ext.size()) < opts.extendedSize;
+             ++head) {
+            for (int s : dag.nodes[queue[head]].succs) {
+                if (seen[s] == stamp)
                     continue;
-                seen[s] = true;
+                seen[s] = stamp;
                 queue.push_back(s);
                 if (logical[s].numQubits() == 2)
                     ext.push_back(s);
             }
         }
-        return ext;
     }
 
+    /** Heuristic cost of the current layout `phys`. */
     double
-    mappingCost(const std::vector<size_t> &front2q,
-                const std::vector<size_t> &ext,
-                const std::vector<int> &mapping) const
+    mappingCost(const std::vector<int> &front2q,
+                const std::vector<int> &ext) const
     {
         double cost = 0.0;
-        for (size_t i : front2q) {
+        for (int i : front2q) {
             const Gate &g = logical[i];
-            cost += topo.distance(mapping[g.qubits[0]],
-                                  mapping[g.qubits[1]]);
+            cost += topo.distance(phys[g.qubits[0]], phys[g.qubits[1]]);
         }
         cost /= std::max<size_t>(1, front2q.size());
         if (!ext.empty()) {
             double e = 0.0;
-            for (size_t i : ext) {
+            for (int i : ext) {
                 const Gate &g = logical[i];
-                e += topo.distance(mapping[g.qubits[0]],
-                                   mapping[g.qubits[1]]);
+                e += topo.distance(phys[g.qubits[0]], phys[g.qubits[1]]);
             }
             cost += opts.extendedWeight * e / ext.size();
         }
@@ -151,32 +172,17 @@ struct Router
 
     /**
      * True iff a SWAP on wires (p1, p2) can be absorbed by mirroring
-     * an already-emitted 2Q gate. Trailing 1Q gates on p1/p2 are
-     * allowed: SWAP(p,q) u(p) = u(q) SWAP(p,q), so they commute
-     * through the inserted SWAP with relabelled wires. @p idx
-     * receives the index of the gate to mirror.
+     * an already-emitted 2Q gate: the last 2Q gate on p1 and on p2
+     * must be one and the same, on exactly (p1, p2). Trailing 1Q
+     * gates on p1/p2 are allowed: SWAP(p,q) u(p) = u(q) SWAP(p,q), so
+     * they commute through the inserted SWAP with relabelled wires.
+     * @p idx receives the index of the gate to mirror.
      */
     bool
     absorbable(int p1, int p2, int &idx) const
     {
-        // Walk back over trailing 1Q gates on p1 or p2; no other
-        // gate may touch these wires after the mirror candidate.
-        // Bounded scan keeps the candidate loop linear overall.
-        int i = static_cast<int>(out.size()) - 1;
-        const int floor_idx = std::max(0, i - 256);
-        for (; i >= floor_idx; --i) {
-            const Gate &g = out[static_cast<size_t>(i)];
-            bool touches = false;
-            for (int q : g.qubits)
-                if (q == p1 || q == p2)
-                    touches = true;
-            if (!touches)
-                continue;
-            if (g.numQubits() == 1)
-                continue;   // commutes through with a relabel
-            break;
-        }
-        if (i < 0)
+        const int i = std::max(last2q[p1], last2q[p2]);
+        if (i < 0 || static_cast<int>(out.size()) - 1 - i > kAbsorbReach)
             return false;
         idx = i;
         const Gate &g = out[static_cast<size_t>(i)];
@@ -205,24 +211,24 @@ struct Router
                 else if (q == p2)
                     q = p1;
             }
-        // lastTouch entries for p1/p2 swap with the relabel.
-        std::swap(lastTouch[p1], lastTouch[p2]);
-        if (lastTouch[p1] < idx)
-            lastTouch[p1] = idx;
-        if (lastTouch[p2] < idx)
-            lastTouch[p2] = idx;
+        last2q[p1] = last2q[p2] = idx;
     }
 
     void
     run()
     {
         int stuck_swaps = 0;
+        std::vector<int> round, front2q, ext;
+        std::vector<std::pair<int, int>> cands;
         while (true) {
-            // Execute everything executable.
+            // Execute everything executable. Each round walks a
+            // snapshot of the ready set in index order; gates it
+            // readies wait for the next round.
             bool progressed = true;
             while (progressed) {
                 progressed = false;
-                for (size_t i : readyGates()) {
+                round = ready;
+                for (int i : round) {
                     if (executable(i)) {
                         emitGate(i);
                         progressed = true;
@@ -231,19 +237,18 @@ struct Router
                     }
                 }
             }
-            std::vector<size_t> ready = readyGates();
             if (ready.empty())
                 break;
-            std::vector<size_t> front2q;
-            for (size_t i : ready)
+            front2q.clear();
+            for (int i : ready)
                 if (logical[i].numQubits() == 2)
                     front2q.push_back(i);
             assert(!front2q.empty());
-            std::vector<size_t> ext = extendedSet(front2q);
+            extendedSet(front2q, ext);
 
             // Candidate SWAPs: edges touching a front-layer qubit.
-            std::vector<std::pair<int, int>> cands;
-            for (size_t i : front2q)
+            cands.clear();
+            for (int i : front2q)
                 for (int q : logical[i].qubits)
                     for (int nb : topo.neighbors(phys[q]))
                         cands.push_back(std::minmax(phys[q], nb));
@@ -251,20 +256,25 @@ struct Router
             cands.erase(std::unique(cands.begin(), cands.end()),
                         cands.end());
 
-            const double h0 = mappingCost(front2q, ext, phys);
+            const double h0 = mappingCost(front2q, ext);
             double best_h = 1e18;
             std::pair<int, int> best{-1, -1};
             double best_abs_h = 1e18;
             std::pair<int, int> best_abs{-1, -1};
             int best_abs_idx = -1;
             for (const auto &[p1, p2] : cands) {
-                std::vector<int> trial = phys;
+                // Score the SWAP in place and undo it; distances are
+                // integers, so the cost sums are exact either way.
                 const int l1 = host[p1], l2 = host[p2];
                 if (l1 >= 0)
-                    trial[l1] = p2;
+                    phys[l1] = p2;
                 if (l2 >= 0)
-                    trial[l2] = p1;
-                const double cost = mappingCost(front2q, ext, trial);
+                    phys[l2] = p1;
+                const double cost = mappingCost(front2q, ext);
+                if (l1 >= 0)
+                    phys[l1] = p1;
+                if (l2 >= 0)
+                    phys[l2] = p2;
                 const double h =
                     (1.0 + std::max(decay[p1], decay[p2])) * cost;
                 if (h < best_h) {
@@ -282,7 +292,8 @@ struct Router
             ++stuck_swaps;
             if (stuck_swaps > 8 * topo.numQubits() + 64) {
                 // Escape hatch: walk the first front gate together
-                // along a shortest path.
+                // along a shortest path (the topology is connected,
+                // so a closer neighbour always exists).
                 const Gate &g = logical[front2q.front()];
                 int p1 = phys[g.qubits[0]];
                 const int p2 = phys[g.qubits[1]];
@@ -290,12 +301,7 @@ struct Router
                     for (int nb : topo.neighbors(p1)) {
                         if (topo.distance(nb, p2) <
                             topo.distance(p1, p2)) {
-                            out.add(Gate::swap(p1, nb));
-                            for (int q : {p1, nb})
-                                lastTouch[q] =
-                                    static_cast<int>(out.size()) - 1;
-                            applySwap(p1, nb);
-                            ++swapsInserted;
+                            insertSwap(p1, nb);
                             p1 = nb;
                             break;
                         }
@@ -312,11 +318,7 @@ struct Router
                 continue;
             }
             assert(best.first >= 0);
-            out.add(Gate::swap(best.first, best.second));
-            for (int q : {best.first, best.second})
-                lastTouch[q] = static_cast<int>(out.size()) - 1;
-            applySwap(best.first, best.second);
-            ++swapsInserted;
+            insertSwap(best.first, best.second);
         }
     }
 };
@@ -335,6 +337,10 @@ sabreRoute(const Circuit &logical, const Topology &topo,
             std::to_string(logical.numQubits()) +
             " qubits but the topology has " +
             std::to_string(topo.numQubits()));
+    if (!topo.isConnected())
+        throw std::invalid_argument("sabreRoute: topology '" +
+                                    topo.name() +
+                                    "' is not connected");
 #ifndef NDEBUG
     for (const Gate &g : logical)
         assert(g.numQubits() <= 2 && "route expects a 2Q-basis input");

@@ -28,9 +28,12 @@ struct RouteOptions
     bool mirroring = false;      //!< enable mirroring-SABRE
     double extendedWeight = 0.5; //!< W, lookahead weight
     int extendedSize = 20;       //!< |E|, lookahead window
-    double decayIncrement = 0.001;
-    int decayResetInterval = 5;
+    double decayIncrement = 0.001; //!< reset on every emitted gate
     bool reverseTraversalInit = true;  //!< SABRE-style initial layout
+    /**
+     * Read by nothing: routing draws no random numbers. perfbench's
+     * routed equivalence check still sets it; delete both together.
+     */
     unsigned seed = 7;
 };
 
@@ -50,7 +53,8 @@ struct RouteResult
  * Op::SWAP gates (callers lower or fuse them per ISA).
  *
  * @throws std::invalid_argument when the circuit is wider than the
- *         topology
+ *         topology, or when the topology is disconnected (a 2Q gate
+ *         spanning two components could never be routed)
  */
 RouteResult sabreRoute(const circuit::Circuit &logical,
                        const Topology &topo,

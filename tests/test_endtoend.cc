@@ -131,8 +131,8 @@ TEST_P(EndToEnd, RoutedOnChainRespectsTopologyAndSemantics)
 {
     // 8-qubit instances (comparator_3, rip_add_8) are in scope: a
     // 256-amplitude statevector check is cheap, and routing is
-    // deterministic (fixed RouteOptions::seed), so the whole small
-    // suite exercises routed-chain semantics.
+    // deterministic, so the whole small suite exercises routed-chain
+    // semantics.
     if (bm().circuit.numQubits() > 8)
         GTEST_SKIP() << "too large for routed verification";
     compiler::CompileResult full = compiler::reqiscFull(bm().circuit);

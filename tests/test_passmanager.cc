@@ -288,14 +288,13 @@ void
 legacyBackendTail(const CompileResult &compiled,
                   const backend::Backend &chip,
                   const backend::ReconfigureResult &reconfig,
-                  unsigned seed, isa::Strategy strategy,
+                  isa::Strategy strategy,
                   Circuit &phys_out, std::vector<int> &layout_out,
                   compiler::Metrics &metrics_out,
                   isa::Program &program_out)
 {
     route::RouteOptions ropts;
     ropts.mirroring = true;
-    ropts.seed = seed;
     const route::RouteResult rr = route::sabreRoute(
         compiled.circuit, chip.topology(), ropts);
     Circuit phys(rr.circuit.numQubits());
@@ -370,8 +369,8 @@ TEST(PassManagerEquivalence, ServiceMatchesLegacyRunJobOnChip)
         compiler::Metrics metrics;
         isa::Program program;
         legacyBackendTail(compiled, *chip, reconfig,
-                          req.options.seed, isa::Strategy::Asap,
-                          phys, layout, metrics, program);
+                          isa::Strategy::Asap, phys, layout, metrics,
+                          program);
 
         EXPECT_TRUE(circuitsIdentical(r.compiled.circuit,
                                       compiled.circuit))

@@ -5,14 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 
+#include "backend/backend.hh"
 #include "circuit/lower.hh"
 #include "qmath/random.hh"
 #include "qsim/statevector.hh"
 #include "route/sabre.hh"
 #include "route/topology.hh"
 #include "test_util.hh"
+#include "weyl/weyl.hh"
+
+#ifndef REQISC_SOURCE_DIR
+#define REQISC_SOURCE_DIR "."
+#endif
 
 using namespace reqisc;
 using namespace reqisc::circuit;
@@ -104,6 +114,97 @@ randomSu4Circuit(int n, int gates, unsigned seed)
         c.add(Gate::u4(a, b, randomUnitary(4, rng)));
     }
     return c;
+}
+
+/**
+ * Seeded {CX, Can, SWAP, U3} circuit on n qubits. With `stale` set,
+ * qubits 0 and 1 meet once, then `gates` gates run on the other
+ * qubits, then 40 more on all of them: the (0, 1) pair's last 2Q gate
+ * lies far behind when it is needed again.
+ */
+Circuit
+randomRoutingCircuit(int n, int gates, std::uint64_t seed,
+                     bool stale = false)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    auto add = [&](int lo) {
+        const int span = n - lo;
+        const int a = lo + static_cast<int>(rng() % span);
+        int b = lo + static_cast<int>(rng() % (span - 1));
+        if (b >= a)
+            ++b;
+        switch (rng() % 4) {
+        case 0:
+            c.add(Gate::cx(a, b));
+            break;
+        case 1:
+            c.add(Gate::can(a, b, weyl::randomWeylCoord(rng)));
+            break;
+        case 2:
+            c.add(Gate::swap(a, b));
+            break;
+        default: {
+            // One draw per statement: argument order is unspecified.
+            const double theta = 0.1 * (rng() % 31);
+            const double phi = 0.1 * (rng() % 63);
+            const double lambda = 0.1 * (rng() % 63);
+            c.add(Gate::u3(a, theta, phi, lambda));
+        }
+        }
+    };
+    if (stale) {
+        c.add(Gate::cx(0, 1));
+        for (int i = 0; i < gates; ++i)
+            add(2);
+        for (int i = 0; i < 40; ++i)
+            add(0);
+    } else {
+        for (int i = 0; i < gates; ++i)
+            add(0);
+    }
+    return c;
+}
+
+/**
+ * CX(0, 1), then `gap` gates on wires 2..11, then CX(0, 2): on an
+ * identity-mapped chain(12) the SWAP that brings qubit 0 next to
+ * qubit 2 can be absorbed into CX(0, 1), `gap` gates back.
+ */
+Circuit
+windowCircuit(int gap)
+{
+    Circuit c(12);
+    c.add(Gate::cx(0, 1));
+    for (int i = 0; i < gap; ++i) {
+        const int q = 2 + i % 9;
+        c.add(Gate::cx(q, q + 1));
+    }
+    c.add(Gate::cx(0, 2));
+    return c;
+}
+
+/** Every RouteResult field equal, the circuit bit for bit. */
+::testing::AssertionResult
+sameRoute(const RouteResult &a, const RouteResult &b)
+{
+    ::testing::AssertionResult gates =
+        test::circuitsIdentical(a.circuit, b.circuit);
+    if (!gates)
+        return gates;
+    if (a.initialLayout != b.initialLayout)
+        return ::testing::AssertionFailure() << "initialLayout differs";
+    if (a.finalLayout != b.finalLayout)
+        return ::testing::AssertionFailure() << "finalLayout differs";
+    if (a.swapsInserted != b.swapsInserted)
+        return ::testing::AssertionFailure()
+               << "swapsInserted " << a.swapsInserted << " vs "
+               << b.swapsInserted;
+    if (a.swapsAbsorbed != b.swapsAbsorbed)
+        return ::testing::AssertionFailure()
+               << "swapsAbsorbed " << a.swapsAbsorbed << " vs "
+               << b.swapsAbsorbed;
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace
@@ -259,4 +360,95 @@ TEST(Sabre, FewerQubitsThanDevice)
     RouteResult r = sabreRoute(c, Topology::grid(2, 3));
     EXPECT_EQ(r.circuit.numQubits(), 6);
     EXPECT_TRUE(routedMatrixOk(c, r));
+}
+
+TEST(Sabre, DisconnectedTopologyThrows)
+{
+    // No route joins two components; the escape hatch used to spin
+    // forever looking for a closer neighbour.
+    Circuit c(4);
+    c.add(Gate::cx(0, 2));
+    const Topology t = Topology::custom(4, {{0, 1}, {2, 3}});
+    EXPECT_THROW(sabreRoute(c, t), std::invalid_argument);
+}
+
+TEST(Sabre, AbsorbReachesBack257Gates)
+{
+    // The mirrored gate may lie at most 257 gates before the last
+    // emitted one, the reach of the bounded scan the index replaced.
+    RouteOptions opts;
+    opts.mirroring = true;
+    opts.reverseTraversalInit = false;
+    const Topology t = Topology::chain(12);
+    for (int gap : {1, 256, 257}) {
+        const RouteResult r = sabreRoute(windowCircuit(gap), t, opts);
+        EXPECT_EQ(r.swapsAbsorbed, 1) << gap;
+        EXPECT_EQ(r.swapsInserted, 0) << gap;
+    }
+    for (int gap : {258, 400}) {
+        const RouteResult r = sabreRoute(windowCircuit(gap), t, opts);
+        EXPECT_EQ(r.swapsAbsorbed, 0) << gap;
+        EXPECT_EQ(r.swapsInserted, 1) << gap;
+    }
+}
+
+TEST(Sabre, MatchesTheLegacyOracle)
+{
+    // The incremental router takes every decision the rescanning one
+    // took: same gates, payload bits, layouts and SWAP counts.
+    std::vector<Topology> topos = {Topology::chain(12),
+                                   Topology::grid(3, 4),
+                                   Topology::gridFor(9)};
+    std::vector<std::string> chips;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(REQISC_SOURCE_DIR) + "/examples/chips"))
+        if (entry.path().extension() == ".json")
+            chips.push_back(entry.path().string());
+    std::sort(chips.begin(), chips.end());
+    ASSERT_GE(chips.size(), 4u);
+    for (const std::string &chip : chips)
+        topos.push_back(backend::Backend::fromJsonFile(chip).topology());
+
+    struct Case
+    {
+        Circuit circuit;
+        std::string what;
+    };
+    const int sizes[] = {20, 75, 300, 1000, 20, 75, 300, 2000};
+    std::uint64_t seed = 1;
+    for (const Topology &t : topos) {
+        const int width = std::min(12, t.numQubits());
+        std::vector<Case> cases;
+        for (int k = 0; k < 8; ++k, ++seed) {
+            const int n = 3 + static_cast<int>(seed * 7 % (width - 2));
+            const int gates = sizes[k];
+            cases.push_back({randomRoutingCircuit(n, gates, seed),
+                             "random n=" + std::to_string(n) +
+                                 " gates=" + std::to_string(gates)});
+        }
+        if (width >= 5)
+            for (int gap : {200, 300}) {
+                cases.push_back(
+                    {randomRoutingCircuit(width, gap, ++seed, true),
+                     "stale n=" + std::to_string(width) +
+                         " gap=" + std::to_string(gap)});
+            }
+        if (t.numQubits() == 12 && t.name() == "chain")
+            for (int gap = 250; gap <= 262; ++gap)
+                cases.push_back({windowCircuit(gap),
+                                 "window gap=" + std::to_string(gap)});
+        for (const Case &c : cases)
+            for (bool mirroring : {false, true})
+                for (bool rti : {false, true}) {
+                    RouteOptions opts;
+                    opts.mirroring = mirroring;
+                    opts.reverseTraversalInit = rti;
+                    EXPECT_TRUE(sameRoute(
+                        sabreRoute(c.circuit, t, opts),
+                        test::legacySabreRoute(c.circuit, t, opts)))
+                        << t.name() << " " << c.what
+                        << " mirroring=" << mirroring
+                        << " reverseTraversalInit=" << rti;
+                }
+    }
 }

@@ -3,8 +3,8 @@
  * Shared helpers for the gtest suites: matrix near-equality assertions
  * (entrywise and up-to-global-phase, the right notion for comparing
  * compiled circuits), bit-exact matrix and circuit equality, and the
- * legacy instantiation oracle. Linked into every suite as the
- * reqisc_test_util object library.
+ * legacy instantiation and routing oracles. Linked into every suite as
+ * the reqisc_test_util object library.
  */
 
 #ifndef REQISC_TESTS_TEST_UTIL_HH
@@ -15,6 +15,7 @@
 #include "circuit/circuit.hh"
 #include "qmath/matrix.hh"
 #include "qmath/random.hh"
+#include "route/sabre.hh"
 #include "synth/instantiate.hh"
 
 namespace reqisc::test
@@ -47,6 +48,17 @@ synth::InstantiateResult
 legacyInstantiate(const qmath::Matrix &target, int num_qubits,
                   const std::vector<synth::Slot> &structure,
                   const synth::InstantiateOptions &opts = {});
+
+/**
+ * route::sabreRoute as it was when every SWAP decision rescanned the
+ * circuit for ready gates and walked back up to 257 emitted gates per
+ * absorb check, kept verbatim as the oracle the incremental router is
+ * checked against: every RouteResult field must come back identical.
+ */
+route::RouteResult
+legacySabreRoute(const circuit::Circuit &logical,
+                 const route::Topology &topo,
+                 const route::RouteOptions &opts = {});
 
 #define EXPECT_MATRIX_NEAR(a, b, tol) \
     EXPECT_TRUE(::reqisc::test::matrixNear((a), (b), (tol)))
