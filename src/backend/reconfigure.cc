@@ -174,12 +174,6 @@ ReconfigureResult::instruction(int a, int b) const
     return lookup(table, a, b);
 }
 
-const EdgeInstruction &
-ReconfigureResult::uniformInstruction(int a, int b) const
-{
-    return lookup(uniformTable, a, b);
-}
-
 bool
 ReconfigureResult::differsFromUniform() const
 {

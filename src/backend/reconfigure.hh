@@ -135,7 +135,6 @@ struct ReconfigureResult
 
     /** Table lookup; throws std::invalid_argument off-edge. */
     const EdgeInstruction &instruction(int a, int b) const;
-    const EdgeInstruction &uniformInstruction(int a, int b) const;
 
     /** True when any edge chose a non-uniform instruction. */
     bool differsFromUniform() const;

@@ -36,15 +36,6 @@ emitCcx(Circuit &out, int c1, int c2, int t)
     out.add(Gate::cx(c1, c2));
 }
 
-/** The sqrt(X)-type rotation that swaps the y and z Weyl axes. */
-Matrix
-vGate()
-{
-    const double r = 1.0 / std::sqrt(2.0);
-    return Matrix{{qmath::Complex(r, 0), qmath::Complex(0, -r)},
-                  {qmath::Complex(0, -r), qmath::Complex(r, 0)}};
-}
-
 } // namespace
 
 Gate
@@ -102,7 +93,7 @@ gateToCnotsAnalytic(int a, int b, const Matrix &u)
     } else if (std::abs(c.z) < tol) {
         // Two-CX class: (V x V)^dagger exp(-i(x XX + y ZZ)) (V x V)
         // realized as CX (Rx(2x) x Rz(2y)) CX.
-        const Matrix v = vGate();
+        const Matrix &v = weyl::vGate();
         core.push_back(u3FromMatrix(a, v));
         core.push_back(u3FromMatrix(b, v));
         core.push_back(Gate::cx(a, b));
@@ -121,7 +112,7 @@ gateToCnotsAnalytic(int a, int b, const Matrix &u)
         // Exact 4-CX fallback:
         //   Can(x,y,z) = Can(x,y,0) * Can(0,0,z),
         //   Can(0,0,z) = CX (I x Rz(2z)) CX.
-        const Matrix v = vGate();
+        const Matrix &v = weyl::vGate();
         core.push_back(Gate::cx(a, b));
         core.push_back(Gate::rz(b, 2.0 * c.z));
         core.push_back(Gate::cx(a, b));

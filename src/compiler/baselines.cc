@@ -4,6 +4,7 @@
 
 #include "circuit/lower.hh"
 #include "compiler/passes.hh"
+#include "synth/instantiate.hh"
 #include "synth/synthesis.hh"
 
 namespace reqisc::compiler
@@ -96,24 +97,14 @@ partitionResynth(const Circuit &input, bool to_cnots)
         const bool worth = b.qubits.size() == 3 && b.count2Q > 3;
         std::vector<Gate> gates;
         if (worth) {
-            Matrix u = Matrix::identity(8);
-            auto local = [&](const Gate &g) {
-                std::vector<int> idx;
-                for (int q : g.qubits)
-                    idx.push_back(static_cast<int>(
-                        std::find(b.qubits.begin(), b.qubits.end(),
-                                  q) - b.qubits.begin()));
-                return idx;
-            };
-            for (const Gate &g : b.gates)
-                u = synth::liftGate(g.matrix(), local(g), 3) * u;
             synth::SynthesisOptions opts;
             opts.tol = 1e-8;
             opts.maxBlocks = std::min(7, b.count2Q);
             opts.restarts = 2;
             opts.descending = true;
-            synth::SynthesisResult r =
-                synth::synthesizeBlock(u, b.qubits, opts);
+            synth::SynthesisResult r = synth::synthesizeBlock(
+                synth::blockUnitary(b.gates, b.qubits), b.qubits,
+                opts);
             if (r.success &&
                 static_cast<int>(r.blockCount) <= b.count2Q)
                 gates = r.gates;
@@ -151,24 +142,14 @@ bqskitLike(const circuit::Circuit &input)
     for (const auto &b : partition3Q(c)) {
         std::vector<Gate> emitted;
         if (b.qubits.size() == 3 && b.count2Q > 3) {
-            Matrix u = Matrix::identity(8);
-            auto local = [&](const Gate &g) {
-                std::vector<int> idx;
-                for (int q : g.qubits)
-                    idx.push_back(static_cast<int>(
-                        std::find(b.qubits.begin(), b.qubits.end(),
-                                  q) - b.qubits.begin()));
-                return idx;
-            };
-            for (const Gate &g : b.gates)
-                u = synth::liftGate(g.matrix(), local(g), 3) * u;
             synth::SynthesisOptions opts;
             opts.tol = 1e-8;
             opts.maxBlocks = 6;
             opts.restarts = 2;
             opts.descending = true;
-            synth::SynthesisResult r =
-                synth::synthesizeBlock(u, b.qubits, opts);
+            synth::SynthesisResult r = synth::synthesizeBlock(
+                synth::blockUnitary(b.gates, b.qubits), b.qubits,
+                opts);
             if (r.success) {
                 std::vector<Gate> cand;
                 for (const Gate &g : r.gates) {

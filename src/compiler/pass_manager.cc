@@ -12,7 +12,6 @@
 #include "compiler/passes.hh"
 #include "obs/span.hh"
 #include "route/sabre.hh"
-#include "synth/instantiate.hh"
 #include "synth/synthesis.hh"
 #include "uarch/calibration.hh"
 
@@ -132,7 +131,6 @@ namespace
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::Op;
-using qmath::Matrix;
 
 /** Program-aware template synthesis (incl. the MCX pre-lowering). */
 class TemplateSynthPass final : public Pass
@@ -178,7 +176,7 @@ class DagCompactPass final : public Pass
 
 /**
  * Hierarchical synthesis (ReQISC-Full's extra stage). The "nc"
- * variant is the Fig-14 ablation: partition + approximate
+ * variant is the Fig-14 ablation: the same partition + approximate
  * resynthesis with the DAG-compacting step skipped.
  */
 class HierarchicalSynthPass final : public Pass
@@ -197,65 +195,13 @@ class HierarchicalSynthPass final : public Pass
     void run(CompilationUnit &u) override
     {
         const CompileOptions &opts = u.options;
-        if (compacting_) {
-            u.circuit = hierarchicalSynthesis(
-                u.circuit, opts.mTh, opts.synthTol, opts.seed,
-                opts.synthMemo, opts.synthPool);
-            u.passNote =
-                "workers=" +
-                std::to_string(opts.synthPool
-                                   ? opts.synthPool->workers()
-                                   : 1);
-            return;
-        }
-        // Ablation variant (ReQISC-NC): skip the compacting pass but
-        // keep partition + approximate synthesis.
-        Circuit c = std::move(u.circuit);
-        std::vector<Partition3Q> blocks = partition3Q(c);
-        Circuit nc(c.numQubits());
-        for (const auto &b : blocks)
-            for (const Gate &g : b.gates)
-                nc.add(g);
-        c = std::move(nc);
-        Circuit out(c.numQubits());
-        for (const auto &b : partition3Q(c)) {
-            if (b.count2Q <= opts.mTh || b.qubits.size() < 3) {
-                for (const Gate &g : b.gates)
-                    out.add(g);
-                continue;
-            }
-            Matrix unitary = Matrix::identity(8);
-            auto local = [&](const Gate &g) {
-                std::vector<int> idx;
-                for (int q : g.qubits)
-                    idx.push_back(static_cast<int>(
-                        std::find(b.qubits.begin(), b.qubits.end(),
-                                  q) -
-                        b.qubits.begin()));
-                return idx;
-            };
-            for (const Gate &g : b.gates)
-                unitary =
-                    synth::liftGate(g.matrix(), local(g), 3) *
-                    unitary;
-            synth::SynthesisOptions sopts;
-            sopts.tol = opts.synthTol;
-            sopts.maxBlocks = std::min(7, b.count2Q - 1);
-            sopts.descending = true;
-            sopts.seed = opts.seed;
-            sopts.memo = opts.synthMemo;
-            synth::SynthesisResult r =
-                synth::synthesizeBlock(unitary, b.qubits, sopts);
-            if (r.success &&
-                static_cast<int>(r.blockCount) < b.count2Q) {
-                for (const Gate &g : r.gates)
-                    out.add(g);
-            } else {
-                for (const Gate &g : b.gates)
-                    out.add(g);
-            }
-        }
-        u.circuit = fuse2QBlocks(fuse1Q(out));
+        u.circuit = hierarchicalSynthesis(
+            u.circuit, opts.mTh, opts.synthTol, opts.seed,
+            opts.synthMemo, opts.synthPool, compacting_);
+        u.passNote =
+            "workers=" +
+            std::to_string(opts.synthPool ? opts.synthPool->workers()
+                                          : 1);
     }
 
   private:

@@ -378,11 +378,13 @@ dagCompact(const Circuit &input, double tol)
 Circuit
 hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
                       unsigned seed, synth::BlockMemo *memo,
-                      synth::BlockPool *pool)
+                      synth::BlockPool *pool, bool compacting)
 {
-    Circuit fused = fuse2QBlocks(fuse1Q(input));
-    Circuit compacted = dagCompact(fused, tol);
-    std::vector<Partition3Q> blocks = partition3Q(compacted);
+    const Circuit staged =
+        compacting
+            ? dagCompact(fuse2QBlocks(fuse1Q(input)), tol)
+            : blocksToCircuit(partition3Q(input), input.numQubits());
+    std::vector<Partition3Q> blocks = partition3Q(staged);
 
     // Collect the resynthesis targets first: each solve is a pure
     // function of (target unitary, options), independent of every
@@ -401,25 +403,14 @@ hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
         const auto &b = blocks[bi];
         if (b.count2Q <= m_th || b.qubits.size() < 3)
             continue;
-        // Build the block's 8x8 unitary in local indices.
-        Matrix u = Matrix::identity(8);
-        auto local = [&](const Gate &g) {
-            std::vector<int> idx;
-            for (int q : g.qubits)
-                idx.push_back(static_cast<int>(
-                    std::find(b.qubits.begin(), b.qubits.end(), q) -
-                    b.qubits.begin()));
-            return idx;
-        };
-        for (const Gate &g : b.gates)
-            u = synth::liftGate(g.matrix(), local(g), 3) * u;
         synth::SynthesisOptions opts;
         opts.tol = tol;
         opts.maxBlocks = std::min(7, b.count2Q - 1);
         opts.descending = true;
         opts.seed = seed;
         opts.memo = memo;
-        targets.push_back(Target{bi, std::move(u), opts});
+        targets.push_back(
+            Target{bi, synth::blockUnitary(b.gates, b.qubits), opts});
     }
 
     std::vector<synth::SynthesisResult> results(targets.size());

@@ -10,7 +10,8 @@
  * groupPauliRotations (phase-gadget grouping), partition3Q (DAG-order
  * 3-qubit blocking), dagCompact (commutation-aware compaction,
  * Section 5.2.1) and hierarchicalSynthesis (compacting + partition +
- * approximate re-synthesis, the ReQISC-Full extra pass).
+ * approximate re-synthesis, the ReQISC-Full extra pass; compacting
+ * off is the Fig-14 ablation).
  */
 
 #ifndef REQISC_COMPILER_PASSES_HH
@@ -92,12 +93,17 @@ Circuit dagCompact(const Circuit &c, double tol = 1e-9);
  * shared synth::BlockPool. Results are collected into per-block
  * slots and emitted in block order, so the output gate stream is
  * bit-identical to the serial path at every worker count.
+ *
+ * `compacting = false` is the Fig-14 ablation: instead of fusing and
+ * compacting, the input is partitioned as it is and reassembled in
+ * block order; the resynthesis that follows is the same.
  */
 Circuit hierarchicalSynthesis(const Circuit &c, int m_th = 4,
                               double tol = 1e-9,
                               unsigned seed = 777,
                               synth::BlockMemo *memo = nullptr,
-                              synth::BlockPool *pool = nullptr);
+                              synth::BlockPool *pool = nullptr,
+                              bool compacting = true);
 
 /**
  * Near-identity gate mirroring (Section 4.3). Every 2Q gate whose

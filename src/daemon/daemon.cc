@@ -65,18 +65,33 @@ DaemonMetrics &daemonMetrics()
     return m;
 }
 
-/** {apiVersion, error: {...}} with the error's HTTP status. */
-HttpResponse
-errorResponse(const ApiError &err)
+/** A v1 document, {apiVersion}, for the caller to extend. */
+JsonValue
+envelope()
 {
     JsonValue doc = JsonValue::makeObject();
     doc.set("apiVersion",
             JsonValue::makeNumber(
                 static_cast<double>(service::api::kApiVersion)));
+    return doc;
+}
+
+/** {apiVersion, error: {...}}, the body of every error reply. */
+std::string
+errorBody(const ApiError &err)
+{
+    JsonValue doc = envelope();
     doc.set("error", service::api::errorToJson(err));
+    return backend::dumpJson(doc, true);
+}
+
+/** errorBody with the error's HTTP status. */
+HttpResponse
+errorResponse(const ApiError &err)
+{
     HttpResponse res;
     res.status = err.httpStatus;
-    res.body = backend::dumpJson(doc, true);
+    res.body = errorBody(err);
     return res;
 }
 
@@ -89,18 +104,23 @@ jsonResponse(int status, const JsonValue &doc)
     return res;
 }
 
-/** Parse the {id} path segment; 0 on garbage (0 is never issued). */
+/**
+ * Parse the {id} path segment; 0 (no job's id) on garbage or an id
+ * above 2^62. The bound is checked before each multiply, so no digit
+ * string wraps around onto a small id.
+ */
 std::uint64_t
 parseId(const std::string &s)
 {
+    constexpr std::uint64_t kMaxId = 1ull << 62;
     if (s.empty())
         return 0;
     std::uint64_t id = 0;
     for (char c : s) {
-        if (c < '0' || c > '9')
+        if (c < '0' || c > '9' || id > kMaxId / 10)
             return 0;
         id = id * 10 + static_cast<std::uint64_t>(c - '0');
-        if (id > (1ull << 62))
+        if (id > kMaxId)
             return 0;
     }
     return id;
@@ -137,12 +157,7 @@ CompileDaemon::CompileDaemon(DaemonOptions opts)
             code = errc::kBadRequest;
         ApiError err = makeError(code, message);
         err.httpStatus = status;
-        JsonValue doc = JsonValue::makeObject();
-        doc.set("apiVersion",
-                JsonValue::makeNumber(static_cast<double>(
-                    service::api::kApiVersion)));
-        doc.set("error", service::api::errorToJson(err));
-        return backend::dumpJson(doc, true);
+        return errorBody(err);
     });
 }
 
@@ -432,10 +447,7 @@ CompileDaemon::handleSubmit(const HttpRequest &req)
             static_cast<double>(active_));
     }
 
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("apiVersion",
-            JsonValue::makeNumber(
-                static_cast<double>(service::api::kApiVersion)));
+    JsonValue doc = envelope();
     doc.set("id", JsonValue::makeNumber(static_cast<double>(id)));
     doc.set("status", JsonValue::makeString("queued"));
     return jsonResponse(202, doc);
@@ -450,10 +462,7 @@ CompileDaemon::handleStatus(std::uint64_t id)
         return errorResponse(makeError(
             errc::kNotFound, "no such job", std::to_string(id)));
     const JobRecord &rec = *it->second;
-    JsonValue doc = JsonValue::makeObject();
-    doc.set("apiVersion",
-            JsonValue::makeNumber(
-                static_cast<double>(service::api::kApiVersion)));
+    JsonValue doc = envelope();
     doc.set("id", JsonValue::makeNumber(static_cast<double>(id)));
     doc.set("name", JsonValue::makeString(rec.name));
     doc.set("status",
@@ -515,48 +524,35 @@ CompileDaemon::handleCancel(std::uint64_t id)
         return errorResponse(makeError(
             errc::kNotFound, "no such job", std::to_string(id)));
     JobRecord &rec = *it->second;
-    if (rec.state == JobState::Canceled) {
-        // Idempotent: canceling twice reports the same outcome.
-        JsonValue doc = JsonValue::makeObject();
-        doc.set("apiVersion",
-                JsonValue::makeNumber(static_cast<double>(
-                    service::api::kApiVersion)));
-        doc.set("id",
-                JsonValue::makeNumber(static_cast<double>(id)));
-        doc.set("status", JsonValue::makeString("canceled"));
-        return jsonResponse(200, doc);
+    // Idempotent: canceling twice reports the same outcome.
+    if (rec.state != JobState::Canceled) {
+        switch (svc_->cancel(id)) {
+        case service::CompileService::CancelOutcome::Canceled:
+            rec.state = JobState::Canceled;
+            --active_;
+            daemonMetrics().activeJobs->set(
+                static_cast<double>(active_));
+            daemonMetrics().jobsCanceled->inc();
+            recordFinishedLocked(id);
+            drainedCv_.notify_all();
+            break;
+        case service::CompileService::CancelOutcome::Running:
+            return errorResponse(makeError(
+                errc::kNotCancelable,
+                "job is already running; cancellation never "
+                "interrupts a compile",
+                std::to_string(id)));
+        case service::CompileService::CancelOutcome::Finished:
+        case service::CompileService::CancelOutcome::Unknown:
+            return errorResponse(makeError(errc::kAlreadyCompleted,
+                                           "job already completed",
+                                           std::to_string(id)));
+        }
     }
-    switch (svc_->cancel(id)) {
-    case service::CompileService::CancelOutcome::Canceled: {
-        rec.state = JobState::Canceled;
-        --active_;
-        daemonMetrics().activeJobs->set(
-            static_cast<double>(active_));
-        daemonMetrics().jobsCanceled->inc();
-        recordFinishedLocked(id);
-        drainedCv_.notify_all();
-        JsonValue doc = JsonValue::makeObject();
-        doc.set("apiVersion",
-                JsonValue::makeNumber(static_cast<double>(
-                    service::api::kApiVersion)));
-        doc.set("id",
-                JsonValue::makeNumber(static_cast<double>(id)));
-        doc.set("status", JsonValue::makeString("canceled"));
-        return jsonResponse(200, doc);
-    }
-    case service::CompileService::CancelOutcome::Running:
-        return errorResponse(makeError(
-            errc::kNotCancelable,
-            "job is already running; cancellation never "
-            "interrupts a compile",
-            std::to_string(id)));
-    case service::CompileService::CancelOutcome::Finished:
-    case service::CompileService::CancelOutcome::Unknown:
-        break;
-    }
-    return errorResponse(makeError(errc::kAlreadyCompleted,
-                                   "job already completed",
-                                   std::to_string(id)));
+    JsonValue doc = envelope();
+    doc.set("id", JsonValue::makeNumber(static_cast<double>(id)));
+    doc.set("status", JsonValue::makeString("canceled"));
+    return jsonResponse(200, doc);
 }
 
 HttpResponse

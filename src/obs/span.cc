@@ -147,14 +147,6 @@ Span::Span(std::string name, SpanContext parent)
                      name_.c_str());
 }
 
-Span::Span(std::string name, SteadyTime start)
-    : name_(std::move(name)), start_(start)
-{
-    open({}, /*useStackParent=*/true);
-    flight::recordAt(start_, flight::Kind::SpanBegin,
-                     name_.c_str());
-}
-
 void Span::open(SpanContext explicitParent, bool useStackParent)
 {
     Tracer &tracer = Tracer::global();

@@ -147,11 +147,6 @@ class Span
     explicit Span(std::string name);
     /** Open now with an explicit (possibly cross-thread) parent. */
     Span(std::string name, SpanContext parent);
-    /**
-     * Open with a backdated start (e.g. a queue-wait measured from
-     * an enqueue timestamp), parented on the innermost live span.
-     */
-    Span(std::string name, SteadyTime start);
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;

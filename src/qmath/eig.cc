@@ -315,37 +315,9 @@ simultaneousDiagonalize(const Matrix &a, const Matrix &b)
         start = end;
     }
 
-    // Force det(q) = +1 by flipping the last column if necessary.
-    // det of a real orthogonal matrix is +-1; compute via LU-free
-    // cofactor-safe method: use the product of Householder-free
-    // permanent... for small n, expansion by minors is fine.
-    // Here we use the generic complex determinant helper below.
-    auto det = [&]() {
-        // Gaussian elimination determinant (n <= 8 in practice).
-        Matrix t = q;
-        Complex d(1.0, 0.0);
-        for (int col = 0; col < n; ++col) {
-            int piv = col;
-            for (int r = col + 1; r < n; ++r)
-                if (std::abs(t(r, col)) > std::abs(t(piv, col)))
-                    piv = r;
-            if (std::abs(t(piv, col)) < 1e-300)
-                return Complex(0.0, 0.0);
-            if (piv != col) {
-                for (int c = 0; c < n; ++c)
-                    std::swap(t(piv, c), t(col, c));
-                d = -d;
-            }
-            d *= t(col, col);
-            for (int r = col + 1; r < n; ++r) {
-                const Complex f = t(r, col) / t(col, col);
-                for (int c = col; c < n; ++c)
-                    t(r, c) -= f * t(col, c);
-            }
-        }
-        return d;
-    };
-    if (det().real() < 0.0)
+    // Force det(q) = +1 (q is real orthogonal, so det = +-1) by
+    // flipping the last column if necessary.
+    if (determinant(q).real() < 0.0)
         for (int r = 0; r < n; ++r)
             q(r, n - 1) = -q(r, n - 1);
     return q;

@@ -289,17 +289,32 @@ kron(const Matrix &a, const Matrix &b)
     return r;
 }
 
-Matrix
-kronAll(const std::vector<Matrix> &factors)
+Complex
+determinant(Matrix t)
 {
-    assert(!factors.empty());
-    Matrix r = factors.front();
-    Matrix tmp;
-    for (size_t i = 1; i < factors.size(); ++i) {
-        kernels::kronInto(tmp, r, factors[i]);
-        std::swap(r, tmp);
+    assert(t.rows() == t.cols());
+    const int n = t.rows();
+    Complex d(1.0, 0.0);
+    for (int col = 0; col < n; ++col) {
+        int piv = col;
+        for (int r = col + 1; r < n; ++r)
+            if (std::abs(t(r, col)) > std::abs(t(piv, col)))
+                piv = r;
+        if (std::abs(t(piv, col)) < 1e-300)
+            return {0.0, 0.0};
+        if (piv != col) {
+            for (int c = 0; c < n; ++c)
+                std::swap(t(piv, c), t(col, c));
+            d = -d;
+        }
+        d *= t(col, col);
+        for (int r = col + 1; r < n; ++r) {
+            const Complex f = t(r, col) / t(col, col);
+            for (int c = col; c < n; ++c)
+                t(r, c) -= f * t(col, c);
+        }
     }
-    return r;
+    return d;
 }
 
 Complex

@@ -199,8 +199,11 @@ operator*(const Complex &s, const Matrix &m)
 /** Kronecker (tensor) product a (x) b. */
 Matrix kron(const Matrix &a, const Matrix &b);
 
-/** Tensor product of a list of factors, left factor = most significant. */
-Matrix kronAll(const std::vector<Matrix> &factors);
+/**
+ * Determinant by Gaussian elimination with partial pivoting; exactly
+ * zero once a pivot's magnitude falls below 1e-300.
+ */
+Complex determinant(Matrix t);
 
 /** Tr(a^dagger b), the Hilbert-Schmidt inner product. */
 Complex hsInner(const Matrix &a, const Matrix &b);

@@ -1,6 +1,8 @@
 #include "service/api.hh"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "circuit/qasm.hh"
@@ -228,9 +230,15 @@ compileRequestFromJson(const JsonValue &v)
     }
     if (const JsonValue *seed =
             field(v, "seed", JsonValue::Kind::Number)) {
+        // Range first: casting a double above UINT_MAX to unsigned
+        // is undefined behaviour.
         if (seed->number < 0 ||
+            seed->number > std::numeric_limits<unsigned>::max() ||
             seed->number != std::floor(seed->number))
-            badRequest("field 'seed' must be a non-negative integer");
+            badRequest("field 'seed' must be an integer in [0, " +
+                       std::to_string(
+                           std::numeric_limits<unsigned>::max()) +
+                       "]");
         req.options.seed = static_cast<unsigned>(seed->number);
     }
     if (const JsonValue *variational =

@@ -141,16 +141,6 @@ appendOptions(std::vector<std::int64_t> &words,
     words.push_back(opts.descending ? 1 : 0);
 }
 
-/** Rebuild the 8x8 unitary of a local-id synthesis result. */
-qmath::Matrix
-rebuild(const synth::SynthesisResult &r)
-{
-    qmath::Matrix u = qmath::Matrix::identity(8);
-    for (const circuit::Gate &g : r.gates)
-        u = synth::liftGate(g.matrix(), g.qubits, 3) * u;
-    return u;
-}
-
 /** Exact (bit-pattern) double equality, the persistence contract. */
 bool
 sameBits(double a, double b)
@@ -212,9 +202,10 @@ SynthCache::lookup(const qmath::Matrix &target,
     bool verified = true;
     if (candidate.success) {
         const auto v0 = std::chrono::steady_clock::now();
-        verified =
-            qmath::traceInfidelity(rebuild(candidate), target) <=
-            opts.tol;
+        // Cached gates carry local ids 0..2.
+        verified = qmath::traceInfidelity(
+                       synth::blockUnitary(candidate.gates, {0, 1, 2}),
+                       target) <= opts.tol;
         cacheMetrics().synthVerifySeconds->observe(
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - v0)

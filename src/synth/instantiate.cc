@@ -84,6 +84,24 @@ liftGate(const Matrix &g, const std::vector<int> &qubits,
     return out;
 }
 
+Matrix
+blockUnitary(const std::vector<circuit::Gate> &gates,
+             const std::vector<int> &qubits)
+{
+    const int n = static_cast<int>(qubits.size());
+    Matrix u = Matrix::identity(1 << n);
+    std::vector<int> local;
+    for (const circuit::Gate &g : gates) {
+        local.clear();
+        for (int q : g.qubits)
+            local.push_back(static_cast<int>(
+                std::find(qubits.begin(), qubits.end(), q) -
+                qubits.begin()));
+        u = liftGate(g.matrix(), local, n) * u;
+    }
+    return u;
+}
+
 namespace
 {
 

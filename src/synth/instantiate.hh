@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "circuit/gate.hh"
 #include "qmath/matrix.hh"
 #include "qmath/random.hh"
 
@@ -110,6 +111,16 @@ Matrix liftGate(const Matrix &g, const std::vector<int> &qubits,
  */
 void liftGateInto(Matrix &out, const Matrix &g,
                   const std::vector<int> &qubits, int num_qubits);
+
+/**
+ * The unitary of a gate list on a block of n = qubits.size() qubits:
+ * the 2^n identity, left-multiplied gate by gate by the gate's
+ * matrix lifted onto the positions of its qubits in `qubits` (the
+ * first entry is the most significant). Every gate's qubits must
+ * appear in `qubits`.
+ */
+Matrix blockUnitary(const std::vector<circuit::Gate> &gates,
+                    const std::vector<int> &qubits);
 
 } // namespace reqisc::synth
 

@@ -27,31 +27,6 @@ constexpr double kPi = std::numbers::pi;
 using qmath::Complex;
 using qmath::Matrix;
 
-/** Diagonal signs of the two-qubit Paulis in the magic basis. */
-struct Signs
-{
-    std::array<double, 4> xx, yy, zz;
-};
-
-const Signs &
-magicSigns()
-{
-    static const Signs s = [] {
-        Signs out;
-        const Matrix &m = weyl::magicBasis();
-        const Matrix dx = m.dagger() * qmath::pauliXX() * m;
-        const Matrix dy = m.dagger() * qmath::pauliYY() * m;
-        const Matrix dz = m.dagger() * qmath::pauliZZ() * m;
-        for (int i = 0; i < 4; ++i) {
-            out.xx[i] = dx(i, i).real();
-            out.yy[i] = dy(i, i).real();
-            out.zz[i] = dz(i, i).real();
-        }
-        return out;
-    }();
-    return s;
-}
-
 /**
  * Trace of V = U (YY) for a gate with Weyl coordinate (x, y, z):
  * the analytically known target spectrum sum (Appendix A.5).
@@ -59,7 +34,7 @@ magicSigns()
 Complex
 targetTrace(const weyl::WeylCoord &c)
 {
-    const Signs &sg = magicSigns();
+    const weyl::MagicSigns &sg = weyl::magicSigns();
     Complex t(0.0, 0.0);
     for (int k = 0; k < 4; ++k) {
         const double phase =
@@ -425,44 +400,32 @@ GateScheme::solveCoord(const weyl::WeylCoord &target) const
     // tau2 branch mirrors it back).
     const weyl::WeylCoord effcan =
         weyl::weylCoordinate(weyl::canonicalGate(info.effective));
+    // The predicted subscheme first, then the other two in ND, EA+,
+    // EA- order: numerical ties between constraints can put the
+    // point on a subscheme boundary. A failed attempt's writes to
+    // `sol` stay for the next one to overwrite.
+    std::array<SubScheme, 3> order{info.scheme};
+    std::size_t next = 1;
+    for (SubScheme s :
+         {SubScheme::ND, SubScheme::EAPlus, SubScheme::EAMinus})
+        if (s != info.scheme)
+            order[next++] = s;
     bool ok = false;
-    switch (info.scheme) {
-      case SubScheme::ND:
-        ok = solveNd(info.tau, info.effective, sol);
-        break;
-      case SubScheme::EAPlus:
-        ok = solveEa(info.tau, info.effective, effcan, true, sol);
-        break;
-      case SubScheme::EAMinus:
-        ok = solveEa(info.tau, info.effective, effcan, false, sol);
-        break;
-    }
-    if (!ok) {
-        // Cross-scheme fallback: numerical ties between constraints
-        // can put the point on a subscheme boundary; try the others.
-        for (SubScheme s : {SubScheme::ND, SubScheme::EAPlus,
-                            SubScheme::EAMinus}) {
-            if (s == info.scheme)
-                continue;
-            bool got = false;
-            switch (s) {
-              case SubScheme::ND:
-                got = solveNd(info.tau, info.effective, sol);
-                break;
-              case SubScheme::EAPlus:
-                got = solveEa(info.tau, info.effective, effcan, true,
-                              sol);
-                break;
-              case SubScheme::EAMinus:
-                got = solveEa(info.tau, info.effective, effcan, false,
-                              sol);
-                break;
-            }
-            if (got) {
-                sol.scheme = s;
-                ok = true;
-                break;
-            }
+    for (SubScheme s : order) {
+        switch (s) {
+          case SubScheme::ND:
+            ok = solveNd(info.tau, info.effective, sol);
+            break;
+          case SubScheme::EAPlus:
+            ok = solveEa(info.tau, info.effective, effcan, true, sol);
+            break;
+          case SubScheme::EAMinus:
+            ok = solveEa(info.tau, info.effective, effcan, false, sol);
+            break;
+        }
+        if (ok) {
+            sol.scheme = s;
+            break;
         }
     }
     if (!ok)

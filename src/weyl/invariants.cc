@@ -5,38 +5,6 @@
 namespace reqisc::weyl
 {
 
-namespace
-{
-
-/** Determinant of a 4x4 complex matrix (Gaussian elimination). */
-Complex
-det4(Matrix t)
-{
-    Complex d(1.0, 0.0);
-    for (int col = 0; col < 4; ++col) {
-        int piv = col;
-        for (int r = col + 1; r < 4; ++r)
-            if (std::abs(t(r, col)) > std::abs(t(piv, col)))
-                piv = r;
-        if (std::abs(t(piv, col)) < 1e-300)
-            return {0.0, 0.0};
-        if (piv != col) {
-            for (int c = 0; c < 4; ++c)
-                std::swap(t(piv, c), t(col, c));
-            d = -d;
-        }
-        d *= t(col, col);
-        for (int r = col + 1; r < 4; ++r) {
-            const Complex f = t(r, col) / t(col, col);
-            for (int c = col; c < 4; ++c)
-                t(r, c) -= f * t(col, c);
-        }
-    }
-    return d;
-}
-
-} // namespace
-
 MakhlinInvariants
 makhlinInvariants(const Matrix &u)
 {
@@ -46,7 +14,7 @@ makhlinInvariants(const Matrix &u)
     const Matrix mtm = m.transpose() * m;
     const Complex tr = mtm.trace();
     const Complex tr2 = (mtm * mtm).trace();
-    const Complex det = det4(u);
+    const Complex det = qmath::determinant(u);
     MakhlinInvariants inv;
     inv.g1 = tr * tr / (16.0 * det);
     inv.g2 = ((tr * tr - tr2) / (4.0 * det)).real();

@@ -11,49 +11,6 @@
 namespace reqisc::weyl
 {
 
-namespace
-{
-
-constexpr double kPi = std::numbers::pi;
-constexpr double kPi2 = kPi / 2.0;
-constexpr double kPi4 = kPi / 4.0;
-
-using qmath::kI;
-
-/** Determinant of a small complex matrix by Gaussian elimination. */
-Complex
-determinant(Matrix t)
-{
-    const int n = t.rows();
-    Complex d(1.0, 0.0);
-    for (int col = 0; col < n; ++col) {
-        int piv = col;
-        for (int r = col + 1; r < n; ++r)
-            if (std::abs(t(r, col)) > std::abs(t(piv, col)))
-                piv = r;
-        if (std::abs(t(piv, col)) < 1e-300)
-            return {0.0, 0.0};
-        if (piv != col) {
-            for (int c = 0; c < n; ++c)
-                std::swap(t(piv, c), t(col, c));
-            d = -d;
-        }
-        d *= t(col, col);
-        for (int r = col + 1; r < n; ++r) {
-            const Complex f = t(r, col) / t(col, col);
-            for (int c = col; c < n; ++c)
-                t(r, c) -= f * t(col, c);
-        }
-    }
-    return d;
-}
-
-/** Diagonal signs of M^dagger P M for the two-qubit Paulis P. */
-struct MagicSigns
-{
-    std::array<double, 4> xx, yy, zz;
-};
-
 const MagicSigns &
 magicSigns()
 {
@@ -74,6 +31,26 @@ magicSigns()
 }
 
 const Matrix &
+vGate()
+{
+    static const Matrix v = [] {
+        const double r = 1.0 / std::sqrt(2.0);
+        return Matrix{{Complex(r, 0), Complex(0, -r)},
+                      {Complex(0, -r), Complex(r, 0)}};
+    }();
+    return v;
+}
+
+namespace
+{
+
+constexpr double kPi = std::numbers::pi;
+constexpr double kPi2 = kPi / 2.0;
+constexpr double kPi4 = kPi / 4.0;
+
+using qmath::kI;
+
+const Matrix &
 sGate()
 {
     static const Matrix s{{1.0, 0.0}, {0.0, kI}};
@@ -88,18 +65,6 @@ hGate()
         return Matrix{{r, r}, {r, -r}};
     }();
     return h;
-}
-
-/** sqrt(X) rotation exp(-i pi/4 X), used to swap the y and z axes. */
-const Matrix &
-vGate()
-{
-    static const Matrix v = [] {
-        const double r = 1.0 / std::sqrt(2.0);
-        return Matrix{{Complex(r, 0), Complex(0, -r)},
-                      {Complex(0, -r), Complex(r, 0)}};
-    }();
-    return v;
 }
 
 /**
@@ -348,7 +313,7 @@ kakDecompose(const Matrix &u)
     assert(u.rows() == 4 && u.cols() == 4);
 
     // Normalize into SU(4), remembering the removed phase.
-    const Complex det = determinant(u);
+    const Complex det = qmath::determinant(u);
     const Complex phase0 =
         std::exp(Complex(0.0, std::arg(det) / 4.0)) *
         std::pow(std::abs(det), 0.25);
@@ -381,7 +346,7 @@ kakDecompose(const Matrix &u)
     };
     buildDeltaInv();
     Matrix o1 = up * q * delta_inv;
-    if (determinant(o1).real() < 0.0) {
+    if (qmath::determinant(o1).real() < 0.0) {
         theta[0] -= kPi;
         buildDeltaInv();
         o1 = up * q * delta_inv;
@@ -442,8 +407,8 @@ kakDecompose(const Matrix &u)
     // Re-normalize the factors into SU(2) after the moves (Pauli and
     // Clifford multiplications can change determinants by phases).
     auto renorm = [&](Matrix &first, Matrix &second) {
-        const Complex d1 = determinant(first);
-        const Complex d2 = determinant(second);
+        const Complex d1 = qmath::determinant(first);
+        const Complex d2 = qmath::determinant(second);
         const Complex r1 = std::exp(Complex(0.0, 0.5 * std::arg(d1)));
         const Complex r2 = std::exp(Complex(0.0, 0.5 * std::arg(d2)));
         first *= Complex(1.0, 0.0) / r1;

@@ -16,6 +16,7 @@
 #ifndef REQISC_WEYL_WEYL_HH
 #define REQISC_WEYL_WEYL_HH
 
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -64,6 +65,25 @@ Matrix canonicalGate(const WeylCoord &c);
 
 /** The magic (Bell) basis change matrix M of Appendix A. */
 const Matrix &magicBasis();
+
+/**
+ * Diagonals of M^dagger P M for the two-qubit Paulis P = XX, YY, ZZ
+ * (M = magicBasis()); each P is diagonal in the magic basis with
+ * entries +-1, so Can(x, y, z) there has eigenphases
+ * -(x xx[k] + y yy[k] + z zz[k]).
+ */
+struct MagicSigns
+{
+    std::array<double, 4> xx, yy, zz;
+};
+
+const MagicSigns &magicSigns();
+
+/**
+ * The sqrt(X) rotation exp(-i pi/4 X). Conjugating Can by V (x) V
+ * swaps its y and z coordinates.
+ */
+const Matrix &vGate();
 
 /**
  * Full KAK decomposition

@@ -149,6 +149,12 @@ TEST(ApiRequest, StrictParserRejectsBadBodies)
               kBadRequest);
     EXPECT_EQ(codeOf(R"({"qasm": "x", "seed": -1})"), kBadRequest);
     EXPECT_EQ(codeOf(R"({"qasm": "x", "seed": 1.5})"), kBadRequest);
+    // The seed is an unsigned: UINT_MAX fits, one more does not.
+    EXPECT_EQ(codeOf(R"({"qasm": "x", "seed": 4294967295})"),
+              "(accepted)");
+    EXPECT_EQ(codeOf(R"({"qasm": "x", "seed": 4294967296})"),
+              kBadRequest);
+    EXPECT_EQ(codeOf(R"({"qasm": "x", "seed": 1e300})"), kBadRequest);
     EXPECT_EQ(codeOf(R"({"qasm": "x", "schedule": "sideways"})"),
               kBadRequest);
     EXPECT_EQ(codeOf(R"({"qasm": "x", "pipeline": "bogus-pass"})"),

@@ -8,7 +8,9 @@
  */
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "qmath/expm.hh"
 #include "qmath/random.hh"
 #include "qsim/statevector.hh"
+#include "service/persist.hh"
 #include "suite/suite.hh"
 #include "synth/instantiate.hh"
 #include "test_util.hh"
@@ -193,6 +196,27 @@ compactInput(const Circuit &c)
         fuse1Q(templateSynthesis(circuit::decomposeMcx(c))));
 }
 
+/** The examples/qasm circuits, by file name in sorted order. */
+std::vector<std::pair<std::string, Circuit>>
+exampleCircuits()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(REQISC_SOURCE_DIR) + "/examples/qasm"))
+        if (e.path().extension() == ".qasm")
+            files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    std::vector<std::pair<std::string, Circuit>> out;
+    for (const auto &f : files) {
+        std::ifstream in(f);
+        std::ostringstream text;
+        text << in.rdbuf();
+        out.emplace_back(f.filename().string(),
+                         circuit::fromQasm(text.str()));
+    }
+    return out;
+}
+
 /**
  * A random 3-6 qubit circuit mixing Haar SU(4)s with diagonal ZZ
  * rotations and CXs, so some adjacent pairs exchange exactly.
@@ -305,21 +329,9 @@ TEST(Passes, DagCompactPreservesSemantics)
 
 TEST(Passes, DagCompactMatchesTheLegacyOracle)
 {
-    std::vector<std::pair<std::string, Circuit>> inputs;
-    std::vector<std::filesystem::path> files;
-    for (const auto &e : std::filesystem::directory_iterator(
-             std::string(REQISC_SOURCE_DIR) + "/examples/qasm"))
-        if (e.path().extension() == ".qasm")
-            files.push_back(e.path());
-    std::sort(files.begin(), files.end());
-    ASSERT_FALSE(files.empty());
-    for (const auto &f : files) {
-        std::ifstream in(f);
-        std::ostringstream text;
-        text << in.rdbuf();
-        inputs.emplace_back(f.filename().string(),
-                            circuit::fromQasm(text.str()));
-    }
+    std::vector<std::pair<std::string, Circuit>> inputs =
+        exampleCircuits();
+    ASSERT_FALSE(inputs.empty());
     for (const auto &b : suite::smallSuite())
         inputs.emplace_back(b.name, b.circuit);
     Rng rng(61);
@@ -559,6 +571,54 @@ TEST(Baselines, Su4VariantsEmitCanU3)
             EXPECT_TRUE(g.op == Op::CAN || g.op == Op::U3)
                 << g.toString();
     }
+}
+
+TEST(Baselines, OutputsMatchParentDigest)
+{
+    // FNV-1a over the op, qubits, parameter bits and U4 payload bits
+    // of every baseline's output on the examples/qasm circuits, plus
+    // two Toffolis: no example block passes bqskitLike's CX-count
+    // acceptance, and this pair does. The pin is the value this test
+    // printed before the baselines built their block unitaries
+    // through synth::blockUnitary; they must keep reproducing it bit
+    // for bit.
+    std::string bytes;
+    auto put = [&bytes](const auto &v) {
+        bytes.append(reinterpret_cast<const char *>(&v), sizeof v);
+    };
+    auto inputs = exampleCircuits();
+    ASSERT_EQ(inputs.size(), 4u);
+    Circuit toffolis(3);
+    toffolis.add(Gate::ccx(0, 1, 2));
+    toffolis.add(Gate::ccx(0, 2, 1));
+    inputs.emplace_back("toffolis", toffolis);
+    std::size_t gates = 0;
+    for (const auto &[name, input] : inputs)
+        for (auto *fn : {&qiskitLike, &tketLike, &bqskitLike,
+                         &qiskitSU4, &tketSU4, &bqskitSU4})
+            for (const Gate &g : (*fn)(input)) {
+                put(static_cast<int>(g.op));
+                put(g.qubits.size());
+                for (int q : g.qubits)
+                    put(q);
+                put(g.params.size());
+                for (double p : g.params)
+                    put(p);
+                put(g.payload != nullptr);
+                if (g.payload)
+                    for (int r = 0; r < g.payload->rows(); ++r)
+                        for (int c = 0; c < g.payload->cols(); ++c) {
+                            put((*g.payload)(r, c).real());
+                            put((*g.payload)(r, c).imag());
+                        }
+                ++gates;
+            }
+    char digest[17];
+    std::snprintf(digest, sizeof digest, "%016" PRIx64,
+                  service::persist::fnv1aBytes(bytes.data(),
+                                               bytes.size()));
+    std::printf("baselines digest %s over %zu gates\n", digest, gates);
+    EXPECT_EQ(std::string(digest), "0fca05fdef9c7fc2");
 }
 
 TEST(Metrics, DurationModels)

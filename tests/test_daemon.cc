@@ -212,6 +212,19 @@ TEST(DaemonProtocol, UnknownRoutesAndMethods)
     EXPECT_EQ(http(p, "DELETE", "/v1/jobs/999").status, 404);
 }
 
+TEST(DaemonProtocol, OverflowingJobIdIsNotFound)
+{
+    // 2^64 + 1: its first 19 digits pass the 2^62 bound, and the
+    // last multiply would wrap it around onto job 1.
+    Daemon dm(baseOptions());
+    const int p = dm.port();
+    ASSERT_EQ(submit(p, jobBody(suiteQasm(), "eff")), 1u);
+    const std::string target = "/v1/jobs/18446744073709551617";
+    EXPECT_EQ(http(p, "GET", target).status, 404);
+    EXPECT_EQ(http(p, "DELETE", target).status, 404);
+    EXPECT_EQ(awaitFinal(p, 1), "done");
+}
+
 TEST(DaemonProtocol, HealthAndMetricsServe)
 {
     Daemon dm(baseOptions());

@@ -748,35 +748,39 @@ TEST(PassTrace, WrapperTraceMatchesJobArtifactDeltas)
 TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
 {
     // hier-synth fans its independent block solves out over a
-    // synth::BlockPool when CompileOptions::synthPool is set; the
-    // compiled artifacts must be bit-identical to the serial path at
-    // every worker count, with and without a shared memo.
+    // synth::BlockPool when CompileOptions::synthPool is set; so does
+    // its Fig-14 ablation (dagCompacting off, the hier-synth:nc
+    // pass). The compiled artifacts must be bit-identical to the
+    // serial path at every worker count, with and without a shared
+    // memo.
     for (const std::string &rel : kExampleQasm) {
         const Circuit input = loadExample(rel);
-        const CompileOptions opts;
-        const CompileResult serial =
-            compiler::reqiscFull(input, opts);
+        for (bool compacting : {true, false}) {
+            CompileOptions opts;
+            opts.dagCompacting = compacting;
+            const CompileResult serial =
+                compiler::reqiscFull(input, opts);
+            for (int workers : {2, 4}) {
+                const std::string what =
+                    rel + (compacting ? "" : " nc") +
+                    " workers=" + std::to_string(workers);
+                synth::BlockPool pool(workers - 1);
+                CompileOptions par = opts;
+                par.synthPool = &pool;
+                expectSameCompile(compiler::reqiscFull(input, par),
+                                  serial, what);
 
-        for (int workers : {2, 4}) {
-            synth::BlockPool pool(workers - 1);
-            CompileOptions par = opts;
-            par.synthPool = &pool;
-            expectSameCompile(
-                compiler::reqiscFull(input, par), serial,
-                rel + " workers=" + std::to_string(workers));
+                // Pool + shared cache together (the service
+                // configuration): two runs (cold then warm) both
+                // match the serial oracle.
+                service::SynthCache cache;
+                par.synthMemo = &cache;
+                expectSameCompile(compiler::reqiscFull(input, par),
+                                  serial, what + " memo cold");
+                expectSameCompile(compiler::reqiscFull(input, par),
+                                  serial, what + " memo warm");
+            }
         }
-
-        // Pool + shared cache together (the service configuration):
-        // two runs (cold then warm) both match the serial oracle.
-        synth::BlockPool pool(3);
-        service::SynthCache cache;
-        CompileOptions par = opts;
-        par.synthPool = &pool;
-        par.synthMemo = &cache;
-        expectSameCompile(compiler::reqiscFull(input, par), serial,
-                          rel + " pool+memo cold");
-        expectSameCompile(compiler::reqiscFull(input, par), serial,
-                          rel + " pool+memo warm");
     }
 }
 
@@ -784,26 +788,31 @@ TEST(ParallelHierSynth, TraceNoteReportsWorkerCount)
 {
     const Circuit input = loadExample(kExampleQasm[1]);  // qft4
     synth::BlockPool pool(3);
-    CompileOptions opts;
-    opts.synthPool = &pool;
-    CompilationUnit unit = CompilationUnit::forInput(input, opts);
-    PassManager pm;
-    std::string error;
-    PipelineSpec spec;
-    spec.kind = PipelineSpec::Kind::Custom;
-    spec.passes =
-        compiler::compilePassList(PipelineSpec::Kind::Full, opts);
-    ASSERT_TRUE(compiler::buildPipeline(spec, opts, pm, error))
-        << error;
-    pm.run(unit);
-    bool saw_hier_synth = false;
-    for (const compiler::PassTrace &t : unit.metrics.passes) {
-        if (t.pass == "hier-synth") {
-            saw_hier_synth = true;
-            EXPECT_EQ(t.note, "workers=4");
-        } else {
-            EXPECT_TRUE(t.note.empty()) << t.pass;
+    for (bool compacting : {true, false}) {
+        CompileOptions opts;
+        opts.synthPool = &pool;
+        opts.dagCompacting = compacting;
+        const std::string hier =
+            compacting ? "hier-synth" : "hier-synth:nc";
+        CompilationUnit unit = CompilationUnit::forInput(input, opts);
+        PassManager pm;
+        std::string error;
+        PipelineSpec spec;
+        spec.kind = PipelineSpec::Kind::Custom;
+        spec.passes =
+            compiler::compilePassList(PipelineSpec::Kind::Full, opts);
+        ASSERT_TRUE(compiler::buildPipeline(spec, opts, pm, error))
+            << error;
+        pm.run(unit);
+        bool saw_hier_synth = false;
+        for (const compiler::PassTrace &t : unit.metrics.passes) {
+            if (t.pass == hier) {
+                saw_hier_synth = true;
+                EXPECT_EQ(t.note, "workers=4") << hier;
+            } else {
+                EXPECT_TRUE(t.note.empty()) << t.pass;
+            }
         }
+        EXPECT_TRUE(saw_hier_synth) << hier;
     }
-    EXPECT_TRUE(saw_hier_synth);
 }
