@@ -27,6 +27,7 @@
 #include "backend/json.hh"
 #include "backend/reconfigure.hh"
 #include "common.hh"
+#include "obs/json_escape.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
 
@@ -165,7 +166,7 @@ main(int argc, char **argv)
                 "%zu, \"heterogeneous\": %s, \"uniformGate\": "
                 "\"%s\", \"reconfiguredEdges\": %d, \"meanDelta\": "
                 "%.8f, \"circuits\": [\n",
-                backend::jsonEscape(rep.chip.name()).c_str(),
+                obs::jsonEscape(rep.chip.name()).c_str(),
                 rep.chip.numQubits(), rep.chip.edges().size(),
                 rep.heterogeneous ? "true" : "false",
                 rep.reconfig.uniformName.c_str(), reconfEdges,
@@ -174,7 +175,7 @@ main(int argc, char **argv)
                 const CircuitRow &row = rep.circuits[i];
                 std::printf("      {\"name\": \"%s\", \"fReconf\": "
                             "%.8f, \"fUniform\": %.8f}%s\n",
-                            backend::jsonEscape(row.name).c_str(),
+                            obs::jsonEscape(row.name).c_str(),
                             row.fReconf, row.fUniform,
                             i + 1 < rep.circuits.size() ? ","
                                                         : "");

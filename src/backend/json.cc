@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/json_escape.hh"
+
 namespace reqisc::backend
 {
 
@@ -266,10 +268,62 @@ class Parser
               case 'r': out += '\r'; break;
               case 'b': out += '\b'; break;
               case 'f': out += '\f'; break;
+              case 'u': appendUtf8(out, parseCodePoint()); break;
               default:
                 fail(std::string("unsupported escape '\\") + e + "'");
             }
         }
+    }
+
+    /** The 4 hex digits of a \u escape whose 'u' was just read. */
+    unsigned parseHex4()
+    {
+        const std::string digits = text_.substr(pos_, 4);
+        if (digits.size() < 4)
+            fail("short escape '\\u" + digits + "'");
+        unsigned v = 0;
+        for (const char c : digits) {
+            if (!std::isxdigit(static_cast<unsigned char>(c)))
+                fail("bad hex in escape '\\u" + digits + "'");
+            v = v * 16 + static_cast<unsigned>(
+                             c <= '9' ? c - '0' : (c | 0x20) - 'a' + 10);
+        }
+        pos_ += 4;
+        return v;
+    }
+
+    /** One code point: a \u escape, or a UTF-16 surrogate pair. */
+    unsigned parseCodePoint()
+    {
+        const unsigned hi = parseHex4();
+        if (hi >= 0xdc00 && hi <= 0xdfff)
+            fail("unpaired low surrogate '" + text_.substr(pos_ - 6, 6) +
+                 "'");
+        if (hi < 0xd800 || hi > 0xdbff)
+            return hi;
+        if (text_.compare(pos_, 2, "\\u") != 0)
+            fail("unpaired high surrogate '" +
+                 text_.substr(pos_ - 6, 6) + "'");
+        pos_ += 2;
+        const unsigned lo = parseHex4();
+        if (lo < 0xdc00 || lo > 0xdfff)
+            fail("unpaired high surrogate '" +
+                 text_.substr(pos_ - 12, 12) + "'");
+        return 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+    }
+
+    /** UTF-8 bytes of a code point (at most U+10FFFF). */
+    static void appendUtf8(std::string &out, unsigned cp)
+    {
+        if (cp < 0x80) {
+            out += static_cast<char>(cp);
+            return;
+        }
+        const int tail = cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+        static constexpr unsigned char kLead[] = {0, 0xc0, 0xe0, 0xf0};
+        out += static_cast<char>(kLead[tail] | (cp >> (6 * tail)));
+        for (int i = tail - 1; i >= 0; --i)
+            out += static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3f));
     }
 
     void parseNumber(JsonValue &v)
@@ -322,32 +376,6 @@ parseJson(const std::string &text, const std::string &context)
     return Parser(text, context).parseDocument();
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 namespace
 {
 
@@ -392,7 +420,7 @@ dumpValue(const JsonValue &v, bool pretty, int depth,
         break;
       case JsonValue::Kind::String:
         out += '"';
-        out += jsonEscape(v.str);
+        obs::appendJsonEscaped(out, v.str);
         out += '"';
         break;
       case JsonValue::Kind::Array:
@@ -421,7 +449,7 @@ dumpValue(const JsonValue &v, bool pretty, int depth,
                 out += ',';
             newline(depth + 1);
             out += '"';
-            out += jsonEscape(v.object[i].first);
+            obs::appendJsonEscaped(out, v.object[i].first);
             out += "\":";
             if (pretty)
                 out += ' ';

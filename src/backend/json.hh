@@ -6,14 +6,14 @@
  *
  * Hand-rolled on purpose: the container build must not grow
  * third-party dependencies. Supports the JSON value grammar (objects, arrays,
- * strings with the common escapes, numbers, true/false/null) and
+ * strings with every escape, numbers, true/false/null) and
  * tracks the source line of every value so schema validation can
  * report `file:line: field ...` errors (tests/test_backend.cc pins
  * the error paths).
  *
- * Not a general-purpose library: no \uXXXX surrogate pairs, no
- * duplicate-key detection (the last key wins on lookup), numbers are
- * parsed as double.
+ * \uXXXX escapes decode to UTF-8, surrogate pairs included. Not a
+ * general-purpose library: no duplicate-key detection (the last key
+ * wins on lookup), numbers are parsed as double.
  */
 
 #ifndef REQISC_BACKEND_JSON_HH
@@ -97,13 +97,6 @@ class JsonValue
  */
 JsonValue parseJson(const std::string &text,
                     const std::string &context = "<json>");
-
-/**
- * Escape a string for embedding in emitted JSON (quotes, backslash,
- * control characters). The emit-side counterpart of the reader,
- * shared by reqisc-compile and the --json bench summaries.
- */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Serialize a JsonValue tree. Numbers that hold an exact integer in

@@ -9,7 +9,9 @@
 #include <cstring>
 #include <type_traits>
 
+#include "obs/json_escape.hh"
 #include "obs/span.hh"
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs::flight
 {
@@ -34,7 +36,7 @@ constexpr std::size_t kEventWords =
 struct Ring
 {
     std::atomic<std::uint64_t> head{0};  //!< next write index
-    std::uint32_t tid = 0;
+    std::uint32_t tid = 0;  //!< the owner's threadIndex()
     std::atomic<std::uint64_t> words[kRingCapacity * kEventWords];
 };
 
@@ -54,33 +56,20 @@ std::atomic<bool> g_dumpBusy{false};
 /** Scratch for the signal-handler dump (bss; pages touched lazily). */
 Event g_dumpBuf[kMaxThreads * kRingCapacity];
 
-std::int64_t nsSinceEpoch(std::chrono::steady_clock::time_point t)
-{
-    // Same epoch as the tracer so flight timestamps line up with
-    // exported trace events. Initialized on the first record — the
-    // signal handler never calls this (events carry their tsNs).
-    static const SteadyTime epoch = Tracer::global().epoch();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t -
-                                                             epoch)
-            .count();
-    return ns < 0 ? 0 : ns;
-}
-
 Ring *threadRing()
 {
     thread_local Ring *ring = []() -> Ring * {
-        const std::uint32_t idx =
+        const std::uint32_t slot =
             g_ringCount.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= kMaxThreads)
+        if (slot >= kMaxThreads)
         {
             g_droppedThreads.fetch_add(1,
                                        std::memory_order_relaxed);
             return nullptr;
         }
         Ring *r = new Ring();  // leaky: signal-handler traversable
-        r->tid = idx;
-        g_rings[idx].store(r, std::memory_order_release);
+        r->tid = threadIndex();
+        g_rings[slot].store(r, std::memory_order_release);
         return r;
     }();
     return ring;
@@ -185,9 +174,6 @@ std::size_t collectInto(Event *out, std::size_t cap)
 
 // ---- Async-signal-safe serialization -----------------------------------
 
-/** Byte sink; implementations must stay async-signal-safe. */
-using Sink = void (*)(void *ctx, const char *data, std::size_t n);
-
 struct FdSink
 {
     int fd = -1;
@@ -230,17 +216,12 @@ void fdSinkWrite(void *ctx, const char *data, std::size_t n)
     }
 }
 
-void strSinkWrite(void *ctx, const char *data, std::size_t n)
-{
-    static_cast<std::string *>(ctx)->append(data, n);
-}
-
-void put(Sink sink, void *ctx, const char *s)
+void put(ByteSink sink, void *ctx, const char *s)
 {
     sink(ctx, s, std::strlen(s));
 }
 
-void putUInt(Sink sink, void *ctx, std::uint64_t v)
+void putUInt(ByteSink sink, void *ctx, std::uint64_t v)
 {
     char buf[24];
     std::size_t i = sizeof(buf);
@@ -252,7 +233,7 @@ void putUInt(Sink sink, void *ctx, std::uint64_t v)
     sink(ctx, buf + i, sizeof(buf) - i);
 }
 
-void putInt(Sink sink, void *ctx, std::int64_t v)
+void putInt(ByteSink sink, void *ctx, std::int64_t v)
 {
     if (v < 0)
     {
@@ -272,7 +253,7 @@ void putInt(Sink sink, void *ctx, std::int64_t v)
  * integers, other finite values as fixed 6-decimal point values,
  * non-finite values as null (JSON has no NaN/Inf literals).
  */
-void putDouble(Sink sink, void *ctx, double v)
+void putDouble(ByteSink sink, void *ctx, double v)
 {
     if (!(v == v) || v > 9e15 || v < -9e15)
     {
@@ -311,30 +292,6 @@ void putDouble(Sink sink, void *ctx, double v)
     sink(ctx, frac, 6);
 }
 
-void putEscaped(Sink sink, void *ctx, const char *s)
-{
-    for (std::size_t i = 0; s[i] != '\0'; ++i)
-    {
-        const unsigned char c = static_cast<unsigned char>(s[i]);
-        if (c == '"' || c == '\\')
-        {
-            const char esc[2] = {'\\', static_cast<char>(c)};
-            sink(ctx, esc, 2);
-        }
-        else if (c < 0x20)
-        {
-            static const char *hex = "0123456789abcdef";
-            const char esc[6] = {'\\', 'u', '0', '0',
-                                 hex[c >> 4], hex[c & 0xf]};
-            sink(ctx, esc, 6);
-        }
-        else
-        {
-            sink(ctx, s + i, 1);
-        }
-    }
-}
-
 const char *levelNameFor(std::uint8_t level)
 {
     static const char *const names[] = {"debug", "info", "warn",
@@ -343,12 +300,12 @@ const char *levelNameFor(std::uint8_t level)
 }
 
 void serializeEvents(const Event *evs, std::size_t n,
-                     const char *trigger, int signo, Sink sink,
+                     const char *trigger, int signo, ByteSink sink,
                      void *ctx)
 {
     put(sink, ctx, "{\"flightRecorder\":{\"version\":1");
     put(sink, ctx, ",\"trigger\":\"");
-    putEscaped(sink, ctx, trigger);
+    writeJsonEscaped(trigger, sink, ctx);
     put(sink, ctx, "\",\"signal\":");
     putInt(sink, ctx, signo);
     put(sink, ctx, ",\"capacityPerThread\":");
@@ -379,11 +336,11 @@ void serializeEvents(const Event *evs, std::size_t n,
             put(sink, ctx, "\"");
         }
         put(sink, ctx, ",\"name\":\"");
-        putEscaped(sink, ctx, e.name);
+        writeJsonEscaped(e.name, sink, ctx);
         put(sink, ctx, "\",\"detail\":\"");
-        putEscaped(sink, ctx, e.detail);
+        writeJsonEscaped(e.detail, sink, ctx);
         put(sink, ctx, "\",\"job\":\"");
-        putEscaped(sink, ctx, e.job);
+        writeJsonEscaped(e.job, sink, ctx);
         put(sink, ctx, "\",\"value\":");
         putDouble(sink, ctx, e.value);
         put(sink, ctx, "}");
@@ -461,7 +418,10 @@ void recordAt(std::chrono::steady_clock::time_point when, Kind kind,
         return;
     Event e{};
     e.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-    e.tsNs = nsSinceEpoch(when);
+    // The tracer is leaky, so the cached reference never dangles; the
+    // hot path pays a guard check instead of a call.
+    static const Tracer &tracer = Tracer::global();
+    e.tsNs = tracer.sinceEpochNs(when);
     e.value = value;
     e.tid = r->tid;
     e.kind = static_cast<std::uint8_t>(kind);
@@ -501,7 +461,7 @@ std::string snapshotJson(const char *trigger)
     std::string out;
     out.reserve(256 + evs.size() * 160);
     serializeEvents(evs.data(), evs.size(), trigger, 0,
-                    strSinkWrite, &out);
+                    appendToString, &out);
     return out;
 }
 

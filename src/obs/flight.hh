@@ -11,14 +11,14 @@
  * never freed, so the table stays traversable from a signal
  * handler). A record is a fixed-layout Event — span begin/end, log
  * record, or metric delta — stamped with a process-global sequence
- * number, a steady-clock timestamp on the tracer's epoch (so flight
- * dumps line up with exported traces), and the current JobScope
- * name. Writers serialize the event into the slot as relaxed
- * word-sized atomic stores and then publish by bumping the ring
- * head (release); readers copy slots with relaxed loads and discard
- * any slot the head overtook while copying (seqlock-style torn-read
- * rejection), so no lock is ever taken on the hot path or in the
- * dump path.
+ * number, a steady-clock timestamp on the tracer's epoch and the
+ * thread's threadIndex() (so flight dumps line up with exported
+ * traces and logs), and the current JobScope name. Writers
+ * serialize the event into the slot as relaxed word-sized atomic
+ * stores and then publish by bumping the ring head (release);
+ * readers copy slots with relaxed loads and discard any slot the
+ * head overtook while copying (seqlock-style torn-read rejection),
+ * so no lock is ever taken on the hot path or in the dump path.
  *
  * Dump triggers: job failure (CompileService), fatal signal
  * (installSignalHandlers(): SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL via
@@ -79,7 +79,7 @@ struct Event
     std::uint64_t seq = 0;   //!< process-global, 1-based, dense
     std::int64_t tsNs = 0;   //!< steady ns since the tracer epoch
     double value = 0.0;      //!< kind-dependent payload
-    std::uint32_t tid = 0;   //!< dense flight thread index
+    std::uint32_t tid = 0;   //!< threadIndex() of the recorder
     std::uint8_t kind = 0;   //!< Kind
     std::uint8_t level = 0;  //!< log severity (Kind::Log only)
     std::uint16_t pad = 0;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "obs/flight.hh"
+#include "obs/json_escape.hh"
 #include "obs/span.hh"
 
 namespace reqisc::obs
@@ -14,20 +15,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Registers on first use, retires at thread exit (cf. span.cc). */
-struct LogBufferHolder
-{
-    detail::LogBuffer *buf = nullptr;
-
-    ~LogBufferHolder()
-    {
-        if (buf != nullptr)
-            buf->logger->retire(buf);
-    }
-};
-
-thread_local LogBufferHolder tlsBuf;
 
 /** Token bucket for one (component, message) key on this thread. */
 struct Bucket
@@ -66,30 +53,6 @@ bool rateLimited(Logger &logger, const std::string &component,
         return true;
     b.tokens -= 1.0;
     return false;
-}
-
-void appendEscaped(std::string &out, const std::string &s)
-{
-    for (const char ch : s)
-    {
-        const unsigned char c = static_cast<unsigned char>(ch);
-        if (c == '"' || c == '\\')
-        {
-            out += '\\';
-            out += ch;
-        }
-        else if (c < 0x20)
-        {
-            static const char *hex = "0123456789abcdef";
-            out += "\\u00";
-            out += hex[c >> 4];
-            out += hex[c & 0xf];
-        }
-        else
-        {
-            out += ch;
-        }
-    }
 }
 
 } // namespace
@@ -151,68 +114,22 @@ double Logger::rateLimitBurst() const
         burstBits_.load(std::memory_order_relaxed));
 }
 
-detail::LogBuffer &Logger::threadBuffer()
-{
-    if (tlsBuf.buf == nullptr || tlsBuf.buf->logger != this)
-    {
-        auto buf = std::make_unique<detail::LogBuffer>();
-        buf->logger = this;
-        std::lock_guard lock(mu_);
-        buf->tid = nextTid_++;
-        live_.push_back(buf.get());
-        tlsBuf.buf = buf.release();
-    }
-    return *tlsBuf.buf;
-}
-
-void Logger::retire(detail::LogBuffer *buf)
-{
-    std::lock_guard lock(mu_);
-    live_.erase(std::remove(live_.begin(), live_.end(), buf),
-                live_.end());
-    retired_.emplace_back(buf);
-}
-
 void Logger::append(LogRecord &&rec)
 {
-    detail::LogBuffer &buf = threadBuffer();
-    rec.tid = buf.tid;
-    std::lock_guard lock(buf.mu);
-    buf.records.push_back(std::move(rec));
+    buffers_.local().push(std::move(rec));
 }
 
 std::vector<LogRecord> Logger::collect()
 {
-    std::vector<LogRecord> out;
-    std::lock_guard lock(mu_);
-    for (detail::LogBuffer *buf : live_)
-    {
-        std::lock_guard bufLock(buf->mu);
-        out.insert(out.end(), buf->records.begin(),
-                   buf->records.end());
-    }
-    for (const auto &buf : retired_)
-    {
-        std::lock_guard bufLock(buf->mu);
-        out.insert(out.end(), buf->records.begin(),
-                   buf->records.end());
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const LogRecord &a, const LogRecord &b) {
-                         return a.tsNs < b.tsNs;
-                     });
-    return out;
+    return buffers_.collect(
+        [](const LogRecord &a, const LogRecord &b) {
+            return a.tsNs < b.tsNs;
+        });
 }
 
 void Logger::clear()
 {
-    std::lock_guard lock(mu_);
-    for (detail::LogBuffer *buf : live_)
-    {
-        std::lock_guard bufLock(buf->mu);
-        buf->records.clear();
-    }
-    retired_.clear();
+    buffers_.clear();
     dropped_.store(0, std::memory_order_relaxed);
 }
 
@@ -241,11 +158,7 @@ void log(LogLevel level, const std::string &component,
 
     LogRecord rec;
     rec.level = level;
-    rec.tsNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   Clock::now() - Tracer::global().epoch())
-                   .count();
-    if (rec.tsNs < 0)
-        rec.tsNs = 0;
+    rec.tsNs = Tracer::global().sinceEpochNs(Clock::now());
     rec.component = component;
     rec.message = message;
     rec.job = currentJobName();
@@ -264,16 +177,16 @@ std::string jsonLines(const std::vector<LogRecord> &records)
         out += logLevelName(r.level);
         out += "\",\"tid\":" + std::to_string(r.tid);
         out += ",\"component\":\"";
-        appendEscaped(out, r.component);
+        appendJsonEscaped(out, r.component);
         out += "\"";
         if (!r.job.empty())
         {
             out += ",\"job\":\"";
-            appendEscaped(out, r.job);
+            appendJsonEscaped(out, r.job);
             out += "\"";
         }
         out += ",\"msg\":\"";
-        appendEscaped(out, r.message);
+        appendJsonEscaped(out, r.message);
         out += "\",\"fields\":{";
         bool first = true;
         for (const auto &[k, v] : r.fields)
@@ -282,9 +195,9 @@ std::string jsonLines(const std::vector<LogRecord> &records)
                 out += ',';
             first = false;
             out += "\"";
-            appendEscaped(out, k);
+            appendJsonEscaped(out, k);
             out += "\":\"";
-            appendEscaped(out, v);
+            appendJsonEscaped(out, v);
             out += "\"";
         }
         out += "}}\n";

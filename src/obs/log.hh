@@ -4,15 +4,14 @@
  * thread, level, component, message, key/value fields, current job)
  * buffered per thread and merged by the sink at export time.
  *
- * Model mirrors obs/span.hh's tracer: each thread owns a record
- * buffer registered with the Logger on first use and retired (handed
- * back) at thread exit, so records written on short-lived pool
- * threads survive into collect(). The logger is a leaky singleton,
- * *disabled* by default — reqisc-compile enables it via
- * --log-out FILE (with --log-level LVL severity filtering) and
- * writes the JSON-lines file at exit; a future daemon would stream
- * collect() instead. Independent of obs::setEnabled(): logging can
- * be on with tracing off and vice versa.
+ * Records are buffered in the registry the tracer uses too
+ * (detail::ThreadBuffers, obs/thread_buffers.hh), so records written
+ * on short-lived pool threads survive into collect(). The logger is
+ * a leaky singleton, *disabled* by default — reqisc-compile enables
+ * it via --log-out FILE (with --log-level LVL severity filtering)
+ * and writes the JSON-lines file at exit. Independent of
+ * obs::setEnabled(): logging can be on with tracing off and vice
+ * versa.
  *
  * Every log() call additionally feeds the always-on flight recorder
  * (before the enabled/severity/rate checks), so the last few hundred
@@ -26,9 +25,9 @@
  * otherwise ignored. Per-thread buckets make the global bound
  * approximate (threads x rate) but keep the hot path lock-free.
  *
- * Timestamps are steady-clock nanoseconds since the tracer epoch
- * (the repo-wide clock discipline; also makes log records line up
- * with trace spans and flight events on one timeline).
+ * Timestamps are steady-clock nanoseconds since the tracer epoch and
+ * `tid` is threadIndex(), so log records line up with trace spans
+ * and flight events on one timeline and one thread numbering.
  */
 
 #ifndef REQISC_OBS_LOG_HH
@@ -37,11 +36,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
@@ -67,17 +66,12 @@ struct LogRecord
 {
     LogLevel level = LogLevel::Info;
     std::int64_t tsNs = 0;  //!< steady ns since the tracer epoch
-    std::uint32_t tid = 0;  //!< dense per-thread logger index
+    std::uint32_t tid = 0;  //!< threadIndex() of the caller
     std::string component;
     std::string message;
     std::string job;  //!< JobScope name at the call ("" = none)
     LogFields fields;
 };
-
-namespace detail
-{
-struct LogBuffer;
-}
 
 /** Process-wide record sink; see @file for the model. */
 class Logger
@@ -143,12 +137,7 @@ class Logger
         dropped_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /** Internal: hand a thread's buffer back at thread exit. */
-    void retire(detail::LogBuffer *buf);
-
   private:
-    detail::LogBuffer &threadBuffer();
-
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint8_t> minLevel_{
         static_cast<std::uint8_t>(LogLevel::Info)};
@@ -157,26 +146,8 @@ class Logger
     std::atomic<std::uint64_t> burstBits_{
         std::bit_cast<std::uint64_t>(200.0)};
     std::atomic<std::uint64_t> dropped_{0};
-
-    std::mutex mu_;  //!< buffer lists + tid assignment
-    std::uint32_t nextTid_ = 0;
-    std::vector<detail::LogBuffer *> live_;
-    std::vector<std::unique_ptr<detail::LogBuffer>> retired_;
+    detail::ThreadBuffers<LogRecord> buffers_;
 };
-
-namespace detail
-{
-
-/** Per-thread record buffer (mirrors span.hh's ThreadLog). */
-struct LogBuffer
-{
-    Logger *logger = nullptr;
-    std::uint32_t tid = 0;
-    std::mutex mu;  //!< records only
-    std::vector<LogRecord> records;
-};
-
-} // namespace detail
 
 /**
  * Emit one structured record to Logger::global() (and, always, to

@@ -9,6 +9,7 @@
 #include <system_error>
 
 #include "obs/flight.hh"
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
@@ -18,10 +19,7 @@ namespace detail
 
 std::size_t threadSlot()
 {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kSlots;
-    return slot;
+    return threadIndex() % kSlots;
 }
 
 namespace

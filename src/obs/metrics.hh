@@ -52,7 +52,7 @@ namespace detail
 /** Per-thread cell count per metric (wraps beyond this, see @file). */
 inline constexpr std::size_t kSlots = 64;
 
-/** Dense per-thread slot in [0, kSlots), stable for the thread. */
+/** The calling thread's slot in [0, kSlots): threadIndex() % kSlots. */
 std::size_t threadSlot();
 
 struct alignas(64) CounterCell

@@ -29,34 +29,6 @@ void setTlsJob(const char *s, std::size_t len)
     tlsJob[n] = '\0';
 }
 
-std::int64_t nsSince(SteadyTime epoch, SteadyTime t)
-{
-    // Clamp: a backdated start captured before the tracer epoch
-    // (first touch races) must not produce negative timestamps.
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t -
-                                                             epoch)
-            .count();
-    return ns < 0 ? 0 : ns;
-}
-
-/**
- * Registers this thread's log on first use and retires it (handing
- * ownership of buffered events to the tracer) at thread exit.
- */
-struct ThreadLogHolder
-{
-    detail::ThreadLog *log = nullptr;
-
-    ~ThreadLogHolder()
-    {
-        if (log != nullptr)
-            log->tracer->retire(log);
-    }
-};
-
-thread_local ThreadLogHolder tlsLog;
-
 } // namespace
 
 // ---- Tracer ------------------------------------------------------------
@@ -69,63 +41,17 @@ Tracer &Tracer::global()
     return *g;
 }
 
-detail::ThreadLog &Tracer::threadLog()
-{
-    if (tlsLog.log == nullptr || tlsLog.log->tracer != this)
-    {
-        auto log = std::make_unique<detail::ThreadLog>();
-        log->tracer = this;
-        std::lock_guard lock(mu_);
-        log->tid = nextTid_++;
-        live_.push_back(log.get());
-        // The thread_local holder keeps the raw pointer; ownership
-        // transfers to retired_ when the thread exits.
-        tlsLog.log = log.release();
-    }
-    return *tlsLog.log;
-}
-
-void Tracer::retire(detail::ThreadLog *log)
-{
-    std::lock_guard lock(mu_);
-    live_.erase(std::remove(live_.begin(), live_.end(), log),
-                live_.end());
-    retired_.emplace_back(log);
-}
-
 std::vector<TraceEvent> Tracer::collect()
 {
-    std::vector<TraceEvent> out;
-    std::lock_guard lock(mu_);
-    for (detail::ThreadLog *log : live_)
-    {
-        std::lock_guard logLock(log->mu);
-        out.insert(out.end(), log->events.begin(),
-                   log->events.end());
-    }
-    for (const auto &log : retired_)
-    {
-        std::lock_guard logLock(log->mu);
-        out.insert(out.end(), log->events.begin(),
-                   log->events.end());
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.startNs < b.startNs;
-                     });
-    return out;
+    return buffers_.collect(
+        [](const TraceEvent &a, const TraceEvent &b) {
+            return a.startNs < b.startNs;
+        });
 }
 
 void Tracer::clear()
 {
-    std::lock_guard lock(mu_);
-    for (detail::ThreadLog *log : live_)
-    {
-        std::lock_guard logLock(log->mu);
-        log->events.clear();
-    }
-    // Retired threads can never log again; drop their logs entirely.
-    retired_.clear();
+    buffers_.clear();
 }
 
 // ---- Span --------------------------------------------------------------
@@ -152,13 +78,13 @@ void Span::open(SpanContext explicitParent, bool useStackParent)
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    detail::ThreadLog &log = tracer.threadLog();
+    std::vector<std::uint64_t> &stack = tracer.buffers_.local().state;
     id_ = tracer.nextId();
     if (useStackParent)
-        parent_ = log.stack.empty() ? 0 : log.stack.back();
+        parent_ = stack.empty() ? 0 : stack.back();
     else
         parent_ = explicitParent.id;
-    log.stack.push_back(id_);
+    stack.push_back(id_);
     // Annotation inheritance: spans opened under a JobScope carry
     // the job name so traces correlate with logs/flight dumps.
     if (tlsJob[0] != '\0')
@@ -191,26 +117,24 @@ double Span::stop()
         return seconds_;
 
     Tracer &tracer = Tracer::global();
-    detail::ThreadLog &log = tracer.threadLog();
+    auto &buf = tracer.buffers_.local();
     // Pop this span; an unbalanced stack (impossible with RAII use)
     // would self-heal by searching downward.
-    if (!log.stack.empty() && log.stack.back() == id_)
-        log.stack.pop_back();
+    if (!buf.state.empty() && buf.state.back() == id_)
+        buf.state.pop_back();
     else
-        log.stack.erase(
-            std::remove(log.stack.begin(), log.stack.end(), id_),
-            log.stack.end());
+        buf.state.erase(
+            std::remove(buf.state.begin(), buf.state.end(), id_),
+            buf.state.end());
 
     TraceEvent ev;
     ev.name = name_;
     ev.id = id_;
     ev.parent = parent_;
-    ev.tid = log.tid;
-    ev.startNs = nsSince(tracer.epoch(), start_);
-    ev.durNs = nsSince(tracer.epoch(), end) - ev.startNs;
+    ev.startNs = tracer.sinceEpochNs(start_);
+    ev.durNs = tracer.sinceEpochNs(end) - ev.startNs;
     ev.args = std::move(args_);
-    std::lock_guard lock(log.mu);
-    log.events.push_back(std::move(ev));
+    buf.push(std::move(ev));
     return seconds_;
 }
 
@@ -236,20 +160,18 @@ void recordSpan(const std::string &name, SteadyTime start,
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    detail::ThreadLog &log = tracer.threadLog();
+    auto &buf = tracer.buffers_.local();
     TraceEvent ev;
     ev.name = name;
     ev.id = tracer.nextId();
     ev.parent = parent.id != 0
                     ? parent.id
-                    : (log.stack.empty() ? 0 : log.stack.back());
-    ev.tid = log.tid;
-    ev.startNs = nsSince(tracer.epoch(), start);
-    ev.durNs = nsSince(tracer.epoch(), end) - ev.startNs;
+                    : (buf.state.empty() ? 0 : buf.state.back());
+    ev.startNs = tracer.sinceEpochNs(start);
+    ev.durNs = tracer.sinceEpochNs(end) - ev.startNs;
     if (ev.durNs < 0)
         ev.durNs = 0;
-    std::lock_guard lock(log.mu);
-    log.events.push_back(std::move(ev));
+    buf.push(std::move(ev));
 }
 
 SpanContext currentSpan()
@@ -257,8 +179,9 @@ SpanContext currentSpan()
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return {};
-    detail::ThreadLog &log = tracer.threadLog();
-    return {log.stack.empty() ? 0 : log.stack.back()};
+    const std::vector<std::uint64_t> &stack =
+        tracer.buffers_.local().state;
+    return {stack.empty() ? 0 : stack.back()};
 }
 
 // ---- Job attribution ---------------------------------------------------

@@ -4,15 +4,15 @@
  * trace sections buffered per thread and collectable as a flat event
  * list (exported to Chrome trace-event JSON by obs/trace_json.hh).
  *
- * Model: each thread owns a ThreadLog (registered with the Tracer on
- * first use, retired at thread exit so no events are lost). Opening a
- * Span allocates a process-unique id, parents it on the owning
- * thread's innermost live span (or an explicit SpanContext for
- * cross-thread links, e.g. BlockPool tasks parented on the job span
- * that enqueued them) and pushes it on the thread's span stack;
- * stop()/destruction pops the stack and appends one completed
- * TraceEvent. Timestamps are std::chrono::steady_clock nanoseconds
- * relative to the tracer's epoch (captured at construction).
+ * Model: each thread buffers its events in the tracer's
+ * detail::ThreadBuffers (obs/thread_buffers.hh). Opening a Span
+ * allocates a process-unique id, parents it on the owning thread's
+ * innermost live span (or an explicit SpanContext for cross-thread
+ * links, e.g. BlockPool tasks parented on the job span that enqueued
+ * them) and pushes it on the thread's span stack; stop()/destruction
+ * pops the stack and appends one completed TraceEvent. Timestamps
+ * are std::chrono::steady_clock nanoseconds relative to the tracer's
+ * epoch (captured at construction).
  *
  * Cost model mirrors obs/metrics.hh: when the tracer is disabled at
  * Span construction the span is inert — no id, no buffering, just
@@ -28,11 +28,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
@@ -51,16 +51,11 @@ struct TraceEvent
     std::string name;
     std::uint64_t id = 0;
     std::uint64_t parent = 0;   //!< 0 = root
-    std::uint32_t tid = 0;      //!< dense per-thread index
+    std::uint32_t tid = 0;      //!< threadIndex() of the recorder
     std::int64_t startNs = 0;   //!< steady ns since tracer epoch
     std::int64_t durNs = 0;
     std::vector<std::pair<std::string, std::string>> args;
 };
-
-namespace detail
-{
-struct ThreadLog;
-}
 
 /** Process-wide span sink; see @file for the model. */
 class Tracer
@@ -91,19 +86,25 @@ class Tracer
     /** Drop all buffered events (open spans still record on stop). */
     void clear();
 
-    SteadyTime epoch() const { return epoch_; }
-
-    /** Internal: hand a thread's log back at thread exit. */
-    void retire(detail::ThreadLog *log);
+    /**
+     * Steady ns since the epoch, clamped at 0: a time captured before
+     * the tracer was first touched reads 0, never negative.
+     */
+    std::int64_t sinceEpochNs(SteadyTime t) const
+    {
+        const std::int64_t ns =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                t - epoch_)
+                .count();
+        return ns < 0 ? 0 : ns;
+    }
 
   private:
     friend class Span;
-    friend struct detail::ThreadLog;
     friend SpanContext currentSpan();
     friend void recordSpan(const std::string &, SteadyTime,
                            SteadyTime, SpanContext);
 
-    detail::ThreadLog &threadLog();
     std::uint64_t nextId()
     {
         return nextId_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -112,27 +113,10 @@ class Tracer
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint64_t> nextId_{0};
     SteadyTime epoch_;
-
-    std::mutex mu_;  //!< guards the log lists + tid assignment
-    std::uint32_t nextTid_ = 0;
-    std::vector<detail::ThreadLog *> live_;
-    std::vector<std::unique_ptr<detail::ThreadLog>> retired_;
+    /** Per-thread events; the state is the open-span stack. */
+    detail::ThreadBuffers<TraceEvent, std::vector<std::uint64_t>>
+        buffers_;
 };
-
-namespace detail
-{
-
-/** Per-thread event buffer + open-span stack (owner-only stack). */
-struct ThreadLog
-{
-    Tracer *tracer = nullptr;
-    std::uint32_t tid = 0;
-    std::mutex mu;  //!< events only; stack is owner-thread-only
-    std::vector<TraceEvent> events;
-    std::vector<std::uint64_t> stack;
-};
-
-} // namespace detail
 
 /**
  * RAII trace section. Records to Tracer::global(). The enabled check

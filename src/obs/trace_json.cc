@@ -5,40 +5,13 @@
 #include <cstring>
 #include <fstream>
 
+#include "obs/json_escape.hh"
+
 namespace reqisc::obs
 {
 
 namespace
 {
-
-void appendEscaped(std::string &out, const std::string &s)
-{
-    for (const char ch : s)
-    {
-        switch (ch)
-        {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-            {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            }
-            else
-            {
-                out += ch;
-            }
-            break;
-        }
-    }
-}
 
 void appendMicros(std::string &out, std::int64_t ns)
 {
@@ -66,7 +39,7 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events)
             out += ",";
         first = false;
         out += "\n{\"name\":\"";
-        appendEscaped(out, ev.name);
+        appendJsonEscaped(out, ev.name);
         out += "\",\"cat\":\"reqisc\",\"ph\":\"X\",\"ts\":";
         appendMicros(out, ev.startNs);
         out += ",\"dur\":";
@@ -80,9 +53,9 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events)
         for (const auto &[key, value] : ev.args)
         {
             out += ",\"";
-            appendEscaped(out, key);
+            appendJsonEscaped(out, key);
             out += "\":\"";
-            appendEscaped(out, value);
+            appendJsonEscaped(out, value);
             out += "\"";
         }
         out += "}}";

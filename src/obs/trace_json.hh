@@ -3,11 +3,7 @@
  * Chrome trace-event JSON export for obs::TraceEvent lists, loadable
  * in Perfetto (https://ui.perfetto.dev) or chrome://tracing, plus the
  * small file-writing helper the CLI uses for --trace-out /
- * --metrics-out.
- *
- * Note: src/obs is below src/backend in the dependency order, so this
- * carries its own minimal JSON string escaping instead of using
- * backend/json.hh.
+ * --metrics-out. Strings are escaped by obs/json_escape.hh.
  */
 
 #ifndef REQISC_OBS_TRACE_JSON_HH
@@ -25,7 +21,7 @@ namespace reqisc::obs
  * Serialize events as the JSON-object trace format:
  * {"traceEvents": [...], "displayTimeUnit": "ms"} with one "X"
  * (complete) event per span — ts/dur in microseconds (fractional,
- * 3 decimals = ns precision), pid 1, the dense obs tid, and span
+ * 3 decimals = ns precision), pid 1, the threadIndex() tid, and span
  * id/parent plus annotations under "args".
  */
 std::string chromeTraceJson(const std::vector<TraceEvent> &events);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the backend subsystem: the chip-file JSON reader and its
- * field/line-named error paths, per-edge duration / per-qubit noise
- * model wiring, the gate-set reconfiguration loop (analytic
- * application counts pinned against the numeric fixed-basis
- * decomposition), and the acceptance property — on the heterogeneous
+ * Tests for the backend subsystem: the chip-file JSON reader, its
+ * field/line-named error paths and its \uXXXX decoding, per-edge
+ * duration / per-qubit noise model wiring, the gate-set
+ * reconfiguration loop (analytic application counts pinned against
+ * the numeric fixed-basis decomposition), and the acceptance property — on the heterogeneous
  * example chips the reconfigured per-edge gate set estimates at
  * least the fidelity of the best uniform gate set on every example
  * circuit and strictly more on at least one.
@@ -18,6 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.hh"
@@ -163,6 +164,54 @@ TEST(BackendJson, MalformedInputNamesTheLine)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(BackendJson, DecodesUnicodeEscapesToUtf8)
+{
+    EXPECT_EQ(backend::parseJson("\"\\u00e9\"").str, "\xc3\xa9");
+    EXPECT_EQ(backend::parseJson("\"\\ud83d\\ude00\"").str,
+              "\xf0\x9f\x98\x80");
+    EXPECT_EQ(backend::parseJson("\"A\\u0041\\u20AC\\u0000\"").str,
+              std::string("AA\xe2\x82\xac\0", 6));
+}
+
+TEST(BackendJson, RejectsMalformedUnicodeEscapes)
+{
+    // Each error names the offending escape.
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"\\u12\"", "\\u12"},
+        {"[\"\\u12g4\"]", "\\u12g4"},
+        {"\"\\ud800\"", "\\ud800"},
+        {"\"\\ud800\\u0041\"", "\\ud800\\u0041"},
+        {"\"\\udc00\"", "\\udc00"},
+    };
+    for (const auto &[text, escape] : cases) {
+        try {
+            backend::parseJson(text, "u.json");
+            ADD_FAILURE() << "expected parse error for: " << text;
+        } catch (const backend::JsonError &e) {
+            const std::string msg = e.what();
+            EXPECT_EQ(msg.rfind("u.json:1:", 0), 0u) << msg;
+            EXPECT_NE(msg.find(escape), std::string::npos)
+                << msg << " lacks " << escape;
+        }
+    }
+}
+
+TEST(BackendJson, DumpThenParseRoundTripsEveryByteAndUtf8)
+{
+    const auto roundTrip = [](const std::string &s) {
+        return backend::parseJson(
+                   backend::dumpJson(backend::JsonValue::makeString(s)))
+            .str;
+    };
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        EXPECT_EQ(roundTrip(one), one) << "byte " << b;
+    }
+    const std::string utf8 =
+        "caf\xc3\xa9 \xce\xbb \xe2\x82\xac \xf0\x9f\x98\x80";
+    EXPECT_EQ(roundTrip(utf8), utf8);
 }
 
 // ---------------------------------------------------------------------

@@ -5,9 +5,9 @@
  * and oversized bodies, unknown routes and methods, the full cancel
  * state machine, admission control (queue bound and per-client
  * quotas, both answering immediate structured 429s), graceful drain,
- * and the end-to-end contract that a job compiled through the daemon
- * produces artifacts bit-identical to the same request run directly
- * on a CompileService.
+ * \uXXXX escapes in request bodies, and the end-to-end contract that
+ * a job compiled through the daemon produces artifacts bit-identical
+ * to the same request run directly on a CompileService.
  *
  * Job states are pinned with REQISC_PASS_DELAY_MS on hier-synth
  * (full pipeline only), set before any compile runs: a slowed `full`
@@ -458,6 +458,30 @@ TEST(DaemonProtocol, DrainFinishesInFlightAndRejectsNewWork)
                                         "/result");
     EXPECT_EQ(res.status, 200);
     EXPECT_TRUE(parseJson(res.body, "result").find("ok")->boolean);
+}
+
+TEST(DaemonProtocol, UnicodeEscapedNameIsDecodedAndEchoed)
+{
+    Daemon dm(baseOptions());
+    const int p = dm.port();
+    // Python's json.dumps writes the name "café" as "caf\u00e9".
+    const auto withName = [](const std::string &escaped) {
+        std::string body = jobBody(suiteQasm(), "eff", "@");
+        body.replace(body.find("\"@\""), 3, "\"" + escaped + "\"");
+        return body;
+    };
+    const std::uint64_t id = submit(p, withName("caf\\u00e9"));
+    const auto st = http(p, "GET", "/v1/jobs/" + std::to_string(id));
+    ASSERT_EQ(st.status, 200) << st.body;
+    EXPECT_EQ(parseJson(st.body, "status").find("name")->str,
+              "caf\xc3\xa9");
+    EXPECT_EQ(awaitFinal(p, id), "done");
+
+    // A malformed escape is a structured 400, not a crash.
+    const auto bad =
+        http(p, "POST", "/v1/jobs", withName("caf\\ud800"));
+    EXPECT_EQ(bad.status, 400);
+    EXPECT_EQ(errorCode(bad), service::errc::kBadRequest);
 }
 
 // ---- End-to-end bit-identity vs the in-process service -----------------

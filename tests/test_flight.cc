@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the structured logger and the always-on flight recorder:
- * severity filtering, rate limiting and the JSON-lines format; job
+ * severity filtering, rate limiting, the JSON-lines format and the
+ * records of exited threads; control bytes in a flight dump; job
  * propagation into log records, spans and flight events (including
  * across BlockPool helper threads); ring wraparound eviction order;
  * multi-thread snapshot consistency (no torn events); the
@@ -151,6 +152,19 @@ TEST(Log, JsonLinesRoundTripsThroughTheParser)
     // No JobScope active -> no job key at all (absence, not "").
     EXPECT_EQ(docs[1].find("job"), nullptr);
     EXPECT_EQ(docs[1].find("level")->str, "debug");
+}
+
+TEST(Log, ExitedThreadKeepsItsRecordsUntilClear)
+{
+    LoggerGuard guard;
+    std::thread([] {
+        obs::log(obs::LogLevel::Info, "exit", "from a finished thread");
+    }).join();
+    const auto records = obs::Logger::global().collect();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].message, "from a finished thread");
+    obs::Logger::global().clear();
+    EXPECT_TRUE(obs::Logger::global().collect().empty());
 }
 
 TEST(Log, LevelNamesParseAndPrint)
@@ -349,6 +363,28 @@ TEST(Flight, SnapshotJsonIsSelfContainedAndParses)
             EXPECT_EQ(e.find("level")->str, "error");
             EXPECT_EQ(e.find("detail")->str,
                       "quote \" backslash \\ done");
+        }
+    EXPECT_TRUE(found);
+}
+
+TEST(Flight, DumpFileEscapesControlBytesAndParsesBack)
+{
+    namespace flight = obs::flight;
+    flight::clear();
+    flight::record(flight::Kind::Log, "ctl", "\"\t\n\x01");
+    const std::string path = tempPath("reqisc_flight_escape.json");
+    ASSERT_TRUE(flight::dumpToFile(path, "unit-test"));
+    const std::string text = slurp(path);
+    std::filesystem::remove(path);
+    EXPECT_NE(text.find("\"detail\":\"\\\"\\t\\n\\u0001\""),
+              std::string::npos);
+    const backend::JsonValue doc = backend::parseJson(text, "dump");
+    bool found = false;
+    for (const backend::JsonValue &e : flightEvents(doc)->array)
+        if (e.find("name")->str == "ctl")
+        {
+            found = true;
+            EXPECT_EQ(e.find("detail")->str, "\"\t\n\x01");
         }
     EXPECT_TRUE(found);
 }

@@ -4,8 +4,11 @@
  * on exact known distributions, the thread-slot merge model, the
  * Prometheus exposition and Chrome trace-event formats, span
  * nesting/cross-thread parenting, the disabled-is-a-no-op contract,
- * a TSan-targeted concurrent mixed-traffic stress test, and the
- * end-to-end guarantee that pass spans and PassTrace agree (they
+ * the one JSON string escaper (pinned byte for byte to the escaping
+ * dumpJson has always done, and round-tripped through every
+ * emitter), one tid per thread across traces, logs and flight
+ * events, a TSan-targeted concurrent mixed-traffic stress test, and
+ * the end-to-end guarantee that pass spans and PassTrace agree (they
  * share one measurement).
  */
 
@@ -15,11 +18,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "backend/json.hh"
 #include "circuit/gate.hh"
+#include "obs/json_escape.hh"
 #include "obs/obs.hh"
 #include "obs/trace_json.hh"
 #include "service/service.hh"
@@ -287,6 +293,16 @@ TEST_F(ObsSpanTest, AnnotationsSurviveToTheEvent)
     EXPECT_EQ(events[0].args[0].second, "v");
 }
 
+TEST_F(ObsSpanTest, ExitedThreadKeepsItsEventsUntilClear)
+{
+    std::thread([] { obs::Span s("exited"); }).join();
+    const auto events = obs::Tracer::global().collect();
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].name, "exited");
+    obs::Tracer::global().clear();
+    EXPECT_TRUE(obs::Tracer::global().collect().empty());
+}
+
 TEST(ObsSpan, DisabledTracerStillMeasures)
 {
     obs::Tracer::global().setEnabled(false);
@@ -321,6 +337,156 @@ TEST(ObsTraceJson, ShapeAndEscaping)
     EXPECT_NE(json.find("\"id\":7"), std::string::npos);
     EXPECT_NE(json.find("\"parent\":3"), std::string::npos);
     EXPECT_NE(json.find("\"key\":\"val\""), std::string::npos);
+}
+
+// ---- The one JSON string escaper ---------------------------------------
+
+/**
+ * Reference oracle: the escaping rule dumpJson has always applied,
+ * in its original snprintf form. Pinning obs::jsonEscape to it keeps
+ * every dumpJson document and trace JSON byte-identical.
+ */
+std::string referenceJsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned char>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(ObsJsonEscape, MatchesTheReferenceOnEveryByte)
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        EXPECT_EQ(obs::jsonEscape(one), referenceJsonEscape(one))
+            << "byte " << b;
+        all += one;
+    }
+    EXPECT_EQ(obs::jsonEscape(all), referenceJsonEscape(all));
+    EXPECT_EQ(obs::jsonEscape("\x01\t\"x"), "\\u0001\\t\\\"x");
+}
+
+TEST(ObsJsonEscape, WritesEachVerbatimRunInOneSinkCall)
+{
+    std::vector<std::string> calls;
+    obs::writeJsonEscaped(
+        "abc\ndef",
+        [](void *ctx, const char *data, std::size_t n) {
+            static_cast<std::vector<std::string> *>(ctx)->emplace_back(
+                data, n);
+        },
+        &calls);
+    EXPECT_EQ(calls, (std::vector<std::string>{"abc", "\\n", "def"}));
+}
+
+TEST(ObsJsonEscape, EveryByteRoundTripsThroughEachEmitter)
+{
+    std::string all;
+    for (int b = 1; b < 256; ++b)
+        all += static_cast<char>(b);
+    const std::string escaped = obs::jsonEscape(all);
+
+    obs::LogRecord rec;
+    rec.component = rec.message = rec.job = all;
+    rec.fields = {{all, all}};
+    const std::string lines = obs::jsonLines({rec});
+    EXPECT_NE(lines.find(escaped), std::string::npos);
+    const backend::JsonValue log = backend::parseJson(lines, "log");
+    EXPECT_EQ(log.find("component")->str, all);
+    EXPECT_EQ(log.find("msg")->str, all);
+    EXPECT_EQ(log.find("job")->str, all);
+    ASSERT_EQ(log.find("fields")->object.size(), 1u);
+    EXPECT_EQ(log.find("fields")->object[0].first, all);
+    EXPECT_EQ(log.find("fields")->object[0].second.str, all);
+
+    obs::TraceEvent ev;
+    ev.name = all;
+    ev.args = {{all, all}};
+    const std::string trace = obs::chromeTraceJson({ev});
+    EXPECT_NE(trace.find(escaped), std::string::npos);
+    const backend::JsonValue traceDoc =
+        backend::parseJson(trace, "trace");
+    const backend::JsonValue &te =
+        traceDoc.find("traceEvents")->array.at(0);
+    EXPECT_EQ(te.find("name")->str, all);
+    EXPECT_EQ(te.find("args")->find(all)->str, all);
+
+    backend::JsonValue doc = backend::JsonValue::makeObject();
+    doc.set(all, backend::JsonValue::makeString(all));
+    const std::string dumped = backend::dumpJson(doc);
+    EXPECT_NE(dumped.find(escaped), std::string::npos);
+    const backend::JsonValue back = backend::parseJson(dumped, "dump");
+    ASSERT_EQ(back.object.size(), 1u);
+    EXPECT_EQ(back.object[0].first, all);
+    EXPECT_EQ(back.object[0].second.str, all);
+}
+
+// ---- One thread index ---------------------------------------------------
+
+TEST(ObsThreads, OneTidAcrossTraceLogAndFlight)
+{
+    // A thread known only to the flight recorder registers first, so
+    // sinks that numbered threads on their own would now disagree.
+    std::thread([] {
+        obs::flight::record(obs::flight::Kind::Log, "tid-warmup");
+    }).join();
+
+    obs::Tracer &tracer = obs::Tracer::global();
+    obs::Logger &logger = obs::Logger::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    logger.clear();
+    logger.setEnabled(true);
+    obs::flight::clear();
+    obs::Registry reg;
+    obs::Counter *counter = reg.counter("tid_probe_total", "t");
+    std::uint32_t index = 0;
+    std::thread([counter, &index] {
+        obs::Span span("tid-span");
+        obs::log(obs::LogLevel::Info, "tid-log", "one thread");
+        counter->inc();
+        index = obs::threadIndex();
+    }).join();
+    const auto events = tracer.collect();
+    const auto records = logger.collect();
+    tracer.setEnabled(false);
+    tracer.clear();
+    logger.setEnabled(false);
+    logger.clear();
+
+    ASSERT_EQ(events.size(), 1u);
+    ASSERT_EQ(records.size(), 1u);
+    const std::uint32_t tid = events[0].tid;
+    EXPECT_EQ(tid, index);
+    EXPECT_EQ(records[0].tid, tid);
+    int flightEvents = 0;
+    for (const obs::flight::Event &e : obs::flight::snapshotEvents()) {
+        const std::string name = e.name;
+        if (name == "tid-span" || name == "tid-log" ||
+            name == "tid_probe_total") {
+            ++flightEvents;
+            EXPECT_EQ(e.tid, tid) << name;
+        }
+    }
+    EXPECT_EQ(flightEvents, 4);  // span begin + end, log, counter
 }
 
 // ---- Concurrent mixed traffic (the TSan target) ------------------------

@@ -7,6 +7,8 @@
 #include <set>
 #include <string>
 
+#include "obs/json_escape.hh"
+
 namespace reqisc::tools
 {
 
@@ -337,7 +339,7 @@ std::string reportJson(const Report &r)
     {
         const PassDelta &d = r.passes[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{\"pass\": \"" + backend::jsonEscape(d.pass) +
+        out += "{\"pass\": \"" + obs::jsonEscape(d.pass) +
                "\", \"baseSeconds\": " + fmtNum(d.baseSeconds) +
                ", \"candSeconds\": " + fmtNum(d.candSeconds) +
                ", \"deltaSeconds\": " + fmtNum(d.deltaSeconds) +
@@ -351,7 +353,7 @@ std::string reportJson(const Report &r)
         if (i)
             out += ", ";
         out += '"';
-        out += backend::jsonEscape(r.topRegressors[i]);
+        out += obs::jsonEscape(r.topRegressors[i]);
         out += '"';
     }
     out += "],\n  \"quantiles\": [";
@@ -359,7 +361,7 @@ std::string reportJson(const Report &r)
     {
         const QuantileShift &qd = r.quantiles[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{\"metric\": \"" + backend::jsonEscape(qd.metric) +
+        out += "{\"metric\": \"" + obs::jsonEscape(qd.metric) +
                "\", \"q\": " + fmtNum(qd.q) +
                ", \"base\": " + fmtNum(qd.base) +
                ", \"cand\": " + fmtNum(qd.cand) +
@@ -371,7 +373,7 @@ std::string reportJson(const Report &r)
     {
         const ScalarDelta &sd = r.scalars[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{\"key\": \"" + backend::jsonEscape(sd.key) +
+        out += "{\"key\": \"" + obs::jsonEscape(sd.key) +
                "\", \"base\": " + fmtNum(sd.base) +
                ", \"cand\": " + fmtNum(sd.cand) +
                ", \"delta\": " + fmtNum(sd.delta) + "}";
