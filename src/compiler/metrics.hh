@@ -71,6 +71,8 @@ struct ScheduleStats
      */
     double idleTime = 0.0;
     int instructions = 0;
+    /** The strategy the schedule pass ran ("serial", "asap", "alap"). */
+    std::string strategy;
 };
 
 /**

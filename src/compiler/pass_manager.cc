@@ -379,6 +379,7 @@ class SchedulePass final : public Pass
             u.program = isa::schedule(u.circuit, sopts);
         }
         u.metrics.schedule = u.program.stats();
+        u.metrics.schedule.strategy = isa::strategyName(sopts.strategy);
         u.hasProgram = true;
     }
 

@@ -1,11 +1,11 @@
 #include "daemon/daemon.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <utility>
 
 #include "backend/json.hh"
-#include "isa/schedule.hh"
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "service/api.hh"
@@ -28,13 +28,9 @@ struct DaemonMetrics
 {
     obs::Counter *requests;
     obs::Counter *jobsAccepted;
-    obs::Counter *jobsCompleted;
-    obs::Counter *jobsFailed;
-    obs::Counter *jobsCanceled;
     obs::Counter *rejectsQueueFull;
     obs::Counter *rejectsQuota;
     obs::Counter *rejectsDraining;
-    obs::Gauge *activeJobs;
 };
 
 DaemonMetrics &daemonMetrics()
@@ -46,20 +42,12 @@ DaemonMetrics &daemonMetrics()
                       "HTTP requests handled"),
             r.counter("reqisc_daemon_jobs_accepted_total",
                       "Jobs admitted via POST /v1/jobs"),
-            r.counter("reqisc_daemon_jobs_completed_total",
-                      "Daemon jobs finished successfully"),
-            r.counter("reqisc_daemon_jobs_failed_total",
-                      "Daemon jobs finished with an error"),
-            r.counter("reqisc_daemon_jobs_canceled_total",
-                      "Jobs canceled while still queued"),
             r.counter("reqisc_daemon_rejects_queue_full_total",
                       "Submissions rejected 429 queue-full"),
             r.counter("reqisc_daemon_rejects_quota_total",
                       "Submissions rejected 429 quota-exceeded"),
             r.counter("reqisc_daemon_rejects_draining_total",
                       "Submissions rejected 503 shutting-down"),
-            r.gauge("reqisc_daemon_active_jobs",
-                    "Jobs queued or running in the daemon"),
         };
     }();
     return m;
@@ -95,6 +83,24 @@ errorResponse(const ApiError &err)
     return res;
 }
 
+/** errorResponse plus `Retry-After: 1`: try again shortly. */
+HttpResponse
+retryResponse(const ApiError &err)
+{
+    HttpResponse res = errorResponse(err);
+    res.headers.emplace_back("Retry-After", "1");
+    return res;
+}
+
+/** The 503 every submission gets while the daemon drains. */
+HttpResponse
+drainingResponse()
+{
+    daemonMetrics().rejectsDraining->inc();
+    return retryResponse(makeError(
+        errc::kShuttingDown, "daemon is draining; resubmit elsewhere"));
+}
+
 HttpResponse
 jsonResponse(int status, const JsonValue &doc)
 {
@@ -105,45 +111,24 @@ jsonResponse(int status, const JsonValue &doc)
 }
 
 /**
- * Parse the {id} path segment; 0 (no job's id) on garbage or an id
- * above 2^62. The bound is checked before each multiply, so no digit
- * string wraps around onto a small id.
+ * Parse the {id} path segment; 0 (no job's id) unless it is all
+ * digits and at most 2^62. from_chars reports a value past 2^64 as
+ * out of range, so no digit string wraps around onto a small id.
  */
 std::uint64_t
 parseId(const std::string &s)
 {
-    constexpr std::uint64_t kMaxId = 1ull << 62;
-    if (s.empty())
-        return 0;
     std::uint64_t id = 0;
-    for (char c : s) {
-        if (c < '0' || c > '9' || id > kMaxId / 10)
-            return 0;
-        id = id * 10 + static_cast<std::uint64_t>(c - '0');
-        if (id > kMaxId)
-            return 0;
-    }
-    return id;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, id);
+    return ec == std::errc() && ptr == end && id <= (1ull << 62) ? id : 0;
 }
 
 } // namespace
 
-const char *
-jobStateName(JobState s)
-{
-    switch (s) {
-    case JobState::Queued: return "queued";
-    case JobState::Running: return "running";
-    case JobState::Done: return "done";
-    case JobState::Failed: return "failed";
-    case JobState::Canceled: return "canceled";
-    }
-    return "unknown";
-}
-
 CompileDaemon::CompileDaemon(DaemonOptions opts)
     : opts_(std::move(opts)),
-      svc_(std::make_unique<service::CompileService>(opts_.service)),
+      svc_(opts_.service),
       server_(opts_.http,
               [this](const HttpRequest &req) { return handle(req); })
 {
@@ -159,15 +144,6 @@ CompileDaemon::CompileDaemon(DaemonOptions opts)
         err.httpStatus = status;
         return errorBody(err);
     });
-}
-
-CompileDaemon::~CompileDaemon()
-{
-    // Stop serving first, then join the compile workers while the
-    // registry (mu_, jobs_, drainedCv_) is still alive — their
-    // onPass/onDone callbacks lock mu_ up to the very last job.
-    server_.stop();
-    svc_.reset();
 }
 
 bool
@@ -192,21 +168,13 @@ CompileDaemon::beginDrain()
 void
 CompileDaemon::waitDrained()
 {
-    std::unique_lock<std::mutex> lk(mu_);
-    drainedCv_.wait(lk, [this] { return active_ == 0; });
+    svc_.waitIdle();
 }
 
 void
 CompileDaemon::stop()
 {
     server_.stop();
-}
-
-std::uint64_t
-CompileDaemon::accepted() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    return accepted_;
 }
 
 HttpResponse
@@ -287,63 +255,29 @@ CompileDaemon::admitQuotaLocked(const HttpRequest &req,
     const auto now = std::chrono::steady_clock::now();
     // Periodically sweep buckets idle long enough to be full again:
     // erasing one is indistinguishable from keeping it (a fresh
-    // bucket starts at quotaBurst), and the map stays bounded by the
-    // recent client set instead of every client ever seen.
+    // bucket starts full), and the map stays bounded by the recent
+    // client set instead of every client ever seen.
     if (++quotaSweep_ >= 256) {
         quotaSweep_ = 0;
-        for (auto it = quotas_.begin(); it != quotas_.end();) {
-            const double idle =
-                std::chrono::duration<double>(
-                    now - it->second.lastRefill)
-                    .count();
-            if (it->second.tokens + idle * opts_.quotaRate >=
-                opts_.quotaBurst)
-                it = quotas_.erase(it);
-            else
-                ++it;
-        }
+        std::erase_if(quotas_, [&](const auto &kv) {
+            return kv.second.fullBy(opts_.quotaRate, opts_.quotaBurst,
+                                    now);
+        });
     }
 
-    QuotaBucket &b = quotas_[key];
-    if (!b.initialized) {
-        b.tokens = opts_.quotaBurst;
-        b.lastRefill = now;
-        b.initialized = true;
-    } else {
-        const double elapsed =
-            std::chrono::duration<double>(now - b.lastRefill)
-                .count();
-        b.tokens = std::min(opts_.quotaBurst,
-                            b.tokens + elapsed * opts_.quotaRate);
-        b.lastRefill = now;
-    }
-    if (b.tokens >= 1.0) {
-        b.tokens -= 1.0;
+    obs::TokenBucket &b = quotas_[key];
+    if (b.take(opts_.quotaRate, opts_.quotaBurst, now))
         return true;
-    }
     daemonMetrics().rejectsQuota->inc();
-    const double waitSeconds =
-        (1.0 - b.tokens) / opts_.quotaRate;
     res = errorResponse(makeError(
         errc::kQuotaExceeded,
         "client submission quota exhausted", key));
     res.headers.emplace_back(
         "Retry-After",
         std::to_string(std::max(
-            1, static_cast<int>(std::ceil(waitSeconds)))));
+            1, static_cast<int>(
+                   std::ceil(b.secondsToToken(opts_.quotaRate))))));
     return false;
-}
-
-void
-CompileDaemon::recordFinishedLocked(std::uint64_t id)
-{
-    if (opts_.maxFinished == 0)
-        return;
-    finishedOrder_.push_back(id);
-    while (finishedOrder_.size() > opts_.maxFinished) {
-        jobs_.erase(finishedOrder_.front());
-        finishedOrder_.pop_front();
-    }
 }
 
 HttpResponse
@@ -354,14 +288,8 @@ CompileDaemon::handleSubmit(const HttpRequest &req)
     // below, where it cannot race beginDrain()/waitDrained().
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (draining_) {
-            daemonMetrics().rejectsDraining->inc();
-            HttpResponse res = errorResponse(makeError(
-                errc::kShuttingDown,
-                "daemon is draining; resubmit elsewhere"));
-            res.headers.emplace_back("Retry-After", "1");
-            return res;
-        }
+        if (draining_)
+            return drainingResponse();
     }
 
     service::CompileRequest creq;
@@ -376,75 +304,29 @@ CompileDaemon::handleSubmit(const HttpRequest &req)
             makeError(errc::kBadRequest, e.what()));
     }
 
-    auto rec = std::make_shared<JobRecord>();
-    rec->name = creq.name;
-    if (creq.schedule)
-        rec->scheduleStrategy =
-            isa::strategyName(creq.scheduleOptions.strategy);
-
-    // Stream per-pass progress into the record; the first trace also
-    // flips the job to Running (a worker has it).
-    creq.onPass = [this, rec](const compiler::PassTrace &t) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (rec->state == JobState::Queued)
-            rec->state = JobState::Running;
-        rec->progress.push_back(t);
-    };
-    creq.onDone = [this, rec](service::JobResult res) {
-        const bool ok = res.ok;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            rec->state = ok ? JobState::Done : JobState::Failed;
-            rec->result = std::move(res);
-            --active_;
-            daemonMetrics().activeJobs->set(
-                static_cast<double>(active_));
-            recordFinishedLocked(rec->id);
-        }
-        (ok ? daemonMetrics().jobsCompleted
-            : daemonMetrics().jobsFailed)
-            ->inc();
-        drainedCv_.notify_all();
-    };
-
     std::uint64_t id = 0;
     {
         // Every admission decision and the submit under ONE lock:
-        // concurrent submissions cannot squeeze past the bound, a
-        // submission cannot slip in after waitDrained() observed an
-        // empty registry, and the worker callbacks block on this
-        // mutex until the record is indexed.
+        // concurrent submissions cannot squeeze past the bound, and
+        // a submission cannot slip in after waitDrained() saw the
+        // service idle.
         std::lock_guard<std::mutex> lk(mu_);
-        if (draining_) {
-            daemonMetrics().rejectsDraining->inc();
-            HttpResponse res = errorResponse(makeError(
-                errc::kShuttingDown,
-                "daemon is draining; resubmit elsewhere"));
-            res.headers.emplace_back("Retry-After", "1");
-            return res;
-        }
-        if (opts_.maxQueue && active_ >= opts_.maxQueue) {
+        if (draining_)
+            return drainingResponse();
+        if (opts_.maxQueue && svc_.inFlight() >= opts_.maxQueue) {
             daemonMetrics().rejectsQueueFull->inc();
-            HttpResponse res = errorResponse(makeError(
+            return retryResponse(makeError(
                 errc::kQueueFull,
                 "admission queue is full (" +
                     std::to_string(opts_.maxQueue) + " jobs)"));
-            res.headers.emplace_back("Retry-After", "1");
-            return res;
         }
         // Quota last: a submission bounced by the drain or the queue
         // bound must not charge the client's bucket.
         HttpResponse quotaRes;
         if (!admitQuotaLocked(req, quotaRes))
             return quotaRes;
-        id = svc_->submit(std::move(creq));
-        rec->id = id;
-        jobs_.emplace(id, rec);
-        ++accepted_;
-        ++active_;
+        id = svc_.submit(std::move(creq));
         daemonMetrics().jobsAccepted->inc();
-        daemonMetrics().activeJobs->set(
-            static_cast<double>(active_));
     }
 
     JsonValue doc = envelope();
@@ -456,29 +338,26 @@ CompileDaemon::handleSubmit(const HttpRequest &req)
 HttpResponse
 CompileDaemon::handleStatus(std::uint64_t id)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    service::JobStatus st;
+    if (!svc_.status(id, st))
         return errorResponse(makeError(
             errc::kNotFound, "no such job", std::to_string(id)));
-    const JobRecord &rec = *it->second;
     JsonValue doc = envelope();
     doc.set("id", JsonValue::makeNumber(static_cast<double>(id)));
-    doc.set("name", JsonValue::makeString(rec.name));
+    doc.set("name", JsonValue::makeString(st.name));
     doc.set("status",
-            JsonValue::makeString(jobStateName(rec.state)));
+            JsonValue::makeString(service::jobStateName(st.state)));
     JsonValue passes = JsonValue::makeArray();
-    for (const compiler::PassTrace &t : rec.progress)
+    for (const compiler::PassTrace &t : st.passes)
         passes.push(service::api::passTraceToJson(t));
     doc.set("passes", std::move(passes));
-    if (rec.state == JobState::Done ||
-        rec.state == JobState::Failed) {
-        doc.set("ok", JsonValue::makeBool(rec.result.ok));
+    if (st.result) {
+        doc.set("ok", JsonValue::makeBool(st.result->ok));
         doc.set("seconds",
-                JsonValue::makeNumber(rec.result.seconds));
-        if (!rec.result.ok)
+                JsonValue::makeNumber(st.result->seconds));
+        if (!st.result->ok)
             doc.set("error", service::api::errorToJson(
-                                 rec.result.errorInfo));
+                                 st.result->errorInfo));
     }
     return jsonResponse(200, doc);
 }
@@ -486,68 +365,46 @@ CompileDaemon::handleStatus(std::uint64_t id)
 HttpResponse
 CompileDaemon::handleResult(std::uint64_t id)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    service::JobStatus st;
+    if (!svc_.status(id, st))
         return errorResponse(makeError(
             errc::kNotFound, "no such job", std::to_string(id)));
-    const JobRecord &rec = *it->second;
-    switch (rec.state) {
-    case JobState::Queued:
-    case JobState::Running:
-        return errorResponse(makeError(
-            errc::kNotReady,
-            "job is still " + std::string(jobStateName(rec.state)),
-            std::to_string(id)));
-    case JobState::Canceled:
+    if (st.state == service::JobState::Canceled)
         return errorResponse(makeError(
             errc::kCanceled, "job was canceled before running",
             std::to_string(id)));
-    case JobState::Done:
-    case JobState::Failed:
-        break;
-    }
+    if (!st.result)  // queued or running
+        return errorResponse(makeError(
+            errc::kNotReady,
+            "job is still " +
+                std::string(service::jobStateName(st.state)),
+            std::to_string(id)));
     service::api::ResultEmitOptions emit;
     emit.artifacts = true;
     emit.isaText = true;
-    emit.scheduleStrategy = rec.scheduleStrategy;
     return jsonResponse(
-        200, service::api::jobResultToJson(rec.result, emit));
+        200, service::api::jobResultToJson(*st.result, emit));
 }
 
 HttpResponse
 CompileDaemon::handleCancel(std::uint64_t id)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    switch (svc_.cancel(id)) {
+    case service::CompileService::CancelOutcome::Canceled:
+        break;
+    case service::CompileService::CancelOutcome::Running:
+        return errorResponse(makeError(
+            errc::kNotCancelable,
+            "job is already running; cancellation never "
+            "interrupts a compile",
+            std::to_string(id)));
+    case service::CompileService::CancelOutcome::Finished:
+        return errorResponse(makeError(errc::kAlreadyCompleted,
+                                       "job already completed",
+                                       std::to_string(id)));
+    case service::CompileService::CancelOutcome::Unknown:
         return errorResponse(makeError(
             errc::kNotFound, "no such job", std::to_string(id)));
-    JobRecord &rec = *it->second;
-    // Idempotent: canceling twice reports the same outcome.
-    if (rec.state != JobState::Canceled) {
-        switch (svc_->cancel(id)) {
-        case service::CompileService::CancelOutcome::Canceled:
-            rec.state = JobState::Canceled;
-            --active_;
-            daemonMetrics().activeJobs->set(
-                static_cast<double>(active_));
-            daemonMetrics().jobsCanceled->inc();
-            recordFinishedLocked(id);
-            drainedCv_.notify_all();
-            break;
-        case service::CompileService::CancelOutcome::Running:
-            return errorResponse(makeError(
-                errc::kNotCancelable,
-                "job is already running; cancellation never "
-                "interrupts a compile",
-                std::to_string(id)));
-        case service::CompileService::CancelOutcome::Finished:
-        case service::CompileService::CancelOutcome::Unknown:
-            return errorResponse(makeError(errc::kAlreadyCompleted,
-                                           "job already completed",
-                                           std::to_string(id)));
-        }
     }
     JsonValue doc = envelope();
     doc.set("id", JsonValue::makeNumber(static_cast<double>(id)));
@@ -560,12 +417,14 @@ CompileDaemon::handleHealth()
 {
     JsonValue doc = JsonValue::makeObject();
     doc.set("status", JsonValue::makeString("ok"));
-    std::lock_guard<std::mutex> lk(mu_);
-    doc.set("draining", JsonValue::makeBool(draining_));
-    doc.set("activeJobs",
-            JsonValue::makeNumber(static_cast<double>(active_)));
-    doc.set("accepted",
-            JsonValue::makeNumber(static_cast<double>(accepted_)));
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        doc.set("draining", JsonValue::makeBool(draining_));
+    }
+    doc.set("activeJobs", JsonValue::makeNumber(
+                              static_cast<double>(svc_.inFlight())));
+    doc.set("accepted", JsonValue::makeNumber(
+                            static_cast<double>(svc_.submitted())));
     return jsonResponse(200, doc);
 }
 

@@ -10,13 +10,14 @@
  *     GET    /healthz           liveness (+ draining flag)
  *     GET    /metrics           Prometheus exposition (src/obs)
  *
- * The daemon is a thin registry over a service::CompileService: a
+ * The daemon is HTTP admission over a service::CompileService: a
  * submission is validated (strict schema, pipeline spec checked up
  * front), admitted against a bounded queue and per-client token
- * buckets, and handed to the service with an onPass hook (streaming
- * per-pass progress into the registry) and an onDone hook (storing
- * the result). Overload is always an immediate structured 429 with
- * Retry-After — the daemon never blocks a client on a full queue.
+ * buckets, and submitted. The service's job table is the registry:
+ * status, result and cancel read and act on it, and the daemon keeps
+ * no per-job state. Overload is always an immediate structured 429
+ * with Retry-After — the daemon never blocks a client on a full
+ * queue.
  *
  * Graceful drain: beginDrain() makes every new submission a 503
  * `shutting-down` while queued and running jobs keep going;
@@ -29,17 +30,13 @@
 #ifndef REQISC_DAEMON_DAEMON_HH
 #define REQISC_DAEMON_DAEMON_HH
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "daemon/http.hh"
+#include "obs/token_bucket.hh"
 #include "service/service.hh"
 
 namespace reqisc::daemon
@@ -47,7 +44,17 @@ namespace reqisc::daemon
 
 struct DaemonOptions
 {
-    service::ServiceOptions service;
+    /**
+     * The service underneath. Its maxFinished defaults to 1024 here:
+     * a long-running daemon must not grow with every job it ever
+     * served, so status and result of all but the newest 1024
+     * finished jobs answer 404.
+     */
+    service::ServiceOptions service = [] {
+        service::ServiceOptions o;
+        o.maxFinished = 1024;
+        return o;
+    }();
     HttpServerOptions http;
     /**
      * Admission bound: jobs queued-or-running beyond which POST
@@ -65,33 +72,12 @@ struct DaemonOptions
      */
     double quotaRate = 0.0;
     double quotaBurst = 8.0;
-    /**
-     * Retain at most this many finished (done/failed/canceled) job
-     * records, evicting the oldest-finished beyond the cap — a
-     * long-running daemon must not grow with every job it ever
-     * served. An evicted job's status/result answer 404. 0 keeps
-     * every record forever.
-     */
-    std::size_t maxFinished = 1024;
 };
-
-/** Registry state of one submitted job. */
-enum class JobState
-{
-    Queued,
-    Running,
-    Done,
-    Failed,
-    Canceled,
-};
-
-const char *jobStateName(JobState s);
 
 class CompileDaemon
 {
   public:
     explicit CompileDaemon(DaemonOptions opts);
-    ~CompileDaemon();
 
     CompileDaemon(const CompileDaemon &) = delete;
     CompileDaemon &operator=(const CompileDaemon &) = delete;
@@ -109,31 +95,10 @@ class CompileDaemon
     /** Stop the HTTP server (after draining, normally). */
     void stop();
 
-    /** Jobs accepted over the daemon's lifetime. */
-    std::uint64_t accepted() const;
-
     /** The service underneath (cache flush, stats). */
-    service::CompileService &service() { return *svc_; }
+    service::CompileService &service() { return svc_; }
 
   private:
-    struct JobRecord
-    {
-        std::uint64_t id = 0;
-        std::string name;
-        JobState state = JobState::Queued;
-        std::string scheduleStrategy;  //!< label for the result doc
-        /** Pass traces streamed from the worker, in pass order. */
-        std::vector<compiler::PassTrace> progress;
-        service::JobResult result;  //!< filled when Done/Failed
-    };
-
-    struct QuotaBucket
-    {
-        double tokens = 0.0;
-        std::chrono::steady_clock::time_point lastRefill;
-        bool initialized = false;
-    };
-
     HttpResponse handle(const HttpRequest &req);
     HttpResponse handleSubmit(const HttpRequest &req);
     HttpResponse handleStatus(std::uint64_t id);
@@ -150,34 +115,20 @@ class CompileDaemon
      */
     bool admitQuotaLocked(const HttpRequest &req, HttpResponse &res);
 
-    /** Note a Done/Failed/Canceled id; evicts past maxFinished. */
-    void recordFinishedLocked(std::uint64_t id);
-
     DaemonOptions opts_;
 
-    mutable std::mutex mu_;
-    std::condition_variable drainedCv_;
     /**
-     * shared_ptr so the worker-side onPass/onDone closures keep the
-     * record alive independent of map mutations (incl. eviction).
+     * Guards admission only: the drain flag and the quota buckets.
+     * Lock order daemon -> service; the service never calls back.
      */
-    std::map<std::uint64_t, std::shared_ptr<JobRecord>> jobs_;
-    /** Finished job ids in completion order, for eviction. */
-    std::deque<std::uint64_t> finishedOrder_;
-    std::map<std::string, QuotaBucket> quotas_;
+    std::mutex mu_;
+    std::map<std::string, obs::TokenBucket> quotas_;
     std::uint64_t quotaSweep_ = 0;  //!< admissions since last sweep
-    std::uint64_t accepted_ = 0;
-    std::size_t active_ = 0;  //!< jobs queued or running
     bool draining_ = false;
 
-    /**
-     * Declared after the registry state on purpose: destroying the
-     * service joins workers whose onPass/onDone callbacks lock mu_
-     * and touch jobs_/active_/drainedCv_, so it must die first (the
-     * destructor also resets it explicitly, after stopping the
-     * server).
-     */
-    std::unique_ptr<service::CompileService> svc_;
+    service::CompileService svc_;
+    /** Declared last: it stops (joining the handlers that call into
+     *  svc_) before the service is destroyed. */
     HttpServer server_;
 };
 

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -107,7 +108,15 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
         }
         return argv[++i];
     };
+    // The value of numeric flag `flag`; false when missing or bad.
+    auto number = [&](int &i, const std::string &flag, auto &out) {
+        const char *v = value(i);
+        return v && service::parseNumber("reqisc-compiled", flag, v, out);
+    };
     cli.opts.http.port = 8788;
+    // The service flags start from the daemon's service defaults
+    // (maxFinished 1024); --max-finished sets the same field.
+    cli.service.options = cli.opts.service;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const service::FlagParse flag = service::parseServiceFlag(
@@ -129,48 +138,33 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
                 return false;
             cli.opts.http.host = v;
         } else if (arg == "--port") {
-            const char *v = value(i);
-            if (!v)
+            std::uint16_t port = 0;
+            if (!number(i, arg, port))
                 return false;
-            cli.opts.http.port = std::atoi(v);
+            cli.opts.http.port = port;
         } else if (arg == "--port-file") {
             const char *v = value(i);
             if (!v)
                 return false;
             cli.portFile = v;
         } else if (arg == "--max-queue") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.opts.maxQueue))
                 return false;
-            cli.opts.maxQueue =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--quota-rate") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.opts.quotaRate))
                 return false;
-            cli.opts.quotaRate = std::atof(v);
         } else if (arg == "--quota-burst") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.opts.quotaBurst))
                 return false;
-            cli.opts.quotaBurst = std::atof(v);
         } else if (arg == "--max-finished") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.service.options.maxFinished))
                 return false;
-            cli.opts.maxFinished =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--max-body") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.opts.http.maxBodyBytes))
                 return false;
-            cli.opts.http.maxBodyBytes =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--http-threads") {
-            const char *v = value(i);
-            if (!v)
+            if (!number(i, arg, cli.opts.http.handlerThreads))
                 return false;
-            cli.opts.http.handlerThreads = std::atoi(v);
         } else {
             std::cerr << "reqisc-compiled: unknown option '" << arg
                       << "'\n";

@@ -79,12 +79,11 @@ void copyField(char *dst, std::size_t cap, const char *src)
 {
     if (src == nullptr)
         src = "";
-    std::size_t n = 0;
-    while (n + 1 < cap && src[n] != '\0')
-    {
-        dst[n] = src[n];
-        ++n;
-    }
+    std::size_t len = 0;  // reads at most cap bytes of src
+    while (len < cap && src[len] != '\0')
+        ++len;
+    const std::size_t n = utf8Prefix({src, len}, cap - 1);
+    std::memcpy(dst, src, n);
     dst[n] = '\0';
 }
 

@@ -72,7 +72,7 @@ inline constexpr std::size_t kJobBytes = 32;
 /**
  * One recorded event. Fixed layout, trivially copyable (slots are
  * copied word-wise through atomics); strings are NUL-terminated and
- * truncated to their field size.
+ * cut to their field size at a UTF-8 character boundary.
  */
 struct Event
 {

@@ -1,5 +1,7 @@
 #include "obs/json_escape.hh"
 
+#include <algorithm>
+
 namespace reqisc::obs
 {
 
@@ -48,6 +50,17 @@ std::string jsonEscape(std::string_view s)
     out.reserve(s.size());
     appendJsonEscaped(out, s);
     return out;
+}
+
+std::size_t utf8Prefix(std::string_view s, std::size_t cap)
+{
+    // While the first byte cut off, s[n], continues a sequence
+    // (10xxxxxx), step back onto its lead byte: at most three steps.
+    std::size_t n = std::min(s.size(), cap);
+    while (n < s.size() && n > 0 && cap - n < 3 &&
+           (static_cast<unsigned char>(s[n]) & 0xc0) == 0x80)
+        --n;
+    return n;
 }
 
 } // namespace reqisc::obs

@@ -5,7 +5,8 @@
  * forms, other bytes below 0x20 become `\u00xx` (lower-case hex),
  * and every other byte, UTF-8 included, is copied verbatim. It sits
  * in src/obs, the bottom layer, because the flight recorder's
- * fatal-signal dump needs it; backend's dumpJson uses it too.
+ * fatal-signal dump needs it; backend's dumpJson uses it too. Next
+ * to it, the one cut that keeps a fixed-size field valid UTF-8.
  */
 
 #ifndef REQISC_OBS_JSON_ESCAPE_HH
@@ -33,6 +34,13 @@ void writeJsonEscaped(std::string_view s, ByteSink sink, void *ctx);
 /** writeJsonEscaped into a string: appended to out, or returned. */
 void appendJsonEscaped(std::string &out, std::string_view s);
 std::string jsonEscape(std::string_view s);
+
+/**
+ * The length of the longest prefix of s of at most cap bytes that
+ * does not split a UTF-8 sequence. Allocation-free and
+ * async-signal-safe: it cuts the JobScope name and flight's fields.
+ */
+std::size_t utf8Prefix(std::string_view s, std::size_t cap);
 
 } // namespace reqisc::obs
 

@@ -7,6 +7,7 @@
 #include "obs/flight.hh"
 #include "obs/json_escape.hh"
 #include "obs/span.hh"
+#include "obs/token_bucket.hh"
 
 namespace reqisc::obs
 {
@@ -15,14 +16,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Token bucket for one (component, message) key on this thread. */
-struct Bucket
-{
-    double tokens = 0.0;
-    Clock::time_point last;
-    bool init = false;
-};
 
 /**
  * Per-thread buckets keep the limiter lock-free; the global rate is
@@ -36,23 +29,9 @@ bool rateLimited(Logger &logger, const std::string &component,
         return false;
     const double burst =
         std::max(1.0, logger.rateLimitBurst());
-    thread_local std::unordered_map<std::string, Bucket> buckets;
-    Bucket &b = buckets[component + '\0' + message];
-    const Clock::time_point now = Clock::now();
-    if (!b.init)
-    {
-        b.tokens = burst;
-        b.last = now;
-        b.init = true;
-    }
-    const double dt =
-        std::chrono::duration<double>(now - b.last).count();
-    b.last = now;
-    b.tokens = std::min(burst, b.tokens + dt * perSec);
-    if (b.tokens < 1.0)
-        return true;
-    b.tokens -= 1.0;
-    return false;
+    thread_local std::unordered_map<std::string, TokenBucket> buckets;
+    return !buckets[component + '\0' + message].take(perSec, burst,
+                                                      Clock::now());
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "obs/flight.hh"
+#include "obs/json_escape.hh"
 
 namespace reqisc::obs
 {
@@ -21,11 +22,10 @@ using Clock = std::chrono::steady_clock;
  */
 thread_local char tlsJob[flight::kJobBytes] = {};
 
-void setTlsJob(const char *s, std::size_t len)
+void setTlsJob(std::string_view s)
 {
-    const std::size_t n =
-        len < sizeof(tlsJob) - 1 ? len : sizeof(tlsJob) - 1;
-    std::memcpy(tlsJob, s, n);
+    const std::size_t n = utf8Prefix(s, sizeof(tlsJob) - 1);
+    std::memcpy(tlsJob, s.data(), n);
     tlsJob[n] = '\0';
 }
 
@@ -193,12 +193,12 @@ const char *currentJobName()
 
 JobScope::JobScope(const std::string &job) : prev_(tlsJob)
 {
-    setTlsJob(job.data(), job.size());
+    setTlsJob(job);
 }
 
 JobScope::~JobScope()
 {
-    setTlsJob(prev_.data(), prev_.size());
+    setTlsJob(prev_);
 }
 
 } // namespace reqisc::obs

@@ -191,7 +191,8 @@ const char *currentJobName();
  * and, via BlockPool's capture, block tasks fanned out to helper
  * threads) carries this job name. Scopes nest; the previous name is
  * restored on destruction. Names longer than the flight-event job
- * field (31 chars) are truncated consistently everywhere.
+ * field (31 bytes) are cut consistently everywhere, at a UTF-8
+ * character boundary.
  */
 class JobScope
 {

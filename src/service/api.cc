@@ -154,6 +154,9 @@ metricsToJson(const compiler::Metrics &m)
         s.set("instructions",
               JsonValue::makeNumber(
                   static_cast<double>(m.schedule.instructions)));
+        if (!m.schedule.strategy.empty())
+            s.set("strategy",
+                  JsonValue::makeString(m.schedule.strategy));
         o.set("schedule", std::move(s));
     }
     o.set("unsolvedClasses",
@@ -283,32 +286,18 @@ jobResultToJson(const JobResult &r, const ResultEmitOptions &opts)
     // Success: splice the metrics fields in at the top level, the
     // shape `reqisc-compile --json` has always printed.
     JsonValue metrics = metricsToJson(r.metrics);
-    for (auto &[key, value] : metrics.object)
-        o.set(key, std::move(value));
-    o.set("seconds", JsonValue::makeNumber(r.seconds));
-    if (r.metrics.schedule.scheduled) {
-        // Report the strategy that actually ran: a custom schedule:X
-        // trace token wins over the caller-supplied label.
-        std::string strategy = opts.scheduleStrategy;
-        for (const compiler::PassTrace &t : r.metrics.passes)
-            if (t.pass.rfind("schedule:", 0) == 0)
-                strategy = t.pass.substr(9);
-        JsonValue *sched = nullptr;
-        for (auto &[key, value] : o.object)
-            if (key == "schedule")
-                sched = &value;
-        if (sched && !strategy.empty())
-            sched->set("strategy", JsonValue::makeString(strategy));
-        if (sched && opts.isaText) {
+    for (auto &[key, value] : metrics.object) {
+        if (key == "schedule" && opts.isaText) {
             try {
-                sched->set("isa", JsonValue::makeString(
-                                      isa::toAssembly(r.program)));
+                value.set("isa", JsonValue::makeString(
+                                     isa::toAssembly(r.program)));
             } catch (const std::exception &e) {
-                sched->set("isaError",
-                           JsonValue::makeString(e.what()));
+                value.set("isaError", JsonValue::makeString(e.what()));
             }
         }
+        o.set(key, std::move(value));
     }
+    o.set("seconds", JsonValue::makeNumber(r.seconds));
     if (opts.artifacts) {
         o.set("circuit", JsonValue::makeString(
                              circuit::toQasm(r.compiled.circuit)));

@@ -53,7 +53,8 @@ cacheCountersToJson(const compiler::CacheCounters &c);
 
 /**
  * Full circuit metrics: counts, duration, cache counters, per-pass
- * trace, `backend` / `schedule` sub-objects when those stages ran,
+ * trace, `backend` / `schedule` sub-objects when those stages ran
+ * (`schedule.strategy` names the strategy the schedule pass ran),
  * and unsolvedClasses.
  */
 backend::JsonValue metricsToJson(const compiler::Metrics &m);
@@ -92,11 +93,6 @@ struct ResultEmitOptions
     bool artifacts = false;
     /** Emit `schedule.isa` (RQISA assembly) when a program exists. */
     bool isaText = false;
-    /**
-     * Label reported as `schedule.strategy` when the pass trace does
-     * not pin one (a custom `schedule:X` token in the trace wins).
-     */
-    std::string scheduleStrategy;
 };
 
 /**

@@ -1,6 +1,5 @@
 #include "service/cli.hh"
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -47,17 +46,18 @@ parseServiceFlag(const char *prog, int argc, char **argv, int &i,
         return FlagParse::Error;
     }
     const char *v = argv[++i];
+    bool ok = true;
     if (arg == "--jobs")
-        flags.options.threads = std::atoi(v);
+        ok = parseNumber(prog, arg, v, flags.options.threads);
     else if (arg == "--block-workers")
-        flags.options.blockWorkers = std::atoi(v);
+        ok = parseNumber(prog, arg, v, flags.options.blockWorkers);
     else if (arg == "--cache-dir")
         flags.options.cacheDir = v;
     else if (arg == "--backend")
         flags.backendPath = v;
     else
         flags.flightDump = v;
-    return FlagParse::Consumed;
+    return ok ? FlagParse::Consumed : FlagParse::Error;
 }
 
 bool

@@ -4,12 +4,17 @@
  * reqisc-compiled: one parser for --jobs, --block-workers,
  * --cache-dir, --backend and --flight-dump, one chip-file load with
  * its `[bad-chip-file]` report, one flight-recorder set-up, and one
- * copy of their usage lines.
+ * copy of their usage lines. Also the one parser of every numeric
+ * flag value of both binaries.
  */
 
 #ifndef REQISC_SERVICE_CLI_HH
 #define REQISC_SERVICE_CLI_HH
 
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <iostream>
 #include <string>
 
 #include "service/service.hh"
@@ -31,8 +36,33 @@ enum class FlagParse
 {
     NotMine,   //!< not a service flag; the caller handles it
     Consumed,  //!< parsed, with its value
-    Error,     //!< the value is missing; reported on stderr
+    Error,     //!< the value is missing or malformed; reported on stderr
 };
+
+/**
+ * Parse the value `text` of numeric flag `flag` into `out`. All of
+ * `text` must be a decimal number from 0 to T's maximum: digits only
+ * for an integral T, a finite value for double. Otherwise reports
+ * the flag and the value on stderr, prefixed by `prog`, and returns
+ * false; both front-ends then exit 2.
+ */
+template <class T>
+bool
+parseNumber(const char *prog, const std::string &flag, const char *text,
+            T &out)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc() && ptr == end && *text != '-' &&
+        std::isfinite(static_cast<double>(value))) {
+        out = value;
+        return true;
+    }
+    std::cerr << prog << ": invalid value '" << text << "' for " << flag
+              << "\n";
+    return false;
+}
 
 /**
  * Parse argv[i] when it is a service flag, advancing `i` past its

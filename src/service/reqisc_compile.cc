@@ -208,9 +208,10 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             std::exit(0);
         } else if (arg == "--repeat") {
             const char *v = value(i);
-            if (!v)
+            if (!v || !service::parseNumber("reqisc-compile", arg, v,
+                                            cli.repeat))
                 return false;
-            cli.repeat = std::max(1, std::atoi(v));
+            cli.repeat = std::max(1, cli.repeat);
         } else if (arg == "--suite") {
             const char *v = value(i);
             if (!v)
@@ -223,9 +224,9 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             }
         } else if (arg == "--seed") {
             const char *v = value(i);
-            if (!v)
+            if (!v || !service::parseNumber("reqisc-compile", arg, v,
+                                            cli.seed))
                 return false;
-            cli.seed = static_cast<unsigned>(std::atol(v));
         } else if (arg == "--variational") {
             cli.variational = true;
         } else if (arg == "--no-cache") {
@@ -466,7 +467,6 @@ main(int argc, char **argv)
         service::api::ResultEmitOptions emit;
         emit.artifacts = cli.emitCircuit;
         emit.isaText = cli.emitIsa;
-        emit.scheduleStrategy = isa::strategyName(cli.strategy);
         JsonValue circuits = JsonValue::makeArray();
         for (const service::JobResult &r : results)
             circuits.push(service::api::jobResultToJson(r, emit));

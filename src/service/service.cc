@@ -22,6 +22,7 @@ struct ServiceMetrics
     obs::Gauge *jobsInflight;
     obs::Counter *jobsCompleted;
     obs::Counter *jobsFailed;
+    obs::Counter *jobsCanceled;
     obs::Histogram *queueWaitSeconds;
     obs::Histogram *jobSeconds;
 };
@@ -37,6 +38,8 @@ ServiceMetrics &serviceMetrics()
                       "Jobs finished successfully"),
             r.counter("reqisc_jobs_failed_total",
                       "Jobs finished with a captured error"),
+            r.counter("reqisc_jobs_canceled_total",
+                      "Jobs canceled while still queued"),
             r.histogram("reqisc_job_queue_wait_seconds",
                         "Time from submit() to a worker picking the "
                         "job up"),
@@ -175,6 +178,18 @@ jobPassList(const CompileRequest &req,
     return list;
 }
 
+/**
+ * A finished record's result, moved out when no status() snapshot
+ * still shares it and copied otherwise. The worker made it non-const.
+ */
+JobResult
+takeResult(std::shared_ptr<const JobResult> res)
+{
+    if (res.use_count() == 1)
+        return std::move(const_cast<JobResult &>(*res));
+    return *res;
+}
+
 /** Cache file names inside ServiceOptions::cacheDir. */
 constexpr const char *kSynthCacheFile = "synth.cache";
 constexpr const char *kPulseCacheFile = "pulse.cache";
@@ -186,6 +201,19 @@ joinPath(const std::string &dir, const char *file)
 }
 
 } // namespace
+
+const char *
+jobStateName(JobState s)
+{
+    switch (s) {
+    case JobState::Queued: return "queued";
+    case JobState::Running: return "running";
+    case JobState::Done: return "done";
+    case JobState::Failed: return "failed";
+    case JobState::Canceled: return "canceled";
+    }
+    return "unknown";
+}
 
 CompileService::CompileService(ServiceOptions opts)
     : opts_(opts)
@@ -286,19 +314,9 @@ CompileService::saveCaches() const
 std::uint64_t
 CompileService::submit(CompileRequest req)
 {
-    std::uint64_t id;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        id = nextId_++;
-        queue_.push_back(Job{id, std::move(req),
-                             std::chrono::steady_clock::now()});
-        pending_.insert(id);
-        ++inFlight_;
-        serviceMetrics().jobsInflight->set(
-            static_cast<double>(inFlight_));
-    }
-    workCv_.notify_one();
-    return id;
+    std::vector<CompileRequest> one;
+    one.push_back(std::move(req));
+    return submitBatch(std::move(one)).front();
 }
 
 std::vector<std::uint64_t>
@@ -311,15 +329,19 @@ CompileService::submitBatch(std::vector<CompileRequest> reqs)
         const auto now = std::chrono::steady_clock::now();
         for (CompileRequest &r : reqs) {
             const std::uint64_t id = nextId_++;
-            queue_.push_back(Job{id, std::move(r), now});
-            pending_.insert(id);
-            ++inFlight_;
+            JobStatus &record = jobs_[id];
+            record.name = r.name;
+            queue_.push_back(Job{id, std::move(r), now, &record});
             ids.push_back(id);
         }
+        inFlight_ += reqs.size();
         serviceMetrics().jobsInflight->set(
             static_cast<double>(inFlight_));
     }
-    workCv_.notify_all();
+    if (ids.size() == 1)
+        workCv_.notify_one();
+    else
+        workCv_.notify_all();
     return ids;
 }
 
@@ -327,18 +349,24 @@ JobResult
 CompileService::wait(std::uint64_t id)
 {
     std::unique_lock<std::mutex> lk(mu_);
-    if (id == 0 || id >= nextId_)
-        throw std::invalid_argument("unknown job id");
     for (;;) {
-        auto it = results_.find(id);
-        if (it != results_.end()) {
-            JobResult res = std::move(it->second);
-            results_.erase(it);
-            return res;
-        }
-        if (pending_.find(id) == pending_.end())
+        // Look the record up again after every wake-up: waitAll(),
+        // another wait() or an eviction may have erased it.
+        const auto it = jobs_.find(id);
+        if (it == jobs_.end())
             throw std::invalid_argument(
-                "job result already taken");
+                id == 0 || id >= nextId_
+                    ? "unknown job id"
+                    : "job result already taken or evicted");
+        JobStatus &record = it->second;
+        if (record.result || record.state == JobState::Canceled) {
+            std::shared_ptr<const JobResult> res =
+                std::move(record.result);
+            jobs_.erase(it);
+            if (!res)
+                throw std::invalid_argument("job was canceled");
+            return takeResult(std::move(res));
+        }
         doneCv_.wait(lk);
     }
 }
@@ -348,14 +376,63 @@ CompileService::waitAll()
 {
     std::unique_lock<std::mutex> lk(mu_);
     doneCv_.wait(lk, [this] { return inFlight_ == 0; });
+    // Nothing is queued or running, so every record is finished.
     std::vector<JobResult> out;
-    out.reserve(results_.size());
-    for (auto &[id, res] : results_) {
+    for (auto &[id, record] : jobs_) {
         (void)id;
-        out.push_back(std::move(res));
+        if (record.result)
+            out.push_back(takeResult(std::move(record.result)));
     }
-    results_.clear();
+    jobs_.clear();
     return out;
+}
+
+bool
+CompileService::status(std::uint64_t id, JobStatus &out) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end())
+        return false;
+    out = it->second;
+    return true;
+}
+
+void
+CompileService::waitIdle()
+{
+    std::unique_lock<std::mutex> lk(mu_);
+    doneCv_.wait(lk, [this] { return inFlight_ == 0; });
+}
+
+std::uint64_t
+CompileService::inFlight() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return inFlight_;
+}
+
+std::uint64_t
+CompileService::submitted() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return nextId_ - 1;
+}
+
+void
+CompileService::finishLocked(std::uint64_t id, JobStatus &record,
+                             JobState state)
+{
+    record.state = state;
+    --inFlight_;
+    serviceMetrics().jobsInflight->set(static_cast<double>(inFlight_));
+    if (opts_.maxFinished == 0)
+        return;
+    finished_.push_back(id);
+    while (finished_.size() > opts_.maxFinished) {
+        jobs_.erase(finished_.front());
+        finished_.pop_front();
+    }
 }
 
 CompileService::CancelOutcome
@@ -363,22 +440,21 @@ CompileService::cancel(std::uint64_t id)
 {
     {
         std::lock_guard<std::mutex> lk(mu_);
-        if (id == 0 || id >= nextId_)
+        const auto it = jobs_.find(id);
+        if (it == jobs_.end())
             return CancelOutcome::Unknown;
-        auto it = std::find_if(
-            queue_.begin(), queue_.end(),
-            [id](const Job &j) { return j.id == id; });
-        if (it != queue_.end()) {
-            queue_.erase(it);
-            pending_.erase(id);
-            --inFlight_;
-            serviceMetrics().jobsInflight->set(
-                static_cast<double>(inFlight_));
-        } else if (pending_.count(id)) {
-            return CancelOutcome::Running;
-        } else {
-            return CancelOutcome::Finished;
+        switch (it->second.state) {
+        case JobState::Queued: break;
+        case JobState::Running: return CancelOutcome::Running;
+        case JobState::Done:
+        case JobState::Failed: return CancelOutcome::Finished;
+        case JobState::Canceled: return CancelOutcome::Canceled;
         }
+        queue_.erase(std::find_if(
+            queue_.begin(), queue_.end(),
+            [id](const Job &j) { return j.id == id; }));
+        serviceMetrics().jobsCanceled->inc();
+        finishLocked(id, it->second, JobState::Canceled);
     }
     // The canceled job may have been the last in-flight one.
     doneCv_.notify_all();
@@ -401,23 +477,16 @@ CompileService::workerLoop()
                 return;  // stopping_ and fully drained
             job = std::move(queue_.front());
             queue_.pop_front();
+            job.record->state = JobState::Running;
         }
-        JobResult res = runJob(job);
-        // A request with onDone owns result delivery (the daemon's
-        // job registry): hand the result over outside the lock and
-        // skip the results_ store so it is never double-delivered.
-        const bool deliver = static_cast<bool>(job.req.onDone);
+        auto res = std::make_shared<JobResult>(runJob(job));
         {
             std::lock_guard<std::mutex> lk(mu_);
-            pending_.erase(job.id);
-            if (!deliver)
-                results_.emplace(job.id, std::move(res));
-            --inFlight_;
-            serviceMetrics().jobsInflight->set(
-                static_cast<double>(inFlight_));
+            const JobState state =
+                res->ok ? JobState::Done : JobState::Failed;
+            job.record->result = std::move(res);
+            finishLocked(job.id, *job.record, state);
         }
-        if (deliver)
-            job.req.onDone(std::move(res));
         doneCv_.notify_all();
     }
 }
@@ -482,7 +551,10 @@ CompileService::runJob(const Job &job)
         unit.reconfig = opts_.backend ? &reconfig_ : nullptr;
         unit.coupling = opts_.coupling;
         unit.scheduleOptions = job.req.scheduleOptions;
-        unit.onPass = job.req.onPass;
+        unit.onPass = [this, &job](const compiler::PassTrace &t) {
+            std::lock_guard<std::mutex> lk(mu_);
+            job.record->passes.push_back(t);
+        };
 
         compiler::PassManager pm;
         std::string error;

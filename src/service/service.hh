@@ -10,7 +10,8 @@
  * synthesized and pulse-solved exactly once. Jobs are submitted as
  * circuits or raw QASM (parsed in the worker, so parse errors are
  * captured per job like any other failure) and collected with
- * wait()/waitAll().
+ * wait()/waitAll(), or read without taking them with status(): the
+ * job table is the one registry of job state, the daemon's included.
  *
  * Determinism contract: compilation is a pure function of
  * (input, CompileOptions) — every job carries its own options with a
@@ -39,10 +40,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
-
-#include <functional>
 
 #include "backend/backend.hh"
 #include "backend/reconfigure.hh"
@@ -101,6 +99,12 @@ struct ServiceOptions
      * is disabled for heterogeneous backends.
      */
     std::shared_ptr<const backend::Backend> backend;
+    /**
+     * Finished (done, failed or canceled) job records to keep: past
+     * the cap the oldest-finished one is evicted and its id reads as
+     * unknown. 0 keeps each until wait() or waitAll() takes it.
+     */
+    std::size_t maxFinished = 0;
 };
 
 /** Outcome of one job; `ok == false` carries the captured error. */
@@ -162,21 +166,30 @@ struct CompileRequest
      */
     bool schedule = false;
     isa::ScheduleOptions scheduleOptions;
-    /**
-     * Optional per-pass progress observer, invoked on the worker
-     * thread after every executed pass with the trace just recorded
-     * (compiler::CompilationUnit::onPass). Must synchronize itself
-     * and must not throw. Not part of the wire schema.
-     */
-    std::function<void(const compiler::PassTrace &)> onPass;
-    /**
-     * Optional completion callback. When set, the finished JobResult
-     * is handed to this callback on the worker thread *instead of*
-     * being stored for wait()/waitAll() — the submitter owns result
-     * delivery (the daemon's job registry). Must not throw. Jobs
-     * removed by cancel() never invoke it.
-     */
-    std::function<void(JobResult)> onDone;
+};
+
+/** Where a job is in its life. */
+enum class JobState
+{
+    Queued,    //!< submitted; no worker has it yet
+    Running,   //!< a worker dequeued it
+    Done,      //!< finished; the result is ok
+    Failed,    //!< finished with a captured error
+    Canceled,  //!< removed from the queue by cancel()
+};
+
+/** "queued", "running", "done", "failed" or "canceled". */
+const char *jobStateName(JobState s);
+
+/** One job's registry record, and its snapshot (status()). */
+struct JobStatus
+{
+    JobState state = JobState::Queued;
+    std::string name;
+    /** The traces of the passes run so far, in pass order. */
+    std::vector<compiler::PassTrace> passes;
+    /** The result once the job is Done or Failed, else null. */
+    std::shared_ptr<const JobResult> result;
 };
 
 /** The concurrent compilation service. */
@@ -197,31 +210,45 @@ class CompileService
     submitBatch(std::vector<CompileRequest> reqs);
 
     /**
-     * Block until the given job finishes and take its result.
-     * Throws std::invalid_argument for an unknown id (never issued,
-     * or already taken).
+     * Block until the given job finishes and take its record and
+     * result. Throws std::invalid_argument for an id that is unknown
+     * (never issued, already taken or evicted) or canceled.
      */
     JobResult wait(std::uint64_t id);
 
     /**
-     * Block until every submitted job finishes; returns all results
-     * not yet taken, in submission order.
+     * Block until every submitted job finishes; take every record
+     * and return the results not yet taken, in submission order.
      */
     std::vector<JobResult> waitAll();
+
+    /**
+     * Copy job `id`'s record into `out`; false when the id is
+     * unknown (never issued, taken or evicted). The lock is held for
+     * the copy only, so callers render the snapshot unlocked.
+     */
+    bool status(std::uint64_t id, JobStatus &out) const;
+
+    /** Block until no job is queued or running. */
+    void waitIdle();
+    /** Jobs queued or running now. */
+    std::uint64_t inFlight() const;
+    /** Jobs submitted over the service's lifetime. */
+    std::uint64_t submitted() const;
 
     /** What cancel(id) found. */
     enum class CancelOutcome
     {
-        Canceled,  //!< removed from the queue before any work ran
+        Canceled,  //!< removed from the queue, now or by an earlier call
         Running,   //!< a worker already owns it; it will finish
-        Finished,  //!< already completed (result stored or delivered)
-        Unknown,   //!< id never issued
+        Finished,  //!< already done or failed
+        Unknown,   //!< never issued, taken by wait() or evicted
     };
 
     /**
-     * Best-effort cancellation: a still-queued job is removed (its
-     * onDone is never invoked and wait(id) will throw as for an
-     * unknown id), a running or finished job is left untouched —
+     * Best-effort, idempotent cancellation: a still-queued job is
+     * removed from the queue and its record reads Canceled (wait(id)
+     * throws); a running or finished job is left untouched —
      * compilation is never interrupted mid-pass.
      */
     CancelOutcome cancel(std::uint64_t id);
@@ -269,8 +296,16 @@ class CompileService
         /** Submission time; the worker reports the queue wait from
          *  it (obs queue-wait span + histogram). */
         std::chrono::steady_clock::time_point enqueuedAt;
+        /** Its record in jobs_; only finished records are erased. */
+        JobStatus *record = nullptr;
     };
 
+    /**
+     * Mark record `id` finished in `state`, out of flight, and evict
+     * the oldest finished records past maxFinished.
+     */
+    void finishLocked(std::uint64_t id, JobStatus &record,
+                      JobState state);
     void workerLoop();
     JobResult runJob(const Job &job);
 
@@ -287,10 +322,12 @@ class CompileService
 
     mutable std::mutex mu_;
     std::condition_variable workCv_;   //!< queue -> workers
-    std::condition_variable doneCv_;   //!< results -> waiters
+    std::condition_variable doneCv_;   //!< finished jobs -> waiters
     std::deque<Job> queue_;
-    std::map<std::uint64_t, JobResult> results_;  //!< finished jobs
-    std::unordered_set<std::uint64_t> pending_;   //!< queued/running
+    /** The registry: every job not yet taken or evicted, by id. */
+    std::map<std::uint64_t, JobStatus> jobs_;
+    /** Finished ids in finishing order; kept when maxFinished > 0. */
+    std::deque<std::uint64_t> finished_;
     std::uint64_t nextId_ = 1;
     std::uint64_t inFlight_ = 0;       //!< queued or running jobs
     bool stopping_ = false;

@@ -41,7 +41,8 @@ rewire(const JsonValue &v, bool pretty)
 
 /** Compile one small circuit synchronously; must succeed. */
 service::JobResult
-compileOne(const std::string &pipeline, bool schedule = false)
+compileOne(const std::string &pipeline, bool schedule = false,
+           isa::Strategy strategy = isa::Strategy::Asap)
 {
     service::ServiceOptions sopts;
     sopts.threads = 1;
@@ -51,6 +52,7 @@ compileOne(const std::string &pipeline, bool schedule = false)
     req.input = suite::smallSuite().front().circuit;
     req.pipelineSpec = pipeline;
     req.schedule = schedule;
+    req.scheduleOptions.strategy = strategy;
     svc.submit(std::move(req));
     auto results = svc.waitAll();
     EXPECT_EQ(results.size(), 1u);
@@ -227,12 +229,11 @@ TEST(ApiResult, ArtifactsRoundTripBitIdentical)
 
 TEST(ApiResult, ScheduleStrategyComesFromTheTrace)
 {
-    // An explicit schedule:X pass pins the strategy in the trace,
-    // which beats whatever label the caller supplies.
+    // An explicit schedule:X pass runs strategy X, whatever the
+    // request's own strategy is.
     const service::JobResult r =
         compileOne("custom:synth,lower,schedule:alap");
     api::ResultEmitOptions emit;
-    emit.scheduleStrategy = "wrong-label";  // the trace must win
     emit.isaText = true;
     const JsonValue doc = rewire(api::jobResultToJson(r, emit), true);
     const JsonValue *sched = doc.find("schedule");
@@ -245,16 +246,15 @@ TEST(ApiResult, ScheduleStrategyComesFromTheTrace)
 
 TEST(ApiResult, CallerLabelFillsInWhenTheTraceDoesNotPinOne)
 {
-    // A service-appended schedule pass traces as plain "schedule";
-    // the emitter then reports the caller's strategy label.
-    const service::JobResult r = compileOne("full", true);
-    api::ResultEmitOptions emit;
-    emit.scheduleStrategy = "asap";
-    const JsonValue doc = rewire(api::jobResultToJson(r, emit), true);
+    // A service-appended schedule pass traces as plain "schedule"
+    // and runs the request's own strategy, which the result reports.
+    const service::JobResult r =
+        compileOne("full", true, isa::Strategy::Serial);
+    const JsonValue doc = rewire(api::jobResultToJson(r), true);
     const JsonValue *sched = doc.find("schedule");
     ASSERT_NE(sched, nullptr);
     ASSERT_NE(sched->find("strategy"), nullptr);
-    EXPECT_EQ(sched->find("strategy")->str, "asap");
+    EXPECT_EQ(sched->find("strategy")->str, "serial");
 }
 
 TEST(ApiResult, FailureCarriesTheStructuredError)

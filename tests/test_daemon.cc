@@ -10,10 +10,10 @@
  * to the same request run directly on a CompileService.
  *
  * Job states are pinned with REQISC_PASS_DELAY_MS on hier-synth
- * (full pipeline only), set before any compile runs: a slowed `full`
- * job occupies the single worker long enough to observe queued /
- * running / draining behavior deterministically, while the `eff`
- * jobs the fast paths use are unaffected.
+ * (the full pipeline and `custom:hier-synth`), set before any compile
+ * runs: a slowed job occupies the single worker long enough to
+ * observe queued / running / draining behavior deterministically,
+ * while the `eff` jobs the fast paths use are unaffected.
  */
 
 #include <gtest/gtest.h>
@@ -292,6 +292,30 @@ TEST(DaemonProtocol, CancelStateMachine)
     EXPECT_FALSE(st.find("passes")->array.empty());
 }
 
+TEST(DaemonProtocol, StatusAndCancelAgreeOnARunningJob)
+{
+    // hier-synth is this job's first pass, so its ~400ms hold comes
+    // before any pass trace: the job reads running as soon as the
+    // worker has it, the same state the cancel route acts on. A
+    // two-qubit input: no 3-qubit block can reach estimate unlowered.
+    Daemon dm(baseOptions());
+    const int p = dm.port();
+    const std::string bell =
+        "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n";
+    const std::uint64_t id =
+        submit(p, jobBody(bell, "custom:hier-synth", "first"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const std::string target = "/v1/jobs/" + std::to_string(id);
+    auto res = http(p, "GET", target);
+    ASSERT_EQ(res.status, 200) << res.body;
+    EXPECT_EQ(parseJson(res.body, "status").find("status")->str,
+              "running");
+    res = http(p, "DELETE", target);
+    EXPECT_EQ(res.status, 409);
+    EXPECT_EQ(errorCode(res), service::errc::kNotCancelable);
+    EXPECT_EQ(awaitFinal(p, id), "done");
+}
+
 // ---- Admission control -------------------------------------------------
 
 TEST(DaemonProtocol, QueueFullIsAnImmediate429)
@@ -379,7 +403,7 @@ TEST(DaemonProtocol, QueueFullRejectionDoesNotChargeQuota)
 TEST(DaemonProtocol, FinishedRecordsEvictPastTheCap)
 {
     daemon::DaemonOptions opts = baseOptions();
-    opts.maxFinished = 2;
+    opts.service.maxFinished = 2;
     Daemon dm(std::move(opts));
     const int p = dm.port();
 
@@ -482,6 +506,24 @@ TEST(DaemonProtocol, UnicodeEscapedNameIsDecodedAndEchoed)
         http(p, "POST", "/v1/jobs", withName("caf\\ud800"));
     EXPECT_EQ(bad.status, 400);
     EXPECT_EQ(errorCode(bad), service::errc::kBadRequest);
+}
+
+TEST(DaemonProtocol, ScheduledJobReportsItsStrategy)
+{
+    Daemon dm(baseOptions());
+    const int p = dm.port();
+    JsonValue body = parseJson(jobBody(suiteQasm(), "eff"), "body");
+    body.set("schedule", JsonValue::makeString("alap"));
+    const std::uint64_t id = submit(p, backend::dumpJson(body));
+    ASSERT_EQ(awaitFinal(p, id), "done");
+    const auto res = http(p, "GET", "/v1/jobs/" + std::to_string(id) +
+                                        "/result");
+    ASSERT_EQ(res.status, 200);
+    const JsonValue doc = parseJson(res.body, "result");
+    const JsonValue *sched = doc.find("schedule");
+    ASSERT_NE(sched, nullptr);
+    ASSERT_NE(sched->find("strategy"), nullptr);
+    EXPECT_EQ(sched->find("strategy")->str, "alap");
 }
 
 // ---- End-to-end bit-identity vs the in-process service -----------------

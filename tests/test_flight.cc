@@ -2,7 +2,8 @@
  * @file
  * Tests for the structured logger and the always-on flight recorder:
  * severity filtering, rate limiting, the JSON-lines format and the
- * records of exited threads; control bytes in a flight dump; job
+ * records of exited threads; control bytes in a flight dump; cuts
+ * of long UTF-8 names at a character boundary; job
  * propagation into log records, spans and flight events (including
  * across BlockPool helper threads); ring wraparound eviction order;
  * multi-thread snapshot consistency (no torn events); the
@@ -80,6 +81,25 @@ const backend::JsonValue *flightEvents(const backend::JsonValue &doc)
     if (!fr)
         return nullptr;
     return fr->find("events");
+}
+
+/** n copies of the two-byte character U+03B1 (alpha). */
+std::string alphas(int n)
+{
+    std::string s;
+    for (int i = 0; i < n; ++i)
+        s += "\xce\xb1";
+    return s;
+}
+
+/** The first event named `name` in a parsed flight snapshot. */
+const backend::JsonValue *flightEvent(const backend::JsonValue &doc,
+                                      const std::string &name)
+{
+    for (const backend::JsonValue &e : flightEvents(doc)->array)
+        if (e.find("name")->str == name)
+            return &e;
+    return nullptr;
 }
 
 } // namespace
@@ -192,6 +212,30 @@ TEST(JobScope, NestsAndRestores)
         EXPECT_STREQ(obs::currentJobName(), "outer");
     }
     EXPECT_STREQ(obs::currentJobName(), "");
+}
+
+TEST(JobScope, LongUtf8NameIsCutAtACharacterBoundary)
+{
+    // 16 two-byte characters are 32 bytes; the job field holds 31,
+    // so the cut keeps 15 whole characters, not a lone lead byte.
+    LoggerGuard guard;
+    obs::flight::clear();
+    {
+        obs::JobScope job(alphas(16));
+        obs::log(obs::LogLevel::Info, "utf8-job", "cut");
+    }
+    const std::string lines =
+        obs::jsonLines(obs::Logger::global().collect());
+    const backend::JsonValue line = backend::parseJson(
+        lines.substr(0, lines.find('\n')), "log-line");
+    ASSERT_NE(line.find("job"), nullptr);
+    EXPECT_EQ(line.find("job")->str, alphas(15));
+
+    const backend::JsonValue doc = backend::parseJson(
+        obs::flight::snapshotJson("unit-test"), "flight");
+    const backend::JsonValue *e = flightEvent(doc, "utf8-job");
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->find("job")->str, alphas(15));
 }
 
 TEST(JobScope, PropagatesAcrossBlockPoolThreads)
@@ -365,6 +409,21 @@ TEST(Flight, SnapshotJsonIsSelfContainedAndParses)
                       "quote \" backslash \\ done");
         }
     EXPECT_TRUE(found);
+}
+
+TEST(Flight, LongUtf8FieldsAreCutAtACharacterBoundary)
+{
+    // A 60-byte name and a 70-byte detail of two-byte characters
+    // keep the whole characters that fit in 55 and 63 bytes.
+    namespace flight = obs::flight;
+    flight::clear();
+    flight::record(flight::Kind::SpanBegin, alphas(30).c_str(),
+                   alphas(35).c_str());
+    const backend::JsonValue doc = backend::parseJson(
+        flight::snapshotJson("unit-test"), "flight");
+    const backend::JsonValue *e = flightEvent(doc, alphas(27));
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->find("detail")->str, alphas(31));
 }
 
 TEST(Flight, DumpFileEscapesControlBytesAndParsesBack)

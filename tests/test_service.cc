@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +28,7 @@
 #include "compiler/pipeline.hh"
 #include "qsim/statevector.hh"
 #include "service/cache.hh"
+#include "service/cli.hh"
 #include "service/service.hh"
 #include "synth/instantiate.hh"
 #include "suite/suite.hh"
@@ -36,6 +40,16 @@ using namespace reqisc::qmath;
 
 namespace
 {
+
+/**
+ * ~300 ms inside schedule:serial, a pass no other test here runs: it
+ * holds the one worker long enough to read a job's states. Set
+ * before any compile runs (the delay map is read once).
+ */
+[[maybe_unused]] const bool kDelayEnvSet = [] {
+    ::setenv("REQISC_PASS_DELAY_MS", "schedule:serial=300", 1);
+    return true;
+}();
 
 /** A compiled program, flattened to a comparable byte string. */
 std::string
@@ -465,6 +479,132 @@ TEST(CompileService, WaitSemantics)
     EXPECT_THROW(svc.wait(id), std::invalid_argument);
     // waitAll after everything was taken: empty, not blocking.
     EXPECT_TRUE(svc.waitAll().empty());
+}
+
+TEST(CompileService, StatusTracksTheJobLifecycle)
+{
+    using service::JobState;
+    using Cancel = service::CompileService::CancelOutcome;
+    const auto request = [](const std::string &name,
+                            const std::string &pipeline) {
+        service::CompileRequest req;
+        req.name = name;
+        req.input = Circuit(2);
+        req.input.add(Gate::cx(0, 1));
+        req.pipelineSpec = pipeline;
+        req.calibrate = false;
+        return req;
+    };
+    service::ServiceOptions sopts;
+    sopts.threads = 1;
+    service::CompileService svc(sopts);
+    // Each job holds the one worker ~300 ms in schedule:serial.
+    const std::string slow = "custom:synth,schedule:serial";
+    const auto a = svc.submit(request("a", slow));
+    const auto b = svc.submit(request("b", slow));
+    const auto c = svc.submit(request("c", slow));
+    EXPECT_EQ(svc.submitted(), 3u);
+
+    service::JobStatus st;
+    ASSERT_TRUE(svc.status(b, st));
+    EXPECT_EQ(st.state, JobState::Queued);
+    EXPECT_EQ(st.name, "b");
+    EXPECT_TRUE(st.passes.empty());
+    EXPECT_EQ(st.result, nullptr);
+
+    // Canceling a queued job is idempotent; wait() refuses it.
+    EXPECT_EQ(svc.cancel(c), Cancel::Canceled);
+    EXPECT_EQ(svc.cancel(c), Cancel::Canceled);
+    ASSERT_TRUE(svc.status(c, st));
+    EXPECT_EQ(st.state, JobState::Canceled);
+    EXPECT_THROW(svc.wait(c), std::invalid_argument);
+
+    // b reads Running from the moment the worker takes it, and its
+    // passes stream in: synth is traced during schedule:serial's hold.
+    const auto pollUntil = [&](auto done) {
+        for (int i = 0; i < 5000; ++i) {
+            if (!svc.status(b, st) || done())
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    };
+    pollUntil([&] { return st.state != JobState::Queued; });
+    EXPECT_EQ(st.state, JobState::Running);
+    EXPECT_EQ(st.result, nullptr);
+    EXPECT_EQ(svc.cancel(b), Cancel::Running);
+    pollUntil([&] { return !st.passes.empty(); });
+    EXPECT_EQ(st.state, JobState::Running);
+    ASSERT_EQ(st.passes.size(), 1u);
+    EXPECT_EQ(st.passes[0].pass, "synth");
+
+    svc.waitIdle();
+    EXPECT_EQ(svc.inFlight(), 0u);
+    ASSERT_TRUE(svc.status(b, st));
+    EXPECT_EQ(st.state, JobState::Done);
+    ASSERT_NE(st.result, nullptr);
+    EXPECT_TRUE(st.result->ok);
+    std::vector<std::string> passes;
+    for (const compiler::PassTrace &t : st.passes)
+        passes.push_back(t.pass);
+    EXPECT_EQ(passes, (std::vector<std::string>{
+                          "synth", "schedule:serial", "estimate"}));
+    EXPECT_EQ(svc.cancel(b), Cancel::Finished);
+
+    // wait() takes the record; waitAll() takes the rest (a's result).
+    EXPECT_TRUE(svc.wait(b).ok);
+    EXPECT_FALSE(svc.status(b, st));
+    EXPECT_EQ(svc.cancel(b), Cancel::Unknown);
+    const std::vector<service::JobResult> rest = svc.waitAll();
+    ASSERT_EQ(rest.size(), 1u);
+    EXPECT_EQ(rest[0].id, a);
+    EXPECT_FALSE(svc.status(a, st));
+    EXPECT_FALSE(svc.status(c, st));
+
+    // Past maxFinished the oldest finished record is evicted.
+    sopts.maxFinished = 1;
+    service::CompileService capped(sopts);
+    const auto x = capped.submit(request("x", "custom:synth"));
+    const auto y = capped.submit(request("y", "custom:synth"));
+    capped.waitIdle();
+    EXPECT_FALSE(capped.status(x, st));
+    ASSERT_TRUE(capped.status(y, st));
+    EXPECT_EQ(st.state, JobState::Done);
+}
+
+TEST(ServiceCli, NumericFlagValuesAreStrict)
+{
+    service::ServiceFlags flags;
+    const auto parse = [&flags](const char *flag, const char *value) {
+        std::string a0 = "prog", a1 = flag, a2 = value;
+        char *argv[] = {a0.data(), a1.data(), a2.data()};
+        int i = 1;
+        return service::parseServiceFlag("test", 3, argv, i, flags);
+    };
+    EXPECT_EQ(parse("--jobs", "abc"), service::FlagParse::Error);
+    EXPECT_EQ(parse("--jobs", "4x"), service::FlagParse::Error);
+    EXPECT_EQ(parse("--block-workers", "-1"), service::FlagParse::Error);
+    EXPECT_EQ(parse("--jobs", "0"), service::FlagParse::Consumed);
+    EXPECT_EQ(flags.options.threads, 0);
+    EXPECT_EQ(parse("--block-workers", "3"),
+              service::FlagParse::Consumed);
+    EXPECT_EQ(flags.options.blockWorkers, 3);
+
+    unsigned seed = 7;
+    EXPECT_FALSE(service::parseNumber("test", "--seed", "4294967296",
+                                      seed));
+    EXPECT_TRUE(service::parseNumber("test", "--seed", "4294967295",
+                                     seed));
+    EXPECT_EQ(seed, 4294967295u);
+    std::uint16_t port = 0;
+    EXPECT_FALSE(service::parseNumber("test", "--port", "70000", port));
+    double rate = 0.0;
+    for (const char *bad : {"-1", "inf", "nan", "1e999", " 2", ""})
+        EXPECT_FALSE(service::parseNumber("test", "--quota-rate", bad,
+                                          rate))
+            << bad;
+    EXPECT_TRUE(service::parseNumber("test", "--quota-rate", "2.5",
+                                     rate));
+    EXPECT_EQ(rate, 2.5);
 }
 
 TEST(CompileService, DisabledCachesStillCompile)
