@@ -64,7 +64,7 @@ physOpt(const Circuit &c)
         if (g.op == Op::U4) {
             for (Gate &e : synth::su4ToCnots(g.qubits[0],
                                              g.qubits[1],
-                                             *g.payload))
+                                             g.matrix()))
                 out.add(std::move(e));
         } else {
             out.add(g);

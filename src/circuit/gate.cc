@@ -1,8 +1,10 @@
 #include "circuit/gate.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "qmath/expm.hh"
 
@@ -182,7 +184,7 @@ twoQubitMatrix(const Gate &g)
             {g.params[0], g.params[1], g.params[2]});
       case Op::U4:
         assert(g.payload);
-        return *g.payload;
+        return g.payload->matrix();
       default:
         assert(false && "not a two-qubit op");
         return Matrix::identity(4);
@@ -246,13 +248,86 @@ Gate::matrix() const
     }
 }
 
+namespace
+{
+
+/** A dim x dim Matrix holding the row-major entries e. */
+template <std::size_t N>
+Matrix
+squareMatrix(const std::array<Complex, N> &e, int dim)
+{
+    assert(static_cast<std::size_t>(dim * dim) == N);
+    Matrix m(dim, dim);
+    std::copy(e.begin(), e.end(), m.data());
+    return m;
+}
+
+} // namespace
+
+// The payload replaced a shared Matrix (its inline 8x8 buffer alone
+// is 1 KiB); growing past one would undo the memory win.
+static_assert(sizeof(U4Payload) < sizeof(Matrix));
+
+U4Payload::U4Payload(const Matrix &u)
+{
+    assert(u.rows() == 4 && u.cols() == 4);
+    std::copy_n(u.data(), entries_.size(), entries_.begin());
+}
+
+Matrix
+U4Payload::matrix() const
+{
+    return squareMatrix(entries_, 4);
+}
+
+const U4Payload::Factors &
+U4Payload::factors() const
+{
+    std::call_once(once_, [this] {
+        const weyl::KakDecomposition k = weyl::kakDecompose(matrix());
+        auto store = [](const Matrix &m, std::array<Complex, 4> &e) {
+            assert(m.rows() == 2 && m.cols() == 2);
+            std::copy_n(m.data(), e.size(), e.begin());
+        };
+        kak_.phase = k.phase;
+        store(k.a1, kak_.a1);
+        store(k.a2, kak_.a2);
+        store(k.b1, kak_.b1);
+        store(k.b2, kak_.b2);
+        kak_.coord = k.coord;
+    });
+    return kak_;
+}
+
+weyl::KakDecomposition
+U4Payload::kak() const
+{
+    const Factors &f = factors();
+    weyl::KakDecomposition k;
+    k.phase = f.phase;
+    k.a1 = squareMatrix(f.a1, 2);
+    k.a2 = squareMatrix(f.a2, 2);
+    k.b1 = squareMatrix(f.b1, 2);
+    k.b2 = squareMatrix(f.b2, 2);
+    k.coord = f.coord;
+    return k;
+}
+
 weyl::WeylCoord
 Gate::weylCoord() const
 {
-    assert(is2Q());
-    if (op == Op::CAN)
+    if (!is2Q())
+        throw std::invalid_argument(
+            "Gate::weylCoord: " + toString() +
+            " does not act on exactly two qubits");
+    switch (op) {
+      case Op::CAN:
         return {params[0], params[1], params[2]};
-    return weyl::weylCoordinate(matrix());
+      case Op::U4:
+        return payload->weylCoord();
+      default:
+        return weyl::weylCoordinate(matrix());
+    }
 }
 
 std::string
@@ -432,7 +507,7 @@ Gate::u4(int a, int b, const Matrix &m)
     Gate g;
     g.op = Op::U4;
     g.qubits = {a, b};
-    g.payload = std::make_shared<const Matrix>(m);
+    g.payload = std::make_shared<const U4Payload>(m);
     return g;
 }
 

@@ -17,7 +17,9 @@
 #ifndef REQISC_CIRCUIT_GATE_HH
 #define REQISC_CIRCUIT_GATE_HH
 
+#include <array>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,50 @@ bool opFromName(const std::string &name, Op &out);
 /** @return the number of parameters the op expects. */
 int opParamCount(Op op);
 
+/**
+ * The matrix of an opaque U4 gate together with its KAK
+ * decomposition. The 16 entries are stored inline (row-major), not
+ * as a Matrix, whose inline 8x8 buffer would quadruple the size. The
+ * decomposition is computed on the first kak() or weylCoord() call,
+ * once for every copy of the gate that shares the payload, and kept
+ * in compact 2x2 form. It is bit for bit what weyl::kakDecompose
+ * returns for matrix().
+ */
+class U4Payload
+{
+  public:
+    /** @param u a 4x4 unitary */
+    explicit U4Payload(const Matrix &u);
+
+    int rows() const { return 4; }
+    int cols() const { return 4; }
+    /** Row-major storage of the 16 entries. */
+    const Complex *data() const { return entries_.data(); }
+
+    Matrix matrix() const;
+
+    /** weyl::kakDecompose(matrix()), decomposed once per payload. */
+    weyl::KakDecomposition kak() const;
+
+    /** kak().coord without rebuilding the factors. */
+    const weyl::WeylCoord &weylCoord() const { return factors().coord; }
+
+  private:
+    /** The decomposition with its 2x2 factors stored row-major. */
+    struct Factors
+    {
+        Complex phase;
+        std::array<Complex, 4> a1, a2, b1, b2;
+        weyl::WeylCoord coord;
+    };
+
+    const Factors &factors() const;
+
+    std::array<Complex, 16> entries_;
+    mutable std::once_flag once_;
+    mutable Factors kak_;
+};
+
 /** A single gate instance. */
 struct Gate
 {
@@ -63,7 +109,7 @@ struct Gate
     std::vector<int> qubits;
     std::vector<double> params;
     /** Matrix payload for Op::U4 (shared, immutable). */
-    std::shared_ptr<const Matrix> payload;
+    std::shared_ptr<const U4Payload> payload;
 
     int numQubits() const { return static_cast<int>(qubits.size()); }
     bool is1Q() const { return qubits.size() == 1; }
@@ -75,7 +121,12 @@ struct Gate
      */
     Matrix matrix() const;
 
-    /** Weyl coordinate of a two-qubit gate. */
+    /**
+     * Weyl coordinate of a two-qubit gate: a CAN reads its params, a
+     * U4 its payload, and the other ops decompose their matrix.
+     * Throws std::invalid_argument on a gate that does not act on
+     * exactly two qubits.
+     */
     weyl::WeylCoord weylCoord() const;
 
     std::string toString() const;

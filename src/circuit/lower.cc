@@ -254,12 +254,13 @@ expandToCanU3(const Circuit &c)
             }
             continue;
         }
-        assert(g.is2Q());
-        if (g.op == Op::CAN) {
+        if (g.op == Op::CAN || !g.is2Q()) {
             out.add(g);
             continue;
         }
-        weyl::KakDecomposition k = weyl::kakDecompose(g.matrix());
+        const weyl::KakDecomposition k =
+            g.op == Op::U4 ? g.payload->kak()
+                           : weyl::kakDecompose(g.matrix());
         const int a = g.qubits[0], b = g.qubits[1];
         if (!weyl::isIdentityUpToPhase(k.b1, 1e-11))
             out.add(u3FromMatrix(a, k.b1));

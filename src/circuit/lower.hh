@@ -55,7 +55,10 @@ Gate u3FromMatrix(int q, const Matrix &m);
 /**
  * Rewrite CAN/U4 gates as U3 + CAN + U3 normal form: every 2Q gate
  * becomes a bare canonical gate with explicit 1Q dressing, the shape
- * the ReQISC backend consumes.
+ * the ReQISC backend consumes. A U4 takes its factors from its
+ * payload, so a U4 whose coordinate was already read is not
+ * decomposed again. Gates on three or more qubits pass through
+ * unchanged.
  */
 Circuit expandToCanU3(const Circuit &c);
 

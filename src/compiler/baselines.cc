@@ -44,7 +44,7 @@ consolidateBlocks(const Circuit &c)
         if (g.op == Op::U4) {
             for (Gate &e : synth::su4ToCnots(g.qubits[0],
                                              g.qubits[1],
-                                             *g.payload))
+                                             g.matrix()))
                 out.add(std::move(e));
         } else {
             out.add(g);
@@ -156,7 +156,7 @@ bqskitLike(const circuit::Circuit &input)
                     if (g.op == Op::U4) {
                         for (Gate &e : synth::su4ToCnots(
                                  g.qubits[0], g.qubits[1],
-                                 *g.payload))
+                                 g.matrix()))
                             cand.push_back(std::move(e));
                     } else {
                         cand.push_back(g);

@@ -97,6 +97,13 @@ PassManager::run(CompilationUnit &unit) const
     for (const auto &pass : passes_) {
         PassTrace trace;
         trace.pass = pass->name();
+        if (pass->twoQubitGatesOnly())
+            for (const circuit::Gate &g : unit.active())
+                if (g.numQubits() > 2)
+                    throw UnsupportedGateError(
+                        "pass '" + trace.pass +
+                        "' takes 1- and 2-qubit gates only, but the "
+                        "circuit holds '" + g.toString() + "'");
         trace.gatesBefore =
             static_cast<int>(unit.active().size());
         trace.count2QBefore = unit.active().count2Q();
@@ -249,6 +256,7 @@ class LowerPass final : public Pass
 {
   public:
     std::string name() const override { return "lower"; }
+    bool twoQubitGatesOnly() const override { return true; }
     void run(CompilationUnit &u) override
     {
         u.circuit = circuit::expandToCanU3(u.circuit);
@@ -264,6 +272,7 @@ class SabreRoutePass final : public Pass
 {
   public:
     std::string name() const override { return "route"; }
+    bool twoQubitGatesOnly() const override { return true; }
     void run(CompilationUnit &u) override
     {
         if (!u.backend)
@@ -325,6 +334,7 @@ class EstimateFidelityPass final : public Pass
 {
   public:
     std::string name() const override { return "estimate"; }
+    bool twoQubitGatesOnly() const override { return true; }
     void run(CompilationUnit &u) override
     {
         Metrics m;
@@ -364,6 +374,8 @@ class SchedulePass final : public Pass
                          isa::strategyName(strategy_)
                    : "schedule";
     }
+
+    bool twoQubitGatesOnly() const override { return true; }
 
     void run(CompilationUnit &u) override
     {

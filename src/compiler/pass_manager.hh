@@ -40,6 +40,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,24 @@ class Pass
     /** Registry token, echoed into PassTrace::pass. */
     virtual std::string name() const = 0;
     virtual void run(CompilationUnit &unit) = 0;
+    /**
+     * True for a pass that takes 1Q and 2Q gates only (lower, route,
+     * estimate, schedule); PassManager::run never hands it a wider
+     * gate.
+     */
+    virtual bool twoQubitGatesOnly() const { return false; }
+};
+
+/**
+ * Thrown by PassManager::run before a twoQubitGatesOnly() pass whose
+ * active artifact holds a gate on three or more qubits, as a custom
+ * pass list without `synth` leaves an MCX. The service reports it as
+ * a bad-request.
+ */
+class UnsupportedGateError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
 };
 
 /** Runs an ordered pass list over a unit, tracing every pass. */
@@ -136,7 +155,9 @@ class PassManager
     /**
      * Run every pass in order. Each pass appends one PassTrace to
      * unit.metrics.passes (wall time, gate/#2Q before/after on the
-     * active artifact, makespan known so far).
+     * active artifact, makespan known so far). Throws
+     * UnsupportedGateError, naming the pass and the gate, instead of
+     * running a twoQubitGatesOnly() pass on a gate wider than 2Q.
      */
     void run(CompilationUnit &unit) const;
 

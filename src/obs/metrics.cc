@@ -47,9 +47,9 @@ std::string formatDouble(double v)
 // ---- Counter -----------------------------------------------------------
 
 Counter::Counter(std::string name, std::string help,
-                 const std::atomic<bool> *enabled)
+                 const std::atomic<bool> *enabled, FlightEvents flight)
     : name_(std::move(name)), help_(std::move(help)),
-      enabled_(enabled),
+      enabled_(enabled), flight_(flight == FlightEvents::Record),
       cells_(std::make_unique<detail::CounterCell[]>(detail::kSlots))
 {
 }
@@ -58,8 +58,9 @@ void Counter::add(std::int64_t n)
 {
     // The flight recorder sees every delta regardless of whether
     // the (opt-in) registry is collecting.
-    flight::record(flight::Kind::Counter, name_.c_str(), "",
-                   static_cast<double>(n));
+    if (flight_)
+        flight::record(flight::Kind::Counter, name_.c_str(), "",
+                       static_cast<double>(n));
     if (!enabled_->load(std::memory_order_relaxed))
         return;
     cells_[detail::threadSlot()].v.fetch_add(
@@ -232,7 +233,8 @@ Registry &Registry::global()
 }
 
 Counter *Registry::counter(const std::string &name,
-                           const std::string &help)
+                           const std::string &help,
+                           FlightEvents flight)
 {
     std::lock_guard lock(mu_);
     if (gauges_.count(name) || histograms_.count(name))
@@ -243,7 +245,7 @@ Counter *Registry::counter(const std::string &name,
     if (it == counters_.end())
         it = counters_
                  .emplace(name, std::unique_ptr<Counter>(new Counter(
-                                    name, help, &enabled_)))
+                                    name, help, &enabled_, flight)))
                  .first;
     return it->second.get();
 }

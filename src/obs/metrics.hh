@@ -64,13 +64,26 @@ struct alignas(64) CounterCell
 
 class Registry;
 
+/** Whether a counter's deltas also reach the flight recorder. */
+enum class FlightEvents
+{
+    Record,  //!< one flight event per add() (the default)
+    /**
+     * No flight events: for a count bumped inside numeric inner
+     * loops, whose events would push the spans a dump is for out
+     * of the 256-slot per-thread rings.
+     */
+    Skip,
+};
+
 /** Monotonically increasing sum (Prometheus `counter`). */
 class Counter
 {
   public:
     /**
      * Out of line (unlike PR 7) so every delta also reaches the
-     * always-on flight recorder before the registry enabled check.
+     * always-on flight recorder (unless registered with
+     * FlightEvents::Skip) before the registry enabled check.
      */
     void add(std::int64_t n = 1);
     void inc() { add(1); }
@@ -81,10 +94,11 @@ class Counter
   private:
     friend class Registry;
     Counter(std::string name, std::string help,
-            const std::atomic<bool> *enabled);
+            const std::atomic<bool> *enabled, FlightEvents flight);
 
     std::string name_, help_;
     const std::atomic<bool> *enabled_;
+    bool flight_;
     std::unique_ptr<detail::CounterCell[]> cells_;
 };
 
@@ -218,12 +232,13 @@ class Registry
     /**
      * Register (or fetch) a metric by name. Returned pointers are
      * stable for the registry's lifetime. Re-registering an existing
-     * name of the same type returns the existing metric (help and,
-     * for histograms, bounds of the first registration win); a name
-     * clash across types throws std::invalid_argument.
+     * name of the same type returns the existing metric (help, a
+     * counter's flight choice and a histogram's bounds of the first
+     * registration win); a name clash across types throws
+     * std::invalid_argument.
      */
-    Counter *counter(const std::string &name,
-                     const std::string &help);
+    Counter *counter(const std::string &name, const std::string &help,
+                     FlightEvents flight = FlightEvents::Record);
     Gauge *gauge(const std::string &name, const std::string &help);
     Histogram *histogram(const std::string &name,
                          const std::string &help,

@@ -88,7 +88,7 @@ Writer::gate(const circuit::Gate &g)
         f64(p);
     u32(g.payload ? 1u : 0u);
     if (g.payload)
-        matrix(*g.payload);
+        matrix(g.payload->matrix());
 }
 
 bool
@@ -260,9 +260,9 @@ Reader::gate(circuit::Gate &g)
         return false;
     if (has_payload) {
         qmath::Matrix m;
-        if (!matrix(m))
+        if (!matrix(m) || m.rows() != 4 || m.cols() != 4)
             return false;
-        g.payload = std::make_shared<const qmath::Matrix>(std::move(m));
+        g.payload = std::make_shared<const circuit::U4Payload>(m);
     }
     return true;
 }

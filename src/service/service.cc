@@ -584,6 +584,8 @@ CompileService::runJob(const Job &job)
         res.ok = true;
     } catch (const ApiException &e) {
         res.errorInfo = e.error();
+    } catch (const compiler::UnsupportedGateError &e) {
+        res.errorInfo = makeError(errc::kBadRequest, e.what());
     } catch (const std::exception &e) {
         res.errorInfo = makeError(errc::kInternal, e.what());
     } catch (...) {

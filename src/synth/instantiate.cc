@@ -309,9 +309,10 @@ instantiate(const Matrix &target, int num_qubits,
             for (size_t i = 0; i < m; ++i)
                 liftGateInto(lifted[i], slots[i].value,
                              slots[i].qubits, num_qubits);
-            // Suffix products: after[i] = G_{m-1} ... G_{i+1}.
+            // Suffix products: after[i] = G_{m-1} ... G_i. The walk
+            // below reads after[1..m] only, so after[0] is skipped.
             after[m].setIdentity(dim);
-            for (int i = static_cast<int>(m) - 1; i >= 0; --i)
+            for (int i = static_cast<int>(m) - 1; i >= 1; --i)
                 kernels::mulInto(after[i], after[i + 1], lifted[i]);
             // Walk forward keeping before = G_{i-1} ... G_0.
             before.setIdentity(dim);

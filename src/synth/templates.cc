@@ -43,7 +43,7 @@ daggerGates(const std::vector<Gate> &gates)
         const Gate &g = *it;
         if (g.op == Op::U4) {
             out.push_back(Gate::u4(g.qubits[0], g.qubits[1],
-                                   g.payload->dagger()));
+                                   g.matrix().dagger()));
         } else {
             out.push_back(circuit::u3FromMatrix(
                 g.qubits[0], g.matrix().dagger()));

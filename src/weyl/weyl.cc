@@ -6,6 +6,7 @@
 #include <numbers>
 #include <sstream>
 
+#include "obs/metrics.hh"
 #include "qmath/eig.hh"
 
 namespace reqisc::weyl
@@ -311,6 +312,12 @@ KakDecomposition
 kakDecompose(const Matrix &u)
 {
     assert(u.rows() == 4 && u.cols() == 4);
+    // Optimizer objectives decompose thousands of times per solve,
+    // so the count stays out of the flight recorder's rings.
+    static obs::Counter *const calls = obs::Registry::global().counter(
+        "reqisc_kak_decompositions_total", "KAK decompositions",
+        obs::FlightEvents::Skip);
+    calls->inc();
 
     // Normalize into SU(4), remembering the removed phase.
     const Complex det = qmath::determinant(u);

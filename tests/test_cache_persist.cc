@@ -114,7 +114,8 @@ expectSameGates(const std::vector<circuit::Gate> &a,
         EXPECT_EQ(a[i].params, b[i].params);
         ASSERT_EQ(a[i].payload != nullptr, b[i].payload != nullptr);
         if (a[i].payload)
-            expectSameMatrix(*a[i].payload, *b[i].payload);
+            expectSameMatrix(a[i].payload->matrix(),
+                             b[i].payload->matrix());
     }
 }
 

@@ -3,16 +3,23 @@
  * Tests for the circuit IR, DAG, metrics, lowering and simulators.
  */
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numbers>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "circuit/dag.hh"
 #include "circuit/lower.hh"
 #include "circuit/qasm.hh"
+#include "obs/metrics.hh"
+#include "qmath/kernels.hh"
 #include "qmath/random.hh"
 #include "qsim/density.hh"
 #include "qsim/statevector.hh"
@@ -28,6 +35,50 @@ namespace
 {
 
 constexpr double kPi = std::numbers::pi;
+
+namespace kernels = qmath::kernels;
+using test::SimdGuard;
+
+/** The kernel backends this build runs: scalar, then AVX2 if any. */
+std::vector<bool>
+kernelBackends()
+{
+    SimdGuard guard;
+    std::vector<bool> simd = {false};
+    if (kernels::setSimdEnabled(true))
+        simd.push_back(true);
+    return simd;
+}
+
+bool
+sameBits(const weyl::WeylCoord &a, const weyl::WeylCoord &b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** weyl::kakDecompose calls since construction (registry on). */
+class KakCount
+{
+  public:
+    KakCount()
+    {
+        reg_.setEnabled(true);
+        start_ = calls_->value();
+    }
+    ~KakCount() { reg_.setEnabled(was_); }
+    KakCount(const KakCount &) = delete;
+    KakCount &operator=(const KakCount &) = delete;
+
+    std::int64_t delta() const { return calls_->value() - start_; }
+
+  private:
+    obs::Registry &reg_ = obs::Registry::global();
+    bool was_ = reg_.enabled();
+    obs::Counter *calls_ =
+        reg_.counter("reqisc_kak_decompositions_total", "",
+                     obs::FlightEvents::Skip);
+    std::int64_t start_ = 0;
+};
 
 } // namespace
 
@@ -83,6 +134,110 @@ TEST(Gate, WeylCoordsOfNamedGates)
         WeylCoord::sqisw(), 1e-9));
     EXPECT_TRUE(Gate::bgate(0, 1).weylCoord().approxEqual(
         WeylCoord::bgate(), 1e-9));
+    EXPECT_THROW(Gate::ccx(0, 1, 2).weylCoord(), std::invalid_argument);
+}
+
+TEST(U4Payload, CachedDecompositionMatchesAFreshOneBitForBit)
+{
+    Rng rng(211);
+    std::vector<Matrix> inputs;
+    for (int i = 0; i < 32; ++i)
+        inputs.push_back(randomUnitary(4, rng));
+    inputs.push_back(Matrix::identity(4));
+    for (const Gate &g : {Gate::cx(0, 1), Gate::swap(0, 1),
+                          Gate::iswap(0, 1)})
+        inputs.push_back(g.matrix());
+    // The chamber's x = pi/4 face and z = 0 floor, dressed with
+    // random local gates.
+    for (const weyl::WeylCoord &c :
+         {weyl::WeylCoord{kPi / 4.0, 0.3, 0.1},
+          weyl::WeylCoord{0.5, 0.2, 0.0}}) {
+        const Matrix left =
+            kron(randomUnitary(2, rng), randomUnitary(2, rng));
+        const Matrix right =
+            kron(randomUnitary(2, rng), randomUnitary(2, rng));
+        inputs.push_back(left * weyl::canonicalGate(c) * right);
+    }
+
+    SimdGuard guard;
+    for (const bool simd : kernelBackends()) {
+        kernels::setSimdEnabled(simd);
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            SCOPED_TRACE("input " + std::to_string(i) +
+                         (simd ? " simd" : " scalar"));
+            // A fresh payload, so it decomposes under this backend.
+            const Gate g = Gate::u4(0, 1, inputs[i]);
+            ASSERT_EQ(std::memcmp(g.payload->data(), inputs[i].data(),
+                                  16 * sizeof(Complex)),
+                      0);
+            const weyl::WeylCoord coord = g.weylCoord();
+            const weyl::KakDecomposition cached = g.payload->kak();
+            const weyl::KakDecomposition fresh =
+                weyl::kakDecompose(inputs[i]);
+            EXPECT_EQ(std::memcmp(&cached.phase, &fresh.phase,
+                                  sizeof fresh.phase),
+                      0);
+            EXPECT_TRUE(test::bitIdentical(cached.a1, fresh.a1));
+            EXPECT_TRUE(test::bitIdentical(cached.a2, fresh.a2));
+            EXPECT_TRUE(test::bitIdentical(cached.b1, fresh.b1));
+            EXPECT_TRUE(test::bitIdentical(cached.b2, fresh.b2));
+            EXPECT_TRUE(sameBits(cached.coord, fresh.coord));
+            EXPECT_TRUE(sameBits(coord, fresh.coord));
+        }
+    }
+}
+
+TEST(U4Payload, DecomposesOncePerPayloadAcrossThreads)
+{
+    Rng rng(223);
+    std::vector<Gate> gates;
+    for (int i = 0; i < 64; ++i)
+        gates.push_back(Gate::u4(0, 1, randomUnitary(4, rng)));
+
+    constexpr int kThreads = 8;
+    std::vector<std::vector<weyl::WeylCoord>> seen(kThreads);
+    KakCount count;
+    {
+        std::atomic<bool> go{false};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&gates, &go, &out = seen[t]] {
+                // Copies share their payload with the originals.
+                const std::vector<Gate> copies = gates;
+                while (!go.load())
+                    std::this_thread::yield();
+                for (const Gate &g : copies)
+                    out.push_back(g.weylCoord());
+            });
+        go.store(true);
+        for (std::thread &t : threads)
+            t.join();
+    }
+    EXPECT_EQ(count.delta(), 64);
+    for (int t = 1; t < kThreads; ++t)
+        for (std::size_t i = 0; i < gates.size(); ++i)
+            EXPECT_TRUE(sameBits(seen[t][i], seen[0][i]))
+                << "thread " << t << ", gate " << i;
+}
+
+TEST(U4Payload, ExpandToCanU3ReusesTheDecomposition)
+{
+    Rng rng(227);
+    Circuit c(3);
+    for (int i = 0; i < 16; ++i) {
+        c.add(Gate::u4(i % 2, i % 2 + 1, randomUnitary(4, rng)));
+        c.add(Gate::h(i % 3));
+        c.add(Gate::can(0, 2, {0.3, 0.2, 0.1}));
+    }
+    for (const Gate &g : c)
+        if (g.is2Q())
+            (void)g.weylCoord();
+    KakCount count;
+    const Circuit expanded = expandToCanU3(c);
+    EXPECT_EQ(count.delta(), 0);
+    EXPECT_EQ(expanded.countOp(Op::U4), 0);
+    EXPECT_TRUE(buildUnitary(expanded).approxEqualUpToPhase(
+        buildUnitary(c), 1e-8));
 }
 
 TEST(Circuit, Metrics)
@@ -315,6 +470,13 @@ TEST(Lower, ExpandToCanU3)
             << g.toString();
     EXPECT_TRUE(buildUnitary(e).approxEqualUpToPhase(
         buildUnitary(c), 1e-8));
+
+    // A gate on three qubits has no {Can, U3} form; it passes through.
+    c.add(Gate::ccx(0, 1, 2));
+    e = expandToCanU3(c);
+    ASSERT_GT(e.size(), 0u);
+    EXPECT_EQ(e[e.size() - 1].op, Op::CCX);
+    EXPECT_EQ(e.countOp(Op::CCX), 1);
 }
 
 TEST(Density, PureStateMatchesStateVector)

@@ -605,12 +605,14 @@ TEST(Baselines, OutputsMatchParentDigest)
                 for (double p : g.params)
                     put(p);
                 put(g.payload != nullptr);
-                if (g.payload)
-                    for (int r = 0; r < g.payload->rows(); ++r)
-                        for (int c = 0; c < g.payload->cols(); ++c) {
-                            put((*g.payload)(r, c).real());
-                            put((*g.payload)(r, c).imag());
+                if (g.payload) {
+                    const Matrix m = g.payload->matrix();
+                    for (int r = 0; r < m.rows(); ++r)
+                        for (int c = 0; c < m.cols(); ++c) {
+                            put(m(r, c).real());
+                            put(m(r, c).imag());
                         }
+                }
                 ++gates;
             }
     char digest[17];

@@ -5,7 +5,8 @@
  * records of exited threads; control bytes in a flight dump; cuts
  * of long UTF-8 names at a character boundary; job
  * propagation into log records, spans and flight events (including
- * across BlockPool helper threads); ring wraparound eviction order;
+ * across BlockPool helper threads); counters kept out of the rings
+ * (the KAK count); ring wraparound eviction order;
  * multi-thread snapshot consistency (no torn events); the
  * job-failure dump of CompileService; and the fatal-signal dump
  * path, exercised in a death test.
@@ -25,6 +26,7 @@
 #include "obs/obs.hh"
 #include "service/service.hh"
 #include "synth/pool.hh"
+#include "weyl/weyl.hh"
 
 using namespace reqisc;
 
@@ -262,11 +264,14 @@ TEST(Flight, CapturesSpansLogsAndMetricDeltasWithJob)
     flight::clear();
     obs::Registry reg;  // local and disabled: deltas still recorded
     obs::Counter *c = reg.counter("flight_test_total", "t");
+    obs::Counter *quiet = reg.counter("flight_quiet_total", "t",
+                                      obs::FlightEvents::Skip);
     {
         obs::JobScope job("flight-job");
         obs::Span span("flight-span");
         obs::log(obs::LogLevel::Warn, "flightc", "hello flight");
         c->add(3);
+        quiet->add(5);
     }
     const auto evs = flight::snapshotEvents();
     bool sawBegin = false, sawEnd = false, sawLog = false,
@@ -277,6 +282,7 @@ TEST(Flight, CapturesSpansLogsAndMetricDeltasWithJob)
         EXPECT_GT(e.seq, lastSeq);  // merged snapshot is seq-sorted
         lastSeq = e.seq;
         const std::string name = e.name;
+        EXPECT_NE(name, "flight_quiet_total");
         if (name == "flight-span" &&
             e.kind == std::uint8_t(flight::Kind::SpanBegin))
         {
@@ -309,6 +315,29 @@ TEST(Flight, CapturesSpansLogsAndMetricDeltasWithJob)
     EXPECT_TRUE(sawEnd);
     EXPECT_TRUE(sawLog);
     EXPECT_TRUE(sawCounter);
+}
+
+TEST(Flight, KakDecompositionsLeaveTheJobSpanInTheRing)
+{
+    // More decompositions than a ring holds, as a synthesis or
+    // calibration objective makes, must not evict the job's span.
+    namespace flight = obs::flight;
+    flight::clear();
+    const qmath::Matrix cx =
+        weyl::canonicalGate(weyl::WeylCoord::cnot());
+    {
+        obs::Span span("job:kak-heavy");
+        for (std::size_t i = 0; i < 2 * flight::kRingCapacity; ++i)
+            (void)weyl::kakDecompose(cx);
+    }
+    bool sawBegin = false;
+    for (const flight::Event &e : flight::snapshotEvents())
+    {
+        EXPECT_STRNE(e.name, "reqisc_kak_decompositions_total");
+        sawBegin |= e.kind == std::uint8_t(flight::Kind::SpanBegin) &&
+                    std::string(e.name) == "job:kak-heavy";
+    }
+    EXPECT_TRUE(sawBegin);
 }
 
 TEST(Flight, WraparoundKeepsExactlyTheNewestEvents)

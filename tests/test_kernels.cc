@@ -115,14 +115,8 @@ using namespace reqisc;
 using qmath::Complex;
 using qmath::Matrix;
 using test::bitIdentical;
+using test::SimdGuard;
 namespace kernels = qmath::kernels;
-
-/** Restore the dispatch state a test toggled, exception-safe. */
-struct SimdGuard
-{
-    bool was = kernels::simdActive();
-    ~SimdGuard() { kernels::setSimdEnabled(was); }
-};
 
 // ---- Contract 1: scalar-vs-SIMD oracle -----------------------------
 

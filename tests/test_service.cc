@@ -419,6 +419,64 @@ TEST(CompileService, CircuitWiderThanTheChipIsABadRequest)
     EXPECT_TRUE(good.ok) << good.errorInfo.message;
 }
 
+TEST(CompileService, WideGatesLeftByACustomPipelineAreABadRequest)
+{
+    // hier-synth keeps the Toffoli-class and MCX gates of these jobs,
+    // so estimate (always appended) and schedule must not see them.
+    const std::vector<std::string> wide = {
+        "alu_5_71", "comparator_3_73", "encoding_7_79", "hwb_5_83",
+        "modulo_5", "rip_add_8",       "tof_5",         "grover_4"};
+    const auto bms = suite::smallSuite();
+    std::vector<std::vector<std::string>> okFlat;
+    for (const char *spec :
+         {"custom:hier-synth", "custom:hier-synth,schedule"}) {
+        SCOPED_TRACE(spec);
+        service::ServiceOptions sopts;
+        sopts.threads = 2;
+        service::CompileService svc(sopts);
+        std::vector<service::CompileRequest> batch;
+        for (const suite::Benchmark &b : bms) {
+            service::CompileRequest req;
+            req.name = b.name;
+            req.input = b.circuit;
+            req.pipelineSpec = spec;
+            batch.push_back(std::move(req));
+        }
+        svc.submitBatch(std::move(batch));
+        std::vector<std::string> flat;
+        for (const service::JobResult &r : svc.waitAll()) {
+            const bool isWide =
+                std::find(wide.begin(), wide.end(), r.name) != wide.end();
+            if (!isWide) {
+                ASSERT_TRUE(r.ok) << r.name << ": " << r.errorInfo.message;
+                for (const Gate &g : r.compiled.circuit)
+                    EXPECT_LE(g.numQubits(), 2) << r.name;
+                flat.push_back(flatten(r));
+                continue;
+            }
+            EXPECT_FALSE(r.ok) << r.name;
+            EXPECT_EQ(r.errorInfo.code, service::errc::kBadRequest)
+                << r.name;
+            // The message names the pass and the gate.
+            const std::string &msg = r.errorInfo.message;
+            const bool scheduled =
+                std::string(spec).find("schedule") != std::string::npos;
+            EXPECT_NE(msg.find(scheduled ? "pass 'schedule'"
+                                         : "pass 'estimate'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_TRUE(msg.find("'ccx q") != std::string::npos ||
+                        msg.find("'cswap q") != std::string::npos ||
+                        msg.find("'mcx q") != std::string::npos)
+                << msg;
+        }
+        EXPECT_EQ(flat.size(), bms.size() - wide.size());
+        okFlat.push_back(std::move(flat));
+    }
+    // Adding schedule changes none of the other jobs' artifacts.
+    EXPECT_EQ(okFlat[0], okFlat[1]);
+}
+
 TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
 {
     // Every malformed-QASM shape the parser rejects must surface as
@@ -698,7 +756,8 @@ TEST(SynthCache, ConcurrentLookupStoreStressIsRaceFree)
                         out.success && out.gates.size() == 1 &&
                         out.gates[0].op == Op::U4 &&
                         out.gates[0].payload &&
-                        exactMatrix(*out.gates[0].payload, locals[k]);
+                        exactMatrix(out.gates[0].payload->matrix(),
+                                    locals[k]);
                     ++(exact ? good_hits : bad_hits);
                 }
             });

@@ -427,7 +427,8 @@ circuitsIdentical(const circuit::Circuit &a, const circuit::Circuit &b)
             return ::testing::AssertionFailure()
                    << "gate " << i << ": payload presence differs";
         if (gp) {
-            const Matrix &m = *g.payload, &n = *h.payload;
+            const Matrix m = g.payload->matrix(),
+                         n = h.payload->matrix();
             if (m.rows() != n.rows() || m.cols() != n.cols())
                 return ::testing::AssertionFailure()
                        << "gate " << i << ": payload shape differs";

@@ -2,8 +2,9 @@
  * @file
  * Shared helpers for the gtest suites: matrix near-equality assertions
  * (entrywise and up-to-global-phase, the right notion for comparing
- * compiled circuits), bit-exact matrix and circuit equality, and the
- * legacy instantiation and routing oracles. Linked into every suite as
+ * compiled circuits), bit-exact matrix and circuit equality, a guard
+ * that restores the kernel backend, and the legacy instantiation and
+ * routing oracles. Linked into every suite as
  * the reqisc_test_util object library.
  */
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hh"
+#include "qmath/kernels.hh"
 #include "qmath/matrix.hh"
 #include "qmath/random.hh"
 #include "route/sabre.hh"
@@ -30,6 +32,13 @@ namespace reqisc::test
 ::testing::AssertionResult matrixNearUpToPhase(const qmath::Matrix &a,
                                                const qmath::Matrix &b,
                                                double tol);
+
+/** Restore the kernel backend a test toggled, exception-safe. */
+struct SimdGuard
+{
+    bool was = qmath::kernels::simdActive();
+    ~SimdGuard() { qmath::kernels::setSimdEnabled(was); }
+};
 
 /** Bit-exact matrix equality: memcmp of every entry. */
 ::testing::AssertionResult bitIdentical(const qmath::Matrix &a,
