@@ -519,6 +519,119 @@ TEST(PulseCachePersist, AtomicSaveLeavesNoPartialFiles)
     EXPECT_EQ(names[0], "pulse.cache");
 }
 
+// ---- Pinned file bytes -------------------------------------------------
+
+namespace
+{
+
+/** FNV-1a of a whole saved file, trailer included. */
+std::uint64_t
+fileDigest(const std::string &path)
+{
+    const std::string bytes = readFile(path);
+    return service::persist::fnv1aBytes(bytes.data(), bytes.size());
+}
+
+/** An 8x8 permutation: the identity with rows 6 and 7 exchanged. */
+Matrix
+toffoliPermutation()
+{
+    Matrix m = Matrix::identity(8);
+    m(6, 6) = m(7, 7) = 0.0;
+    m(6, 7) = m(7, 6) = 1.0;
+    return m;
+}
+
+} // namespace
+
+TEST(SynthCachePersist, SavedBytesArePinned)
+{
+    // Hand-built entries with exact fields and fixed solve times: a
+    // success entry whose gates include a U4 payload, a CAN and a U3,
+    // and a failure entry read once (a use the file records). The
+    // digest pins the header, the key order, every entry field and
+    // the trailer; a change to any of them must bump the version.
+    const std::string dir = scratchDir("synth_golden");
+    const std::string path = dir + "/synth.cache";
+
+    const Matrix hh = {{0.5, 0.5, 0.5, 0.5},
+                       {0.5, -0.5, 0.5, -0.5},
+                       {0.5, 0.5, -0.5, -0.5},
+                       {0.5, -0.5, -0.5, 0.5}};
+    synth::SynthesisResult success;
+    success.success = true;
+    success.infidelity = 0x1p-45;
+    success.blockCount = 2;
+    success.gates = {circuit::Gate::u4(0, 1, hh),
+                     circuit::Gate::can(1, 2, {0.5, 0.25, 0.125}),
+                     circuit::Gate::u3(2, 0.75, -0.5, 0.25)};
+    synth::SynthesisResult failure;
+    failure.infidelity = 0.5;
+
+    const Complex quarter[4] = {{1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0},
+                                {0.0, -1.0}};
+    Matrix phases = Matrix::identity(8);
+    for (int k = 0; k < 8; ++k)
+        phases(k, k) = quarter[k % 4];
+
+    synth::SynthesisOptions opts;
+    service::SynthCache cache;
+    cache.store(toffoliPermutation(), opts, success, 0.375);
+    cache.store(phases, opts, failure, 0.0625);
+    synth::SynthesisResult out;
+    ASSERT_TRUE(cache.lookup(phases, opts, out));  // no verification
+    ASSERT_TRUE(cache.save(path));
+    EXPECT_EQ(readFile(path).size(), 2636u);
+    EXPECT_EQ(fileDigest(path), 0x4c6a69907f559696ull)
+        << std::hex << fileDigest(path);
+}
+
+TEST(PulseCachePersist, SavedBytesArePinned)
+{
+    // Two hand-built converged solutions, one with one-qubit
+    // corrections, stored with fixed solve times; the first is read
+    // once. See SynthCachePersist.SavedBytesArePinned.
+    const std::string dir = scratchDir("pulse_golden");
+    const std::string path = dir + "/pulse.cache";
+
+    const weyl::WeylCoord c1{0.75, 0.25, 0.125};
+    const weyl::WeylCoord c2{0.5, 0.5, -0.25};
+    uarch::PulseSolution plain;
+    plain.converged = true;
+    plain.scheme = uarch::SubScheme::ND;
+    plain.tau = 1.5;
+    plain.omega1 = 0.25;
+    plain.omega2 = -0.125;
+    plain.target = plain.effective = c1;
+    plain.coordError = 0x1p-30;
+
+    const Complex i{0.0, 1.0};
+    uarch::PulseSolution corrected;
+    corrected.converged = true;
+    corrected.scheme = uarch::SubScheme::EAMinus;
+    corrected.tau = 2.25;
+    corrected.omega1 = 0.625;
+    corrected.delta = -0.375;
+    corrected.target = c2;
+    corrected.effective = {0.5, 0.5, 0.25};
+    corrected.coordError = 0x1p-40;
+    corrected.hasCorrections = true;
+    corrected.a1 = {{0.0, 1.0}, {1.0, 0.0}};
+    corrected.a2 = {{1.0, 0.0}, {0.0, -1.0}};
+    corrected.b1 = {{0.0, -i}, {i, 0.0}};
+    corrected.b2 = {{1.0, 0.0}, {0.0, i}};
+
+    service::PulseCache cache(uarch::Coupling::xy(1.0), 1e-6);
+    cache.store(c1, plain, 0.5);
+    cache.store(c2, corrected, 0.25);
+    uarch::PulseSolution out;
+    ASSERT_TRUE(cache.lookup(c1, out));
+    ASSERT_TRUE(cache.save(path));
+    EXPECT_EQ(readFile(path).size(), 656u);
+    EXPECT_EQ(fileDigest(path), 0x06efaade1de7d6afull)
+        << std::hex << fileDigest(path);
+}
+
 // ---- Service-level warm start ------------------------------------------
 
 namespace
