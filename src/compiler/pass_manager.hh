@@ -98,7 +98,8 @@ struct CompilationUnit
      * Optional observer called after every pass with the trace just
      * appended to metrics.passes — live per-pass progress for
      * callers that watch a compile from outside the worker (the
-     * daemon streams these into GET /v1/jobs/{id}). Invoked on the
+     * service records these in its job table, which status() and
+     * the daemon's GET /v1/jobs/{id} read). Invoked on the
      * compiling thread; the callback must do its own
      * synchronization and must not throw.
      */

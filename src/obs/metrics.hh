@@ -264,7 +264,7 @@ std::vector<double> defaultTimeBuckets();
 
 /**
  * Prometheus exposition of the global registry — the string the
- * future compile daemon will serve on /metrics, and what
+ * compile daemon serves on /metrics, and what
  * `reqisc-compile --metrics-out` writes.
  */
 std::string metricsSnapshot();

@@ -1,10 +1,12 @@
 #include "service/cache.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
-#include <cstring>
+#include <mutex>
 #include <tuple>
+#include <unordered_map>
 
 #include "obs/obs.hh"
 #include "service/persist.hh"
@@ -16,6 +18,14 @@ namespace reqisc::service
 namespace
 {
 
+/** One cache kind's process-wide counters. */
+struct TableMetrics
+{
+    obs::Counter *hits;
+    obs::Counter *misses;
+    obs::Counter *evictions;
+};
+
 /**
  * Process-wide cache metrics, registered lazily on first cache use.
  * These run beside the per-instance CacheCounters (which feed the
@@ -24,13 +34,9 @@ namespace
  */
 struct CacheMetrics
 {
-    obs::Counter *synthHits;
-    obs::Counter *synthMisses;
-    obs::Counter *synthEvictions;
+    TableMetrics synth;
     obs::Histogram *synthVerifySeconds;
-    obs::Counter *pulseHits;
-    obs::Counter *pulseMisses;
-    obs::Counter *pulseEvictions;
+    TableMetrics pulse;
 };
 
 CacheMetrics &cacheMetrics()
@@ -38,69 +44,68 @@ CacheMetrics &cacheMetrics()
     static CacheMetrics m = [] {
         auto &r = obs::Registry::global();
         return CacheMetrics{
-            r.counter("reqisc_synth_cache_hits_total",
-                      "SynthCache lookups served (verified)"),
-            r.counter("reqisc_synth_cache_misses_total",
-                      "SynthCache lookups not served (absent or "
-                      "failed re-verification)"),
-            r.counter("reqisc_synth_cache_evictions_total",
-                      "SynthCache LRU evictions"),
+            {r.counter("reqisc_synth_cache_hits_total",
+                       "SynthCache lookups served (verified)"),
+             r.counter("reqisc_synth_cache_misses_total",
+                       "SynthCache lookups not served (absent or "
+                       "failed re-verification)"),
+             r.counter("reqisc_synth_cache_evictions_total",
+                       "SynthCache LRU evictions")},
             r.histogram("reqisc_synth_cache_verify_seconds",
                         "Rebuild-and-compare re-verification time "
                         "of a SynthCache hit candidate"),
-            r.counter("reqisc_pulse_cache_hits_total",
-                      "PulseCache lookups served within tolerance"),
-            r.counter("reqisc_pulse_cache_misses_total",
-                      "PulseCache lookups not served"),
-            r.counter("reqisc_pulse_cache_evictions_total",
-                      "PulseCache LRU evictions"),
+            {r.counter("reqisc_pulse_cache_hits_total",
+                       "PulseCache lookups served within tolerance"),
+             r.counter("reqisc_pulse_cache_misses_total",
+                       "PulseCache lookups not served"),
+             r.counter("reqisc_pulse_cache_evictions_total",
+                       "PulseCache LRU evictions")},
         };
     }();
     return m;
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-// Persistent-file identity: magic tags, format versions (bump on any
-// layout or key-scheme change; old files are then rejected wholesale)
-// and the fingerprint quantization scale the synth keys depend on.
-constexpr std::uint32_t kSynthMagic = 0x43535152u;   // "RQSC"
-constexpr std::uint32_t kPulseMagic = 0x43505152u;   // "RQPC"
-constexpr std::uint32_t kSynthFormatVersion = 1;
-constexpr std::uint32_t kPulseFormatVersion = 1;
+// The fingerprint quantization scale the synth keys depend on.
 constexpr double kFingerprintScale = 1e12;
 
 // Parse-time sanity caps (see persist.hh: corrupt counts must fail
 // the load, not drive huge allocations).
-constexpr std::uint64_t kMaxEntries = 1ull << 22;
 constexpr std::uint64_t kMaxKeyWords = 4096;
 constexpr std::uint64_t kMaxGates = 1ull << 16;
 
-std::uint64_t
-fnv1a(const std::vector<std::int64_t> &words)
+// Persistent-file identity: magic tags ("RQSC", "RQPC") and format
+// versions (bump on any layout or key-scheme change; old files are
+// then rejected wholesale). A pulse file is bound to one coupling and
+// one cluster tolerance; anything else would serve solutions for the
+// wrong hardware or cluster classes too aggressively.
+const persist::Format kSynthFile = {"synth", 0x43535152u, 1,
+                                    {kFingerprintScale}};
+
+persist::Format
+pulseFile(const uarch::Coupling &cpl, double tol)
 {
-    std::uint64_t h = kFnvOffset;
-    for (std::int64_t w : words) {
-        auto u = static_cast<std::uint64_t>(w);
-        for (int i = 0; i < 8; ++i) {
-            h ^= (u >> (8 * i)) & 0xffu;
-            h *= kFnvPrime;
-        }
-    }
-    return h;
+    return {"pulse", 0x43505152u, 1, {cpl.a, cpl.b, cpl.c, tol}};
+}
+
+/** The key hash (it never reaches a file, so byte order is moot). */
+std::uint64_t
+hashWords(const std::int64_t *words, std::size_t n)
+{
+    return persist::fnv1aBytes(words, n * sizeof(*words));
 }
 
 /**
- * Quantized fingerprint of a unitary after canonicalizing its global
- * phase (divide by the phase of the first maximum-magnitude entry, a
- * deterministic choice). Identical inputs — and inputs differing only
- * by global phase — map to the same word sequence; anything else is
- * a different key, so a key collision never silently changes results
- * (hits are re-verified against the requested target anyway).
+ * Synth key: a quantized fingerprint of the target after
+ * canonicalizing its global phase (divide by the phase of the first
+ * maximum-magnitude entry, a deterministic choice), then the search
+ * options that determine the outcome. Identical inputs — and inputs
+ * differing only by global phase — map to the same word sequence;
+ * anything else is a different key, so a key collision never
+ * silently changes results (hits are re-verified against the
+ * requested target anyway).
  */
 std::vector<std::int64_t>
-fingerprint(const qmath::Matrix &u)
+synthKey(const qmath::Matrix &u, const synth::SynthesisOptions &opts)
 {
     const int n = u.rows();
     // First strictly-maximal-magnitude entry, scanned row-major.
@@ -116,7 +121,7 @@ fingerprint(const qmath::Matrix &u)
         }
     }
     std::vector<std::int64_t> words;
-    words.reserve(2 * n * n);
+    words.reserve(2 * n * n + 5);
     for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
             const qmath::Complex v = u(i, j) / phase;
@@ -126,41 +131,137 @@ fingerprint(const qmath::Matrix &u)
                 std::llround(v.imag() * kFingerprintScale));
         }
     }
-    return words;
-}
-
-/** Append the search options that determine the outcome. */
-void
-appendOptions(std::vector<std::int64_t> &words,
-              const synth::SynthesisOptions &opts)
-{
     words.push_back(std::llround(opts.tol * 1e15));
     words.push_back(opts.maxBlocks);
     words.push_back(opts.restarts);
     words.push_back(static_cast<std::int64_t>(opts.seed));
     words.push_back(opts.descending ? 1 : 0);
+    return words;
 }
 
-/** Exact (bit-pattern) double equality, the persistence contract. */
+/** Coordinate-lexicographic order: ties and files never depend on
+ *  container iteration order. */
 bool
-sameBits(double a, double b)
+coordLess(const weyl::WeylCoord &a, const weyl::WeylCoord &b)
 {
-    std::uint64_t ua, ub;
-    std::memcpy(&ua, &a, sizeof(ua));
-    std::memcpy(&ub, &b, sizeof(ub));
-    return ua == ub;
+    return std::tie(a.x, a.y, a.z) < std::tie(b.x, b.y, b.z);
+}
+
+void
+writeCoord(persist::Writer &w, const weyl::WeylCoord &c)
+{
+    w.f64(c.x);
+    w.f64(c.y);
+    w.f64(c.z);
+}
+
+bool
+readCoord(persist::Reader &r, weyl::WeylCoord &c)
+{
+    return r.f64(c.x) && r.f64(c.y) && r.f64(c.z);
 }
 
 } // namespace
 
+namespace detail
+{
+
+/** What an entry cost to solve and how it has been used since. */
+struct Use
+{
+    double solveSeconds = 0.0;  //!< wall time of the initial solve
+    std::int64_t uses = 0;      //!< lookups served, initial solve incl.
+    std::uint64_t lastUse = 0;  //!< LRU stamp (not persisted)
+};
+
+/**
+ * The one memo table behind both caches: each cache hashes its own
+ * keys and picks its own entries. `Entry` carries a `Use use` and
+ * names its counters in `Entry::metrics()`. Every member function
+ * requires `mu` held.
+ */
+template <class Entry>
+struct MemoTable
+{
+    std::size_t capacity = 0;
+    std::mutex mu;
+    std::unordered_multimap<std::uint64_t, Entry> entries;
+    CacheCounters stats;
+    std::uint64_t clock = 0;
+
+    /** The first entry under hash `h` that `match` accepts. */
+    template <class Match>
+    Entry *find(std::uint64_t h, const Match &match)
+    {
+        auto [it, last] = entries.equal_range(h);
+        for (; it != last; ++it)
+            if (match(it->second))
+                return &it->second;
+        return nullptr;
+    }
+
+    void miss()
+    {
+        ++stats.misses;
+        Entry::metrics().misses->inc();
+    }
+
+    /** A lookup served by `e` (nullptr: evicted since it was read). */
+    void hit(Entry *e)
+    {
+        ++stats.hits;
+        Entry::metrics().hits->inc();
+        if (e) {
+            ++e->use.uses;
+            e->use.lastUse = ++clock;
+        }
+    }
+
+    /** Admit `e`, then evict least recently used entries past capacity. */
+    void insert(std::uint64_t h, Entry e)
+    {
+        e.use.lastUse = ++clock;
+        entries.emplace(h, std::move(e));
+        while (entries.size() > capacity) {
+            auto victim = entries.begin();
+            for (auto it = entries.begin(); it != entries.end(); ++it)
+                if (it->second.use.lastUse < victim->second.use.lastUse)
+                    victim = it;
+            entries.erase(victim);
+            ++stats.evictions;
+            Entry::metrics().evictions->inc();
+        }
+    }
+};
+
+} // namespace detail
+
 // ---- SynthCache --------------------------------------------------------
 
-SynthCache::SynthCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      nshards_(capacity_ >= kStripeThreshold ? 16 : 1),
-      shardCapacity_(std::max<std::size_t>(capacity_ / nshards_, 1)),
-      shards_(std::make_unique<Shard[]>(nshards_))
+struct SynthCache::Entry
 {
+    std::vector<std::int64_t> key;
+    synth::SynthesisResult result;  //!< local qubit ids 0..2
+    detail::Use use;
+
+    static const TableMetrics &metrics() { return cacheMetrics().synth; }
+};
+
+SynthCache::SynthCache(std::size_t capacity)
+    : nshards_(capacity >= kStripeThreshold ? 16 : 1),
+      shards_(std::make_unique<Table[]>(nshards_))
+{
+    // The global bound, split evenly over the stripes.
+    for (std::size_t s = 0; s < nshards_; ++s)
+        shards_[s].capacity = std::max<std::size_t>(capacity / nshards_, 1);
+}
+
+SynthCache::~SynthCache() = default;
+
+SynthCache::Table &
+SynthCache::shardOf(std::uint64_t h) const
+{
+    return shards_[h % nshards_];
 }
 
 bool
@@ -168,31 +269,23 @@ SynthCache::lookup(const qmath::Matrix &target,
                    const synth::SynthesisOptions &opts,
                    synth::SynthesisResult &out)
 {
-    std::vector<std::int64_t> key = fingerprint(target);
-    appendOptions(key, opts);
-    const std::uint64_t h = fnv1a(key);
-    Shard &shard = shardOf(h);
+    const std::vector<std::int64_t> key = synthKey(target, opts);
+    const std::uint64_t h = hashWords(key.data(), key.size());
+    Table &t = shardOf(h);
+    const auto same = [&key](const Entry &e) { return e.key == key; };
 
     // Copy the candidate out under the lock, verify outside it: the
     // rebuild-and-compare is the expensive part of a hit, and doing
     // it in the critical section would serialize warm-cache workers.
     synth::SynthesisResult candidate;
-    bool found = false;
     {
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto [it, last] = shard.entries.equal_range(h);
-        for (; it != last; ++it) {
-            if (it->second.key == key) {
-                candidate = it->second.result;
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
-            ++shard.stats.misses;
-            cacheMetrics().synthMisses->inc();
+        std::lock_guard<std::mutex> lk(t.mu);
+        const Entry *e = t.find(h, same);
+        if (!e) {
+            t.miss();
             return false;
         }
+        candidate = e->result;
     }
     // Re-verify successful entries against the requested target; a
     // failed verification is treated as a miss (the caller
@@ -211,22 +304,12 @@ SynthCache::lookup(const qmath::Matrix &target,
                 std::chrono::steady_clock::now() - v0)
                 .count());
     }
-    std::lock_guard<std::mutex> lk(shard.mu);
+    std::lock_guard<std::mutex> lk(t.mu);
     if (!verified) {
-        ++shard.stats.misses;
-        cacheMetrics().synthMisses->inc();
+        t.miss();
         return false;
     }
-    ++shard.stats.hits;
-    cacheMetrics().synthHits->inc();
-    auto [it, last] = shard.entries.equal_range(h);
-    for (; it != last; ++it) {
-        if (it->second.key == key) {  // may have been evicted since
-            ++it->second.uses;
-            it->second.lastUse = ++clock_;
-            break;
-        }
-    }
+    t.hit(t.find(h, same));
     out = std::move(candidate);
     return true;
 }
@@ -237,40 +320,15 @@ SynthCache::store(const qmath::Matrix &target,
                   const synth::SynthesisResult &result,
                   double solve_seconds)
 {
-    std::vector<std::int64_t> key = fingerprint(target);
-    appendOptions(key, opts);
-    const std::uint64_t h = fnv1a(key);
-    Shard &shard = shardOf(h);
+    std::vector<std::int64_t> key = synthKey(target, opts);
+    const std::uint64_t h = hashWords(key.data(), key.size());
+    Table &t = shardOf(h);
 
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.stats.solveSeconds += solve_seconds;
-    auto [it, last] = shard.entries.equal_range(h);
-    for (; it != last; ++it)
-        if (it->second.key == key)
-            return;  // racing job stored the identical result first
-    Entry e;
-    e.key = std::move(key);
-    e.result = result;
-    e.solveSeconds = solve_seconds;
-    e.uses = 1;
-    e.lastUse = ++clock_;
-    shard.entries.emplace(h, std::move(e));
-    evictIfNeeded(shard);
-}
-
-void
-SynthCache::evictIfNeeded(Shard &shard)
-{
-    while (shard.entries.size() > shardCapacity_) {
-        auto victim = shard.entries.begin();
-        for (auto it = shard.entries.begin();
-             it != shard.entries.end(); ++it)
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        shard.entries.erase(victim);
-        ++shard.stats.evictions;
-        cacheMetrics().synthEvictions->inc();
-    }
+    std::lock_guard<std::mutex> lk(t.mu);
+    t.stats.solveSeconds += solve_seconds;
+    if (t.find(h, [&key](const Entry &e) { return e.key == key; }))
+        return;  // racing job stored the identical result first
+    t.insert(h, {std::move(key), result, {solve_seconds, 1}});
 }
 
 CacheCounters
@@ -304,12 +362,11 @@ SynthCache::perClass() const
     std::vector<ClassStats> out;
     for (std::size_t s = 0; s < nshards_; ++s) {
         std::lock_guard<std::mutex> lk(shards_[s].mu);
-        for (const auto &[h, e] : shards_[s].entries) {
-            (void)h;
+        for (const auto &kv : shards_[s].entries) {
             ClassStats row;
-            row.blockCount = e.result.blockCount;
-            row.uses = e.uses;
-            row.solveSeconds = e.solveSeconds;
+            row.blockCount = kv.second.result.blockCount;
+            row.uses = kv.second.use.uses;
+            row.solveSeconds = kv.second.use.solveSeconds;
             out.push_back(row);
         }
     }
@@ -319,87 +376,42 @@ SynthCache::perClass() const
 bool
 SynthCache::save(const std::string &path) const
 {
-    obs::Span span("persist:synth-save");
-    // Snapshot shard by shard, then order deterministically by key so
-    // identical cache contents always produce identical files.
-    std::vector<Entry> snapshot;
-    for (std::size_t s = 0; s < nshards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        for (const auto &[h, e] : shards_[s].entries) {
-            (void)h;
-            snapshot.push_back(e);
+    return persist::save(path, kSynthFile, [this](persist::Writer &w) {
+        // Snapshot stripe by stripe, then order deterministically by
+        // key so identical cache contents always produce identical
+        // files.
+        std::vector<Entry> snapshot;
+        for (std::size_t s = 0; s < nshards_; ++s) {
+            std::lock_guard<std::mutex> lk(shards_[s].mu);
+            for (const auto &kv : shards_[s].entries)
+                snapshot.push_back(kv.second);
         }
-    }
-    std::sort(snapshot.begin(), snapshot.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.key < b.key;
-              });
-
-    persist::Writer w;
-    w.u32(kSynthMagic);
-    w.u32(kSynthFormatVersion);
-    w.f64(kFingerprintScale);
-    w.u64(snapshot.size());
-    for (const Entry &e : snapshot) {
-        w.u64(e.key.size());
-        for (std::int64_t word : e.key)
-            w.i64(word);
-        w.u32(e.result.success ? 1u : 0u);
-        w.f64(e.result.infidelity);
-        w.u32(static_cast<std::uint32_t>(e.result.blockCount));
-        w.u64(e.result.gates.size());
-        for (const circuit::Gate &g : e.result.gates)
-            w.gate(g);
-        w.f64(e.solveSeconds);
-        w.i64(e.uses);
-    }
-    const bool ok = w.commit(path);
-    obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn,
-             "persist",
-             ok ? "synth cache saved" : "synth cache save failed",
-             {{"path", path},
-              {"entries", std::to_string(snapshot.size())}});
-    return ok;
+        std::sort(snapshot.begin(), snapshot.end(),
+                  [](const Entry &a, const Entry &b) {
+                      return a.key < b.key;
+                  });
+        for (const Entry &e : snapshot) {
+            w.u64(e.key.size());
+            for (std::int64_t word : e.key)
+                w.i64(word);
+            w.u32(e.result.success ? 1u : 0u);
+            w.f64(e.result.infidelity);
+            w.u32(static_cast<std::uint32_t>(e.result.blockCount));
+            w.u64(e.result.gates.size());
+            for (const circuit::Gate &g : e.result.gates)
+                w.gate(g);
+            w.f64(e.use.solveSeconds);
+            w.i64(e.use.uses);
+        }
+        return snapshot.size();
+    });
 }
 
 bool
 SynthCache::load(const std::string &path)
 {
-    obs::Span span("persist:synth-load");
-    std::string data;
-    if (!persist::Reader::slurp(path, data)) {
-        obs::log(obs::LogLevel::Debug, "persist",
-                 "synth cache file absent; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    persist::Reader r(std::move(data));
-    if (!r.verifyChecksum()) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "synth cache rejected: bad checksum; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    std::uint32_t magic, version;
-    if (!r.u32(magic) || magic != kSynthMagic ||
-        !r.u32(version) || version != kSynthFormatVersion) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "synth cache rejected: format mismatch; cold "
-                 "start",
-                 {{"path", path}});
-        return false;
-    }
-    double scale;
-    if (!r.f64(scale) || !sameBits(scale, kFingerprintScale))
-        return false;
-
-    // All-or-nothing: parse everything before touching the shards.
-    std::uint64_t count;
-    if (!r.u64(count) || count > kMaxEntries)
-        return false;
     std::vector<Entry> parsed;
-    parsed.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const auto parse = [&parsed](persist::Reader &r) {
         Entry e;
         std::uint64_t nwords;
         if (!r.u64(nwords) || nwords > kMaxKeyWords)
@@ -424,54 +436,54 @@ SynthCache::load(const std::string &path)
         for (std::uint64_t g = 0; g < ngates; ++g)
             if (!r.gate(e.result.gates[g]))
                 return false;
-        if (!r.f64(e.solveSeconds) || !r.i64(e.uses))
+        if (!r.f64(e.use.solveSeconds) || !r.i64(e.use.uses))
             return false;
         parsed.push_back(std::move(e));
-    }
-    if (r.remaining() != 0)
-        return false;
-
-    for (Entry &e : parsed) {
-        const std::uint64_t h = fnv1a(e.key);
-        Shard &shard = shardOf(h);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto [it, last] = shard.entries.equal_range(h);
-        bool dup = false;
-        for (; it != last; ++it) {
-            if (it->second.key == e.key) {
-                dup = true;
-                break;
-            }
+        return true;
+    };
+    const auto merge = [this, &parsed] {
+        for (Entry &e : parsed) {
+            const std::uint64_t h = hashWords(e.key.data(), e.key.size());
+            Table &t = shardOf(h);
+            std::lock_guard<std::mutex> lk(t.mu);
+            if (t.find(h, [&e](const Entry &o) { return o.key == e.key; }))
+                continue;  // live entry wins over the persisted one
+            t.insert(h, std::move(e));
         }
-        if (dup)
-            continue;  // live entry wins over the persisted one
-        e.lastUse = ++clock_;
-        shard.entries.emplace(h, std::move(e));
-        evictIfNeeded(shard);
-    }
-    obs::log(obs::LogLevel::Info, "persist", "synth cache loaded",
-             {{"path", path},
-              {"entries", std::to_string(parsed.size())}});
-    return true;
+    };
+    return persist::load(path, kSynthFile, parse, merge);
 }
 
 // ---- PulseCache --------------------------------------------------------
 
+struct PulseCache::Entry
+{
+    weyl::WeylCoord coord;
+    uarch::PulseSolution sol;
+    detail::Use use;
+
+    static const TableMetrics &metrics() { return cacheMetrics().pulse; }
+};
+
 PulseCache::PulseCache(const uarch::Coupling &cpl, double tol,
                        std::size_t capacity)
-    : cpl_(cpl), tol_(std::max(tol, 1e-12)), capacity_(capacity)
+    : cpl_(cpl), tol_(std::max(tol, 1e-12)),
+      table_(std::make_unique<Table>())
 {
+    table_->capacity = capacity;
 }
+
+PulseCache::~PulseCache() = default;
 
 std::uint64_t
 PulseCache::cellOf(const weyl::WeylCoord &c) const
 {
-    const std::vector<std::int64_t> cell = {
+    const std::array<std::int64_t, 3> cell = {
         static_cast<std::int64_t>(std::floor(c.x / tol_)),
         static_cast<std::int64_t>(std::floor(c.y / tol_)),
         static_cast<std::int64_t>(std::floor(c.z / tol_)),
     };
-    return fnv1a(cell);
+    return hashWords(cell.data(), cell.size());
 }
 
 PulseCache::Entry *
@@ -479,10 +491,6 @@ PulseCache::nearest(const weyl::WeylCoord &coord)
 {
     // Probe the coordinate's cell and all 26 neighbours so a match
     // within tolerance is found regardless of cell-boundary effects.
-    auto lexLess = [](const weyl::WeylCoord &a,
-                      const weyl::WeylCoord &b) {
-        return std::tie(a.x, a.y, a.z) < std::tie(b.x, b.y, b.z);
-    };
     Entry *best = nullptr;
     double best_dist = tol_;
     for (int dx = -1; dx <= 1; ++dx) {
@@ -492,7 +500,8 @@ PulseCache::nearest(const weyl::WeylCoord &coord)
                 probe.x += dx * tol_;
                 probe.y += dy * tol_;
                 probe.z += dz * tol_;
-                auto [it, last] = entries_.equal_range(cellOf(probe));
+                auto [it, last] =
+                    table_->entries.equal_range(cellOf(probe));
                 for (; it != last; ++it) {
                     Entry &e = it->second;
                     const double d = e.coord.distance(coord);
@@ -502,7 +511,7 @@ PulseCache::nearest(const weyl::WeylCoord &coord)
                     const bool better =
                         !best || d < best_dist - 1e-15 ||
                         (std::abs(d - best_dist) <= 1e-15 &&
-                         lexLess(e.coord, best->coord));
+                         coordLess(e.coord, best->coord));
                     if (d <= tol_ && better) {
                         best = &e;
                         best_dist = d;
@@ -518,20 +527,16 @@ bool
 PulseCache::lookup(const weyl::WeylCoord &coord,
                    uarch::PulseSolution &sol)
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(table_->mu);
     Entry *best = nearest(coord);
     // Only verified solutions are served: converged, and the solver's
     // own re-extraction matched its target class.
     if (best && best->sol.converged && best->sol.coordError <= tol_) {
-        ++best->uses;
-        best->lastUse = ++clock_;
-        ++stats_.hits;
-        cacheMetrics().pulseHits->inc();
+        table_->hit(best);
         sol = best->sol;
         return true;
     }
-    ++stats_.misses;
-    cacheMetrics().pulseMisses->inc();
+    table_->miss();
     return false;
 }
 
@@ -540,185 +545,90 @@ PulseCache::store(const weyl::WeylCoord &coord,
                   const uarch::PulseSolution &sol,
                   double solve_seconds)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.solveSeconds += solve_seconds;
+    std::lock_guard<std::mutex> lk(table_->mu);
+    table_->stats.solveSeconds += solve_seconds;
     if (!sol.converged)
         return;  // never serve unverified work; re-solve instead
     if (nearest(coord))
         return;  // racing job stored this class first
-    Entry e;
-    e.coord = coord;
-    e.sol = sol;
-    e.solveSeconds = solve_seconds;
-    e.uses = 1;
-    e.lastUse = ++clock_;
-    entries_.emplace(cellOf(coord), std::move(e));
-    evictIfNeeded();
-}
-
-void
-PulseCache::evictIfNeeded()
-{
-    while (entries_.size() > capacity_) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it)
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        entries_.erase(victim);
-        ++stats_.evictions;
-        cacheMetrics().pulseEvictions->inc();
-    }
+    table_->insert(cellOf(coord), {coord, sol, {solve_seconds, 1}});
 }
 
 CacheCounters
 PulseCache::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    std::lock_guard<std::mutex> lk(table_->mu);
+    return table_->stats;
 }
 
 std::size_t
 PulseCache::size() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return entries_.size();
+    std::lock_guard<std::mutex> lk(table_->mu);
+    return table_->entries.size();
 }
 
 std::vector<ClassStats>
 PulseCache::perClass() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(table_->mu);
     std::vector<ClassStats> out;
-    out.reserve(entries_.size());
-    for (const auto &[h, e] : entries_) {
-        (void)h;
-        ClassStats s;
-        s.coord = e.coord;
-        s.uses = e.uses;
-        s.solveSeconds = e.solveSeconds;
-        out.push_back(s);
+    out.reserve(table_->entries.size());
+    for (const auto &kv : table_->entries) {
+        ClassStats row;
+        row.coord = kv.second.coord;
+        row.uses = kv.second.use.uses;
+        row.solveSeconds = kv.second.use.solveSeconds;
+        out.push_back(row);
     }
     return out;
 }
 
-namespace
-{
-
-void
-writeCoord(persist::Writer &w, const weyl::WeylCoord &c)
-{
-    w.f64(c.x);
-    w.f64(c.y);
-    w.f64(c.z);
-}
-
-bool
-readCoord(persist::Reader &r, weyl::WeylCoord &c)
-{
-    return r.f64(c.x) && r.f64(c.y) && r.f64(c.z);
-}
-
-} // namespace
-
 bool
 PulseCache::save(const std::string &path) const
 {
-    obs::Span span("persist:pulse-save");
-    std::vector<Entry> snapshot;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        snapshot.reserve(entries_.size());
-        for (const auto &[h, e] : entries_) {
-            (void)h;
-            snapshot.push_back(e);
-        }
-    }
-    std::sort(snapshot.begin(), snapshot.end(),
-              [](const Entry &a, const Entry &b) {
-                  return std::tie(a.coord.x, a.coord.y, a.coord.z) <
-                         std::tie(b.coord.x, b.coord.y, b.coord.z);
-              });
-
-    persist::Writer w;
-    w.u32(kPulseMagic);
-    w.u32(kPulseFormatVersion);
-    w.f64(cpl_.a);
-    w.f64(cpl_.b);
-    w.f64(cpl_.c);
-    w.f64(tol_);
-    w.u64(snapshot.size());
-    for (const Entry &e : snapshot) {
-        writeCoord(w, e.coord);
-        const uarch::PulseSolution &s = e.sol;
-        w.u32(s.converged ? 1u : 0u);
-        w.u32(static_cast<std::uint32_t>(s.scheme));
-        w.f64(s.tau);
-        w.f64(s.omega1);
-        w.f64(s.omega2);
-        w.f64(s.delta);
-        writeCoord(w, s.target);
-        writeCoord(w, s.effective);
-        w.f64(s.coordError);
-        w.u32(s.hasCorrections ? 1u : 0u);
-        w.matrix(s.a1);
-        w.matrix(s.a2);
-        w.matrix(s.b1);
-        w.matrix(s.b2);
-        w.f64(e.solveSeconds);
-        w.i64(e.uses);
-    }
-    const bool ok = w.commit(path);
-    obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn,
-             "persist",
-             ok ? "pulse cache saved" : "pulse cache save failed",
-             {{"path", path},
-              {"entries", std::to_string(snapshot.size())}});
-    return ok;
+    return persist::save(
+        path, pulseFile(cpl_, tol_), [this](persist::Writer &w) {
+            std::vector<Entry> snapshot;
+            {
+                std::lock_guard<std::mutex> lk(table_->mu);
+                snapshot.reserve(table_->entries.size());
+                for (const auto &kv : table_->entries)
+                    snapshot.push_back(kv.second);
+            }
+            std::sort(snapshot.begin(), snapshot.end(),
+                      [](const Entry &a, const Entry &b) {
+                          return coordLess(a.coord, b.coord);
+                      });
+            for (const Entry &e : snapshot) {
+                writeCoord(w, e.coord);
+                const uarch::PulseSolution &s = e.sol;
+                w.u32(s.converged ? 1u : 0u);
+                w.u32(static_cast<std::uint32_t>(s.scheme));
+                w.f64(s.tau);
+                w.f64(s.omega1);
+                w.f64(s.omega2);
+                w.f64(s.delta);
+                writeCoord(w, s.target);
+                writeCoord(w, s.effective);
+                w.f64(s.coordError);
+                w.u32(s.hasCorrections ? 1u : 0u);
+                w.matrix(s.a1);
+                w.matrix(s.a2);
+                w.matrix(s.b1);
+                w.matrix(s.b2);
+                w.f64(e.use.solveSeconds);
+                w.i64(e.use.uses);
+            }
+            return snapshot.size();
+        });
 }
 
 bool
 PulseCache::load(const std::string &path)
 {
-    obs::Span span("persist:pulse-load");
-    std::string data;
-    if (!persist::Reader::slurp(path, data)) {
-        obs::log(obs::LogLevel::Debug, "persist",
-                 "pulse cache file absent; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    persist::Reader r(std::move(data));
-    if (!r.verifyChecksum()) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "pulse cache rejected: bad checksum; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    std::uint32_t magic, version;
-    if (!r.u32(magic) || magic != kPulseMagic ||
-        !r.u32(version) || version != kPulseFormatVersion) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "pulse cache rejected: format mismatch; cold "
-                 "start",
-                 {{"path", path}});
-        return false;
-    }
-    double a, b, c, tol;
-    if (!r.f64(a) || !r.f64(b) || !r.f64(c) || !r.f64(tol))
-        return false;
-    // A pulse file is bound to one coupling and one cluster
-    // tolerance; anything else would serve solutions for the wrong
-    // hardware or cluster classes too aggressively.
-    if (!sameBits(a, cpl_.a) || !sameBits(b, cpl_.b) ||
-        !sameBits(c, cpl_.c) || !sameBits(tol, tol_))
-        return false;
-
-    std::uint64_t count;
-    if (!r.u64(count) || count > kMaxEntries)
-        return false;
     std::vector<Entry> parsed;
-    parsed.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    const auto parse = [&parsed](persist::Reader &r) {
         Entry e;
         if (!readCoord(r, e.coord))
             return false;
@@ -745,27 +655,23 @@ PulseCache::load(const std::string &path)
         if (!r.matrix(s.a1) || !r.matrix(s.a2) || !r.matrix(s.b1) ||
             !r.matrix(s.b2))
             return false;
-        if (!r.f64(e.solveSeconds) || !r.i64(e.uses))
+        if (!r.f64(e.use.solveSeconds) || !r.i64(e.use.uses))
             return false;
         parsed.push_back(std::move(e));
-    }
-    if (r.remaining() != 0)
-        return false;
-
-    std::lock_guard<std::mutex> lk(mu_);
-    for (Entry &e : parsed) {
-        if (!e.sol.converged)
-            continue;  // store() never admits these; neither do we
-        if (nearest(e.coord))
-            continue;  // live entry wins over the persisted one
-        e.lastUse = ++clock_;
-        entries_.emplace(cellOf(e.coord), std::move(e));
-        evictIfNeeded();
-    }
-    obs::log(obs::LogLevel::Info, "persist", "pulse cache loaded",
-             {{"path", path},
-              {"entries", std::to_string(parsed.size())}});
-    return true;
+        return true;
+    };
+    const auto merge = [this, &parsed] {
+        std::lock_guard<std::mutex> lk(table_->mu);
+        for (Entry &e : parsed) {
+            if (!e.sol.converged)
+                continue;  // store() never admits these; neither do we
+            if (nearest(e.coord))
+                continue;  // live entry wins over the persisted one
+            const std::uint64_t cell = cellOf(e.coord);
+            table_->insert(cell, std::move(e));
+        }
+    };
+    return persist::load(path, pulseFile(cpl_, tol_), parse, merge);
 }
 
 } // namespace reqisc::service

@@ -25,40 +25,36 @@
  *    boundary a coordinate falls). Only converged, verified solutions
  *    are ever returned. A PulseCache is bound to one coupling.
  *
+ * Both keep their entries in one private table type (cache.cc) and
+ * add only their key, hit check and entry fields.
+ *
  * Concurrency. Both caches are thread-safe. The SynthCache is on the
  * hot path of intra-job parallel block resynthesis (synth::BlockPool
  * workers hammer it concurrently), so its entries are striped across
- * independently locked shards keyed by the fingerprint hash; small
- * caches (below kStripeThreshold) collapse to a single shard, which
+ * 16 independently locked tables keyed by the fingerprint hash;
+ * small caches (below kStripeThreshold) keep a single table, which
  * keeps exact global LRU semantics where capacity pressure actually
- * matters in tests. With multiple shards the capacity bound and LRU
- * eviction are per-shard — an approximation of global LRU that never
+ * matters in tests. With multiple tables the capacity bound and LRU
+ * eviction are per-table — an approximation of global LRU that never
  * affects results, only which entries survive pressure. The
- * PulseCache keeps one mutex (its critical sections are microseconds
+ * PulseCache is one table (its critical sections are microseconds
  * against milliseconds-to-seconds solves). Both are instrumented
  * with compiler::CacheCounters plus per-class solve times.
  *
- * Persistence. Both caches serialize to a single binary file
- * (save/load) in the persist.hh format: a versioned header carrying
- * everything a key's meaning depends on (the fingerprint
- * quantization scale for synthesis; coupling and tolerance for
- * pulses), then the entries, then a whole-file checksum. load() is
- * all-or-nothing: any mismatch (magic, version, header parameters)
- * or corruption (bad checksum, truncation, implausible counts)
- * returns false and leaves the cache exactly as it was — a clean
- * cold start, never an error. Saves go through an atomic rename so
- * readers never observe a partial file.
+ * Persistence. Both caches save to one binary file each through the
+ * persist.hh envelope, whose header carries everything a key's
+ * meaning depends on (the fingerprint quantization scale; the
+ * coupling and tolerance). load() is all-or-nothing: any mismatch or
+ * corruption returns false and leaves the cache exactly as it was —
+ * a clean cold start, never an error.
  */
 
 #ifndef REQISC_SERVICE_CACHE_HH
 #define REQISC_SERVICE_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/metrics.hh"
@@ -69,6 +65,11 @@ namespace reqisc::service
 {
 
 using compiler::CacheCounters;
+
+namespace detail
+{
+template <class Entry> struct MemoTable;  // cache.cc
+}
 
 /** Per-class instrumentation row (see `--stats` in reqisc-compile). */
 struct ClassStats
@@ -87,6 +88,7 @@ class SynthCache final : public synth::BlockMemo
     static constexpr std::size_t kStripeThreshold = 1024;
 
     explicit SynthCache(std::size_t capacity = 1 << 14);
+    ~SynthCache() override;
 
     bool lookup(const qmath::Matrix &target,
                 const synth::SynthesisOptions &opts,
@@ -106,48 +108,24 @@ class SynthCache final : public synth::BlockMemo
     /** Snapshot of per-entry instrumentation (unordered). */
     std::vector<ClassStats> perClass() const;
 
-    /**
-     * Serialize every entry to `path` via atomic rename.
-     * @return false on I/O failure (target left untouched).
-     */
+    /** Write every entry to `path` atomically; false on I/O failure. */
     bool save(const std::string &path) const;
 
     /**
-     * Merge entries from a file previously written by save(). Any
-     * mismatch or corruption returns false without modifying the
-     * cache (clean cold start). Already-present keys are kept.
+     * Merge entries from a file save() wrote; already-present keys
+     * are kept. Any mismatch or corruption returns false with the
+     * cache unchanged (a clean cold start).
      */
     bool load(const std::string &path);
 
   private:
-    struct Entry
-    {
-        std::vector<std::int64_t> key;
-        synth::SynthesisResult result;  //!< local qubit ids 0..2
-        double solveSeconds = 0.0;
-        std::int64_t uses = 0;
-        std::uint64_t lastUse = 0;
-    };
+    struct Entry;  //!< key, result (local qubit ids 0..2), use
+    using Table = detail::MemoTable<Entry>;
 
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_multimap<std::uint64_t, Entry> entries;
-        CacheCounters stats;
-    };
+    Table &shardOf(std::uint64_t h) const;
 
-    Shard &shardOf(std::uint64_t h) const
-    {
-        return shards_[h % nshards_];
-    }
-
-    void evictIfNeeded(Shard &s);  //!< requires s.mu held
-
-    std::size_t capacity_;       //!< global bound (sum over shards)
     std::size_t nshards_;
-    std::size_t shardCapacity_;
-    std::unique_ptr<Shard[]> shards_;
-    std::atomic<std::uint64_t> clock_{0};
+    std::unique_ptr<Table[]> shards_;
 };
 
 /** Memoization cache for per-SU(4)-class pulse solutions. */
@@ -163,6 +141,7 @@ class PulseCache final : public uarch::PulseMemo
      */
     explicit PulseCache(const uarch::Coupling &cpl, double tol = 1e-6,
                         std::size_t capacity = 1 << 14);
+    ~PulseCache() override;
 
     bool lookup(const weyl::WeylCoord &coord,
                 uarch::PulseSolution &sol) override;
@@ -180,49 +159,30 @@ class PulseCache final : public uarch::PulseMemo
     /** Snapshot of per-class instrumentation (unordered). */
     std::vector<ClassStats> perClass() const;
 
-    /**
-     * Serialize every entry to `path` via atomic rename. The header
-     * carries the bound coupling and tolerance.
-     * @return false on I/O failure (target left untouched).
-     */
+    /** As SynthCache::save; the header carries coupling and tolerance. */
     bool save(const std::string &path) const;
 
-    /**
-     * Merge entries from a file previously written by save(). The
-     * file's coupling and tolerance must match this cache's exactly
-     * (bit-for-bit); any mismatch or corruption returns false
-     * without modifying the cache (clean cold start).
-     */
+    /** As SynthCache::load; coupling and tolerance must match bit for bit. */
     bool load(const std::string &path);
 
   private:
-    struct Entry
-    {
-        weyl::WeylCoord coord;
-        uarch::PulseSolution sol;
-        double solveSeconds = 0.0;
-        std::int64_t uses = 0;
-        std::uint64_t lastUse = 0;
-    };
+    struct Entry;  //!< coordinate, solution, use
+    using Table = detail::MemoTable<Entry>;
 
     std::uint64_t cellOf(const weyl::WeylCoord &c) const;
     /**
      * The entry nearest `coord` within the tolerance, searched over
      * its cell and the 26 neighbouring cells (ties broken
      * coordinate-lexicographically), or nullptr. lookup, store and
-     * load all find a class through this one scan. Requires mu_ held.
+     * load all find a class through this one scan. Requires the
+     * table's lock held.
      */
     Entry *nearest(const weyl::WeylCoord &coord);
-    void evictIfNeeded();  //!< requires mu_ held
 
     uarch::Coupling cpl_;
     double tol_;
-    std::size_t capacity_;
-    mutable std::mutex mu_;
     /** Cell hash -> entries whose coordinate falls in that cell. */
-    std::unordered_multimap<std::uint64_t, Entry> entries_;
-    CacheCounters stats_;
-    std::uint64_t clock_ = 0;
+    std::unique_ptr<Table> table_;
 };
 
 } // namespace reqisc::service

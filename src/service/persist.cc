@@ -1,7 +1,9 @@
 #include "service/persist.hh"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
+
+#include "obs/obs.hh"
 
 namespace reqisc::service::persist
 {
@@ -14,9 +16,28 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
 // Sanity caps applied while parsing: a corrupted count field must
 // fail the read, not drive a multi-gigabyte allocation.
+constexpr std::uint64_t kMaxEntries = 1ull << 22;
 constexpr std::uint32_t kMaxDim = 256;
 constexpr std::uint32_t kMaxGateQubits = 8;
 constexpr std::uint32_t kMaxGateParams = 16;
+
+/** Append the low `n` bytes of `v`, least significant first. */
+void
+putLE(std::string &buf, std::uint64_t v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+}
+
+/** The `n`-byte little-endian value at `p`. */
+std::uint64_t
+getLE(const char *p, std::size_t n)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        v |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    return v;
+}
 
 } // namespace
 
@@ -37,15 +58,13 @@ fnv1aBytes(const void *data, std::size_t n)
 void
 Writer::u32(std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    putLE(buf_, v, 4);
 }
 
 void
 Writer::u64(std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+    putLE(buf_, v, 8);
 }
 
 void
@@ -57,10 +76,7 @@ Writer::i64(std::int64_t v)
 void
 Writer::f64(double v)
 {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+    u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void
@@ -91,13 +107,17 @@ Writer::gate(const circuit::Gate &g)
         matrix(g.payload->matrix());
 }
 
+void
+Writer::append(const Writer &tail)
+{
+    buf_ += tail.buf_;
+}
+
 bool
 Writer::commit(const std::string &path) const
 {
     std::string out = buf_;
-    const std::uint64_t sum = fnv1aBytes(out.data(), out.size());
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((sum >> (8 * i)) & 0xffu));
+    putLE(out, fnv1aBytes(out.data(), out.size()), 8);
 
     const std::string tmp = path + ".tmp";
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
@@ -146,23 +166,18 @@ Reader::verifyChecksum()
     if (end_ < 8)
         return false;
     const std::size_t body = end_ - 8;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= static_cast<std::uint64_t>(
-                      static_cast<unsigned char>(data_[body + i]))
-                  << (8 * i);
-    if (stored != fnv1aBytes(data_.data(), body))
+    if (getLE(data_.data() + body, 8) != fnv1aBytes(data_.data(), body))
         return false;
     end_ = body;
     return true;
 }
 
 bool
-Reader::bytes(void *dst, std::size_t n)
+Reader::le(std::uint64_t &v, std::size_t n)
 {
     if (end_ - pos_ < n)
         return false;
-    std::memcpy(dst, data_.data() + pos_, n);
+    v = getLE(data_.data() + pos_, n);
     pos_ += n;
     return true;
 }
@@ -170,25 +185,17 @@ Reader::bytes(void *dst, std::size_t n)
 bool
 Reader::u32(std::uint32_t &v)
 {
-    unsigned char b[4];
-    if (!bytes(b, 4))
+    std::uint64_t w;
+    if (!le(w, 4))
         return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
+    v = static_cast<std::uint32_t>(w);
     return true;
 }
 
 bool
 Reader::u64(std::uint64_t &v)
 {
-    unsigned char b[8];
-    if (!bytes(b, 8))
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return true;
+    return le(v, 8);
 }
 
 bool
@@ -207,7 +214,7 @@ Reader::f64(double &v)
     std::uint64_t bits;
     if (!u64(bits))
         return false;
-    std::memcpy(&v, &bits, sizeof(v));
+    v = std::bit_cast<double>(bits);
     return true;
 }
 
@@ -264,6 +271,74 @@ Reader::gate(circuit::Gate &g)
             return false;
         g.payload = std::make_shared<const circuit::U4Payload>(m);
     }
+    return true;
+}
+
+// ---- The file envelope -------------------------------------------------
+
+bool
+save(const std::string &path, const Format &fmt,
+     const std::function<std::size_t(Writer &)> &entries)
+{
+    obs::Span span(std::string("persist:") + fmt.kind + "-save");
+    Writer body;
+    const std::size_t count = entries(body);
+    Writer w;
+    w.u32(fmt.magic);
+    w.u32(fmt.version);
+    for (double field : fmt.header)
+        w.f64(field);
+    w.u64(count);
+    w.append(body);
+    const bool ok = w.commit(path);
+    const std::string cache = std::string(fmt.kind) + " cache ";
+    obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn, "persist",
+             cache + (ok ? "saved" : "save failed"),
+             {{"path", path}, {"entries", std::to_string(count)}});
+    return ok;
+}
+
+bool
+load(const std::string &path, const Format &fmt,
+     const std::function<bool(Reader &)> &entry,
+     const std::function<void()> &merge)
+{
+    obs::Span span(std::string("persist:") + fmt.kind + "-load");
+    const std::string cache = std::string(fmt.kind) + " cache ";
+    const auto coldStart = [&](obs::LogLevel level, const char *why) {
+        obs::log(level, "persist", cache + why + "; cold start",
+                 {{"path", path}});
+        return false;
+    };
+    std::string data;
+    if (!Reader::slurp(path, data))
+        return coldStart(obs::LogLevel::Debug, "file absent");
+    Reader r(std::move(data));
+    if (!r.verifyChecksum())
+        return coldStart(obs::LogLevel::Warn, "rejected: bad checksum");
+    std::uint32_t magic, version;
+    if (!r.u32(magic) || magic != fmt.magic || !r.u32(version) ||
+        version != fmt.version)
+        return coldStart(obs::LogLevel::Warn,
+                         "rejected: format mismatch");
+    for (double want : fmt.header) {
+        std::uint64_t bits;  // bit for bit, not ==
+        if (!r.u64(bits) || bits != std::bit_cast<std::uint64_t>(want))
+            return false;
+    }
+    // Entries are read one call at a time, so a count the bytes
+    // cannot hold fails at the first short read, having sized nothing.
+    std::uint64_t count;
+    if (!r.u64(count) || count > kMaxEntries)
+        return false;
+    for (std::uint64_t i = 0; i < count; ++i)
+        if (!entry(r))
+            return false;
+    if (r.remaining() != 0)
+        return false;
+    merge();
+    obs::log(obs::LogLevel::Info, "persist", cache + "loaded",
+             {{"path", path}, {"entries", std::to_string(count)}});
     return true;
 }
 

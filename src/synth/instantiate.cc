@@ -113,14 +113,18 @@ struct InstantiateMetrics
 
 InstantiateMetrics &instantiateMetrics()
 {
+    // Bumped once per call, thousands of times in a cold job, so
+    // neither count reaches the flight recorder's rings.
     static InstantiateMetrics m = [] {
         auto &r = obs::Registry::global();
         return InstantiateMetrics{
             r.counter("reqisc_instantiate_calls_total",
-                      "Numeric instantiation calls"),
+                      "Numeric instantiation calls",
+                      obs::FlightEvents::Skip),
             r.counter("reqisc_instantiate_ruled_out_total",
                       "Instantiation calls the light-cone "
-                      "certificate answered without sweeping"),
+                      "certificate answered without sweeping",
+                      obs::FlightEvents::Skip),
         };
     }();
     return m;

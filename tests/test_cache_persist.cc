@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -632,6 +633,163 @@ TEST(PulseCachePersist, SavedBytesArePinned)
         << std::hex << fileDigest(path);
 }
 
+// ---- Entry counts the file cannot hold ---------------------------------
+
+namespace
+{
+
+/** The entry cap of service/persist.cc, which such a count passes. */
+constexpr std::uint64_t kMaxEntries = std::uint64_t{1} << 22;
+
+/** Raw entry bytes of a crafted file. */
+using EntryBytes = std::function<void(service::persist::Writer &)>;
+
+/**
+ * A valid synth file (checksum, magic, version, scale) whose count
+ * claims `count` entries, followed by what `entries` writes.
+ */
+void
+writeSynthFile(const std::string &path, std::uint64_t count,
+               const EntryBytes &entries = {})
+{
+    service::persist::Writer w;
+    w.u32(kSynthMagic);
+    w.u32(kFormatVersion);
+    w.f64(kFingerprintScale);
+    w.u64(count);
+    if (entries)
+        entries(w);
+    ASSERT_TRUE(w.commit(path));
+}
+
+/** The pulse twin of writeSynthFile, for Coupling::xy(1.0) at 1e-6. */
+void
+writePulseFile(const std::string &path, std::uint64_t count,
+               const EntryBytes &entries = {})
+{
+    const uarch::Coupling cpl = uarch::Coupling::xy(1.0);
+    service::persist::Writer w;
+    w.u32(kPulseMagic);
+    w.u32(kFormatVersion);
+    w.f64(cpl.a);
+    w.f64(cpl.b);
+    w.f64(cpl.c);
+    w.f64(1e-6);
+    w.u64(count);
+    if (entries)
+        entries(w);
+    ASSERT_TRUE(w.commit(path));
+}
+
+} // namespace
+
+TEST(SynthCachePersist, InflatedCountIsRejectedWithoutSideEffects)
+{
+    // An empty file whose count claims 2^22 entries, which load()
+    // once reserved room for before reading any.
+    const std::string dir = scratchDir("synth_inflated");
+    const std::string path = dir + "/synth.cache";
+    writeSynthFile(path, kMaxEntries);
+    ASSERT_EQ(readFile(path).size(), 32u);
+
+    service::SynthCache cache;
+    synth::SynthesisOptions opts;
+    Rng rng(53);
+    const Matrix target = randomUnitary(8, rng);
+    cache.store(target, opts, synth::SynthesisResult{}, 0.1);
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = cache.load(path));
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(cache.size(), 1u);
+    synth::SynthesisResult out;
+    EXPECT_TRUE(cache.lookup(target, opts, out));
+}
+
+TEST(SynthCachePersist, CountMustMatchTheEntries)
+{
+    // One smallest entry (no key words, a failure, no gates) loads;
+    // the same bytes under a count of two do not.
+    const EntryBytes entry = [](service::persist::Writer &w) {
+        w.u64(0);
+        w.u32(0);
+        w.f64(1.0);
+        w.u32(0);
+        w.u64(0);
+        w.f64(0.25);
+        w.i64(1);
+    };
+
+    const std::string dir = scratchDir("synth_smallest");
+    const std::string path = dir + "/synth.cache";
+    writeSynthFile(path, 1, entry);
+    service::SynthCache exact;
+    EXPECT_TRUE(exact.load(path));
+    EXPECT_EQ(exact.size(), 1u);
+
+    writeSynthFile(path, 2, entry);
+    service::SynthCache over;
+    EXPECT_FALSE(over.load(path));
+    EXPECT_EQ(over.size(), 0u);
+}
+
+TEST(PulseCachePersist, InflatedCountIsRejectedWithoutSideEffects)
+{
+    // At about 4.5 KB per parsed entry, reserving room for this
+    // count once threw std::bad_alloc out of load().
+    const std::string dir = scratchDir("pulse_inflated");
+    const std::string path = dir + "/pulse.cache";
+    writePulseFile(path, kMaxEntries);
+    ASSERT_EQ(readFile(path).size(), 56u);
+
+    const weyl::WeylCoord cnot = weyl::WeylCoord::cnot();
+    uarch::PulseSolution sol;
+    sol.converged = true;
+    sol.target = sol.effective = cnot;
+    sol.coordError = 0.0;
+    service::PulseCache cache(uarch::Coupling::xy(1.0), 1e-6);
+    cache.store(cnot, sol, 0.1);
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = cache.load(path));
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(cache.size(), 1u);
+    uarch::PulseSolution out;
+    EXPECT_TRUE(cache.lookup(cnot, out));
+}
+
+TEST(PulseCachePersist, CountMustMatchTheEntries)
+{
+    // One smallest entry (a converged solution with 0x0 corrections)
+    // loads; the same bytes under a count of two do not.
+    const EntryBytes entry = [](service::persist::Writer &w) {
+        for (int i = 0; i < 3; ++i)
+            w.f64(0.125 * (i + 1));  // coordinate
+        w.u32(1);                    // converged
+        w.u32(0);                    // scheme ND
+        for (int i = 0; i < 4; ++i)
+            w.f64(0.5);  // tau, omega1, omega2, delta
+        for (int i = 0; i < 6; ++i)
+            w.f64(0.125 * (i % 3 + 1));  // target, effective
+        w.f64(0.0);                      // coordError
+        w.u32(0);                        // no corrections
+        for (int i = 0; i < 4; ++i)
+            w.matrix(Matrix());
+        w.f64(0.25);
+        w.i64(1);
+    };
+
+    const std::string dir = scratchDir("pulse_smallest");
+    const std::string path = dir + "/pulse.cache";
+    writePulseFile(path, 1, entry);
+    service::PulseCache exact(uarch::Coupling::xy(1.0), 1e-6);
+    EXPECT_TRUE(exact.load(path));
+    EXPECT_EQ(exact.size(), 1u);
+
+    writePulseFile(path, 2, entry);
+    service::PulseCache over(uarch::Coupling::xy(1.0), 1e-6);
+    EXPECT_FALSE(over.load(path));
+    EXPECT_EQ(over.size(), 0u);
+}
+
 // ---- Service-level warm start ------------------------------------------
 
 namespace
@@ -742,4 +900,20 @@ TEST(ServiceCachePersist, CorruptCacheFileColdStartsTheService)
     service::SynthCache check;
     EXPECT_TRUE(check.load(dir + "/synth.cache"));
     EXPECT_GT(check.size(), 0u);
+}
+
+TEST(ServiceCachePersist, InflatedCountsColdStartTheService)
+{
+    // Both files check out up to their count, which claims 2^22
+    // entries in no bytes: the service comes up cold on both caches
+    // and compiles what a service over an empty directory does.
+    std::string fresh_flat, flat;
+    (void)compileAdder5Once(scratchDir("service_inflated_ref"),
+                            /*expect_warm=*/false, &fresh_flat);
+
+    const std::string dir = scratchDir("service_inflated");
+    writeSynthFile(dir + "/synth.cache", kMaxEntries);
+    writePulseFile(dir + "/pulse.cache", kMaxEntries);
+    (void)compileAdder5Once(dir, /*expect_warm=*/false, &flat);
+    EXPECT_EQ(flat, fresh_flat);
 }

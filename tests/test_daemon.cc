@@ -440,10 +440,11 @@ TEST(DaemonProtocol, FinishedRecordsEvictPastTheCap)
 TEST(DaemonProtocol, DestructionWithJobsInFlightJoinsSafely)
 {
     // Destroying the daemon with queued and running jobs must join
-    // the compile workers before any registry state dies — their
-    // onPass/onDone callbacks lock the registry mutex up to the very
-    // last job. No assertions needed: the ASan/TSan jobs fail this
-    // test if teardown touches destroyed state.
+    // the compile workers before any state they touch dies — they
+    // record each job's passes and result in the service's job
+    // table, under its mutex, up to the very last job. No assertions
+    // needed: the ASan/TSan jobs fail this test if teardown touches
+    // destroyed state.
     Daemon dm(baseOptions());
     const int p = dm.port();
     submit(p, jobBody(suiteQasm(), "full", "running"));

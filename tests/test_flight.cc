@@ -25,6 +25,7 @@
 #include "backend/json.hh"
 #include "obs/obs.hh"
 #include "service/service.hh"
+#include "synth/instantiate.hh"
 #include "synth/pool.hh"
 #include "weyl/weyl.hh"
 
@@ -319,21 +320,33 @@ TEST(Flight, CapturesSpansLogsAndMetricDeltasWithJob)
 
 TEST(Flight, KakDecompositionsLeaveTheJobSpanInTheRing)
 {
-    // More decompositions than a ring holds, as a synthesis or
-    // calibration objective makes, must not evict the job's span.
+    // More decompositions and instantiations than a ring holds, as a
+    // synthesis or calibration objective makes, must not evict the
+    // job's span.
     namespace flight = obs::flight;
     flight::clear();
     const qmath::Matrix cx =
         weyl::canonicalGate(weyl::WeylCoord::cnot());
+    // A product structure cannot fit an entangler: the light-cone
+    // certificate answers every call, so each bumps both counts.
+    const std::vector<synth::Slot> product = {synth::Slot::free1Q(0),
+                                              synth::Slot::free1Q(1)};
     {
         obs::Span span("job:kak-heavy");
         for (std::size_t i = 0; i < 2 * flight::kRingCapacity; ++i)
             (void)weyl::kakDecompose(cx);
+        for (std::size_t i = 0; i < 2 * flight::kRingCapacity; ++i) {
+            const synth::InstantiateResult r =
+                synth::instantiate(cx, 2, product);
+            ASSERT_EQ(r.sweeps, 0);
+        }
     }
     bool sawBegin = false;
     for (const flight::Event &e : flight::snapshotEvents())
     {
         EXPECT_STRNE(e.name, "reqisc_kak_decompositions_total");
+        EXPECT_STRNE(e.name, "reqisc_instantiate_calls_total");
+        EXPECT_STRNE(e.name, "reqisc_instantiate_ruled_out_total");
         sawBegin |= e.kind == std::uint8_t(flight::Kind::SpanBegin) &&
                     std::string(e.name) == "job:kak-heavy";
     }

@@ -781,6 +781,106 @@ TEST(SynthCache, ConcurrentLookupStoreStressIsRaceFree)
     }
 }
 
+namespace
+{
+
+/** Exact (bitwise double) equality of two pulse solutions. */
+bool
+exactPulse(const uarch::PulseSolution &a, const uarch::PulseSolution &b)
+{
+    const auto sameCoord = [](const weyl::WeylCoord &u,
+                              const weyl::WeylCoord &v) {
+        return u.x == v.x && u.y == v.y && u.z == v.z;
+    };
+    return a.converged == b.converged && a.scheme == b.scheme &&
+           a.tau == b.tau && a.omega1 == b.omega1 &&
+           a.omega2 == b.omega2 && a.delta == b.delta &&
+           sameCoord(a.target, b.target) &&
+           sameCoord(a.effective, b.effective) &&
+           a.coordError == b.coordError &&
+           a.hasCorrections == b.hasCorrections &&
+           exactMatrix(a.a1, b.a1) && exactMatrix(a.a2, b.a2) &&
+           exactMatrix(a.b1, b.b1) && exactMatrix(a.b2, b.b2);
+}
+
+} // namespace
+
+TEST(PulseCache, ConcurrentLookupStoreStressIsRaceFree)
+{
+    // Run under TSan in CI: the PulseCache twin of the SynthCache
+    // stress above, on one cache under eviction pressure and on one
+    // that holds every class. Solutions are hand-built (every other
+    // one with seeded one-qubit corrections), so a hit is checked
+    // bit for bit without solving.
+    constexpr int kThreads = 8;
+    constexpr int kIters = 400;
+    constexpr int kClasses = 16;
+
+    Rng rng(103);
+    std::vector<weyl::WeylCoord> coords;
+    std::vector<uarch::PulseSolution> sols;
+    for (int i = 0; i < kClasses; ++i) {
+        const weyl::WeylCoord c{0.04 * (i + 1), 0.01 * (i % 4), 0.0};
+        uarch::PulseSolution s;
+        s.converged = true;
+        s.scheme = static_cast<uarch::SubScheme>(i % 3);
+        s.tau = 1.0 + 0.125 * i;
+        s.omega1 = 0.25 * i;
+        s.omega2 = -0.5 * i;
+        s.delta = 0.0625 * i;
+        s.target = s.effective = c;
+        s.coordError = 1e-9 * i;
+        s.hasCorrections = i % 2 == 1;
+        if (s.hasCorrections) {
+            s.a1 = randomUnitary(2, rng);
+            s.a2 = randomUnitary(2, rng);
+            s.b1 = randomUnitary(2, rng);
+            s.b2 = randomUnitary(2, rng);
+        }
+        coords.push_back(c);
+        sols.push_back(std::move(s));
+    }
+
+    for (std::size_t capacity : {std::size_t{8}, std::size_t{1} << 14}) {
+        service::PulseCache cache(uarch::Coupling::xy(1.0), 1e-6,
+                                  capacity);
+        std::atomic<std::int64_t> good_hits{0};
+        std::atomic<std::int64_t> bad_hits{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&, t] {
+                for (int i = 0; i < kIters; ++i) {
+                    const int k = (t * 7 + i) % kClasses;
+                    uarch::PulseSolution out;
+                    if (!cache.lookup(coords[k], out)) {
+                        cache.store(coords[k], sols[k], 1e-4);
+                        continue;
+                    }
+                    ++(exactPulse(out, sols[k]) ? good_hits : bad_hits);
+                }
+            });
+        }
+        for (auto &th : threads)
+            th.join();
+
+        EXPECT_EQ(bad_hits, 0);
+        const auto stats = cache.stats();
+        // Every iteration does exactly one lookup.
+        EXPECT_EQ(stats.hits + stats.misses,
+                  std::int64_t{kThreads} * kIters);
+        EXPECT_EQ(stats.hits, good_hits);
+        if (capacity < kClasses) {
+            EXPECT_EQ(cache.size(), capacity);
+            EXPECT_GT(stats.evictions, 0);
+        } else {
+            // Racing stores of one class keep one entry.
+            EXPECT_EQ(cache.size(), std::size_t{kClasses});
+            EXPECT_EQ(stats.evictions, 0);
+            EXPECT_GT(stats.hits, 0);
+        }
+    }
+}
+
 TEST(CompileService, BlockWorkersProduceBitIdenticalArtifacts)
 {
     // The tentpole's determinism contract at the service level: the
