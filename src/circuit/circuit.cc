@@ -1,6 +1,7 @@
 #include "circuit/circuit.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <sstream>
 
 namespace reqisc::circuit
@@ -9,13 +10,9 @@ namespace reqisc::circuit
 void
 Circuit::add(Gate g)
 {
-#ifndef NDEBUG
-    for (int q : g.qubits)
-        assert(q >= 0 && q < numQubits_);
-    for (size_t i = 0; i < g.qubits.size(); ++i)
-        for (size_t j = i + 1; j < g.qubits.size(); ++j)
-            assert(g.qubits[i] != g.qubits[j]);
-#endif
+    // Debug only: this is every pass's hot path, and the readers of
+    // text and disk apply the same check in every build.
+    assert(gateError(g, numQubits_).empty());
     gates_.push_back(std::move(g));
 }
 

@@ -43,7 +43,7 @@ class Circuit
     auto begin() const { return gates_.begin(); }
     auto end() const { return gates_.end(); }
 
-    /** Append a gate (qubit indices validated in debug builds). */
+    /** Append a gate (checked by gateError in debug builds). */
     void add(Gate g);
 
     /** Append all gates of another circuit. */

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
+#include "circuit/qasm.hh"
 #include "qmath/expm.hh"
 
 namespace reqisc::circuit
@@ -13,77 +14,105 @@ namespace reqisc::circuit
 
 using qmath::kI;
 
-const char *
-opName(Op op)
+namespace
 {
-    switch (op) {
-      case Op::I: return "id";
-      case Op::X: return "x";
-      case Op::Y: return "y";
-      case Op::Z: return "z";
-      case Op::H: return "h";
-      case Op::S: return "s";
-      case Op::Sdg: return "sdg";
-      case Op::T: return "t";
-      case Op::Tdg: return "tdg";
-      case Op::SX: return "sx";
-      case Op::RX: return "rx";
-      case Op::RY: return "ry";
-      case Op::RZ: return "rz";
-      case Op::U3: return "u3";
-      case Op::CX: return "cx";
-      case Op::CY: return "cy";
-      case Op::CZ: return "cz";
-      case Op::SWAP: return "swap";
-      case Op::ISWAP: return "iswap";
-      case Op::SQISW: return "sqisw";
-      case Op::B: return "b";
-      case Op::CP: return "cp";
-      case Op::RZZ: return "rzz";
-      case Op::RXX: return "rxx";
-      case Op::RYY: return "ryy";
-      case Op::CAN: return "can";
-      case Op::U4: return "u4";
-      case Op::CCX: return "ccx";
-      case Op::CCZ: return "ccz";
-      case Op::CSWAP: return "cswap";
-      case Op::PERES: return "peres";
-      case Op::MCX: return "mcx";
-    }
-    return "?";
+
+/** The op table, one row per Op in declaration order. */
+constexpr OpInfo kOps[] = {
+    {Op::I, "id", 1, 0},        {Op::X, "x", 1, 0},
+    {Op::Y, "y", 1, 0},         {Op::Z, "z", 1, 0},
+    {Op::H, "h", 1, 0},         {Op::S, "s", 1, 0},
+    {Op::Sdg, "sdg", 1, 0},     {Op::T, "t", 1, 0},
+    {Op::Tdg, "tdg", 1, 0},     {Op::SX, "sx", 1, 0},
+    {Op::RX, "rx", 1, 1},       {Op::RY, "ry", 1, 1},
+    {Op::RZ, "rz", 1, 1},       {Op::U3, "u3", 1, 3},
+    {Op::CX, "cx", 2, 0},       {Op::CY, "cy", 2, 0},
+    {Op::CZ, "cz", 2, 0},       {Op::SWAP, "swap", 2, 0},
+    {Op::ISWAP, "iswap", 2, 0}, {Op::SQISW, "sqisw", 2, 0},
+    {Op::B, "b", 2, 0},         {Op::CP, "cp", 2, 1},
+    {Op::RZZ, "rzz", 2, 1},     {Op::RXX, "rxx", 2, 1},
+    {Op::RYY, "ryy", 2, 1},     {Op::CAN, "can", 2, 3},
+    {Op::U4, "u4", 2, 0},       {Op::CCX, "ccx", 3, 0},
+    {Op::CCZ, "ccz", 3, 0},     {Op::CSWAP, "cswap", 3, 0},
+    {Op::PERES, "peres", 3, 0}, {Op::MCX, "mcx", 2, 0},
+};
+
+constexpr bool
+rowsInOpOrder()
+{
+    for (std::size_t i = 0; i < std::size(kOps); ++i)
+        if (static_cast<std::size_t>(kOps[i].op) != i)
+            return false;
+    return std::size(kOps) == static_cast<std::size_t>(Op::MCX) + 1;
+}
+static_assert(rowsInOpOrder(), "kOps must list every Op in order");
+
+} // namespace
+
+const OpInfo &
+opInfo(Op op)
+{
+    return kOps[static_cast<std::size_t>(op)];
 }
 
 bool
-opFromName(const std::string &name, Op &out)
+opFromName(std::string_view name, Op &out)
 {
-    static const std::map<std::string, Op> table = [] {
-        std::map<std::string, Op> t;
-        for (int i = 0; i <= static_cast<int>(Op::MCX); ++i) {
-            const Op op = static_cast<Op>(i);
-            if (op != Op::U4)
-                t.emplace(opName(op), op);
+    for (const OpInfo &row : kOps)
+        if (row.op != Op::U4 && name == row.name) {
+            out = row.op;
+            return true;
         }
-        return t;
-    }();
-    const auto it = table.find(name);
-    if (it == table.end())
-        return false;
-    out = it->second;
-    return true;
+    return false;
 }
 
-int
-opParamCount(Op op)
+std::string
+operandError(const std::vector<int> &qubits, int numQubits)
 {
-    switch (op) {
-      case Op::RX: case Op::RY: case Op::RZ:
-      case Op::CP: case Op::RZZ: case Op::RXX: case Op::RYY:
-        return 1;
-      case Op::U3: case Op::CAN:
-        return 3;
-      default:
-        return 0;
+    if (qubits.empty())
+        return "no qubit operands";
+    for (std::size_t a = 0; a < qubits.size(); ++a) {
+        if (qubits[a] < 0 || qubits[a] >= numQubits)
+            return "qubit index q[" + std::to_string(qubits[a]) +
+                   "] out of range for a register of " +
+                   std::to_string(numQubits);
+        for (std::size_t b = 0; b < a; ++b)
+            if (qubits[a] == qubits[b])
+                return "duplicate qubit operand q[" +
+                       std::to_string(qubits[a]) + "]";
     }
+    return {};
+}
+
+std::string
+gateError(const Gate &g, int numQubits)
+{
+    const OpInfo &row = opInfo(g.op);
+    const std::string name = std::string("'") + row.name + "'";
+    const auto wrong = [&name](const char *what, std::size_t given,
+                               const std::string &expected) {
+        return std::string("wrong ") + what + " count for " + name +
+               ": " + std::to_string(given) + " given, " + expected +
+               " expected";
+    };
+    if (g.op == Op::MCX ? g.numQubits() < row.qubits
+                        : g.numQubits() != row.qubits)
+        return wrong("qubit", g.qubits.size(),
+                     (g.op == Op::MCX ? "at least " : "") +
+                         std::to_string(row.qubits));
+    if (std::string bad = operandError(g.qubits, numQubits);
+        !bad.empty())
+        return bad;
+    if (static_cast<int>(g.params.size()) != row.params)
+        return wrong("parameter", g.params.size(),
+                     std::to_string(row.params));
+    for (double p : g.params)
+        if (!std::isfinite(p))
+            return "non-finite parameter for " + name;
+    if ((g.op == Op::U4) != (g.payload != nullptr))
+        return name + (g.payload ? " carries a matrix payload"
+                                 : " lacks its matrix payload");
+    return {};
 }
 
 namespace
@@ -334,169 +363,17 @@ std::string
 Gate::toString() const
 {
     std::ostringstream os;
-    os << opName(op);
-    if (!params.empty()) {
-        os << "(";
-        for (size_t i = 0; i < params.size(); ++i)
-            os << (i ? "," : "") << params[i];
-        os << ")";
-    }
-    for (int q : qubits)
-        os << " q" << q;
+    writeGate(os, opName(op), params, qubits);
     return os.str();
 }
 
 Gate
-Gate::simple(Op op, int q)
+Gate::make(Op op, std::vector<int> qubits, std::vector<double> params)
 {
     Gate g;
     g.op = op;
-    g.qubits = {q};
-    return g;
-}
-
-Gate
-Gate::rx(int q, double a)
-{
-    Gate g = simple(Op::RX, q);
-    g.params = {a};
-    return g;
-}
-
-Gate
-Gate::ry(int q, double a)
-{
-    Gate g = simple(Op::RY, q);
-    g.params = {a};
-    return g;
-}
-
-Gate
-Gate::rz(int q, double a)
-{
-    Gate g = simple(Op::RZ, q);
-    g.params = {a};
-    return g;
-}
-
-Gate
-Gate::u3(int q, double theta, double phi, double lambda)
-{
-    Gate g = simple(Op::U3, q);
-    g.params = {theta, phi, lambda};
-    return g;
-}
-
-Gate
-Gate::cx(int c, int t)
-{
-    Gate g;
-    g.op = Op::CX;
-    g.qubits = {c, t};
-    return g;
-}
-
-Gate
-Gate::cy(int c, int t)
-{
-    Gate g;
-    g.op = Op::CY;
-    g.qubits = {c, t};
-    return g;
-}
-
-Gate
-Gate::cz(int c, int t)
-{
-    Gate g;
-    g.op = Op::CZ;
-    g.qubits = {c, t};
-    return g;
-}
-
-Gate
-Gate::swap(int a, int b)
-{
-    Gate g;
-    g.op = Op::SWAP;
-    g.qubits = {a, b};
-    return g;
-}
-
-Gate
-Gate::iswap(int a, int b)
-{
-    Gate g;
-    g.op = Op::ISWAP;
-    g.qubits = {a, b};
-    return g;
-}
-
-Gate
-Gate::sqisw(int a, int b)
-{
-    Gate g;
-    g.op = Op::SQISW;
-    g.qubits = {a, b};
-    return g;
-}
-
-Gate
-Gate::bgate(int a, int b)
-{
-    Gate g;
-    g.op = Op::B;
-    g.qubits = {a, b};
-    return g;
-}
-
-Gate
-Gate::cp(int c, int t, double a)
-{
-    Gate g;
-    g.op = Op::CP;
-    g.qubits = {c, t};
-    g.params = {a};
-    return g;
-}
-
-Gate
-Gate::rzz(int a, int b, double t)
-{
-    Gate g;
-    g.op = Op::RZZ;
-    g.qubits = {a, b};
-    g.params = {t};
-    return g;
-}
-
-Gate
-Gate::rxx(int a, int b, double t)
-{
-    Gate g;
-    g.op = Op::RXX;
-    g.qubits = {a, b};
-    g.params = {t};
-    return g;
-}
-
-Gate
-Gate::ryy(int a, int b, double t)
-{
-    Gate g;
-    g.op = Op::RYY;
-    g.qubits = {a, b};
-    g.params = {t};
-    return g;
-}
-
-Gate
-Gate::can(int a, int b, const weyl::WeylCoord &c)
-{
-    Gate g;
-    g.op = Op::CAN;
-    g.qubits = {a, b};
-    g.params = {c.x, c.y, c.z};
+    g.qubits = std::move(qubits);
+    g.params = std::move(params);
     return g;
 }
 
@@ -504,46 +381,8 @@ Gate
 Gate::u4(int a, int b, const Matrix &m)
 {
     assert(m.rows() == 4 && m.cols() == 4);
-    Gate g;
-    g.op = Op::U4;
-    g.qubits = {a, b};
+    Gate g = make(Op::U4, {a, b});
     g.payload = std::make_shared<const U4Payload>(m);
-    return g;
-}
-
-Gate
-Gate::ccx(int c1, int c2, int t)
-{
-    Gate g;
-    g.op = Op::CCX;
-    g.qubits = {c1, c2, t};
-    return g;
-}
-
-Gate
-Gate::ccz(int c1, int c2, int t)
-{
-    Gate g;
-    g.op = Op::CCZ;
-    g.qubits = {c1, c2, t};
-    return g;
-}
-
-Gate
-Gate::cswap(int c, int a, int b)
-{
-    Gate g;
-    g.op = Op::CSWAP;
-    g.qubits = {c, a, b};
-    return g;
-}
-
-Gate
-Gate::peres(int c1, int c2, int t)
-{
-    Gate g;
-    g.op = Op::PERES;
-    g.qubits = {c1, c2, t};
     return g;
 }
 
@@ -551,9 +390,7 @@ Gate
 Gate::mcx(const std::vector<int> &controls, int target)
 {
     assert(!controls.empty());
-    Gate g;
-    g.op = Op::MCX;
-    g.qubits = controls;
+    Gate g = make(Op::MCX, controls);
     g.qubits.push_back(target);
     return g;
 }

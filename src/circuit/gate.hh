@@ -21,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "qmath/matrix.hh"
@@ -45,18 +46,27 @@ enum class Op
     CCX, CCZ, CSWAP, PERES, MCX,
 };
 
+/** One row of the op table. */
+struct OpInfo
+{
+    Op op;
+    const char *name;  //!< lowercase mnemonic ("cx", "can", ...)
+    int qubits;        //!< qubit operands; MCX takes this many or more
+    int params;        //!< angle parameters
+};
+
+/** The op table's row for `op`. */
+const OpInfo &opInfo(Op op);
+
 /** @return a short lowercase mnemonic ("cx", "can", ...). */
-const char *opName(Op op);
+inline const char *opName(Op op) { return opInfo(op).name; }
 
 /**
  * Reverse of opName for the textual formats (QASM, RQISA assembly):
  * fills `out` and returns true for every named op except the opaque
  * U4 (which carries a matrix payload and has no textual form).
  */
-bool opFromName(const std::string &name, Op &out);
-
-/** @return the number of parameters the op expects. */
-int opParamCount(Op op);
+bool opFromName(std::string_view name, Op &out);
 
 /**
  * The matrix of an opaque U4 gate together with its KAK
@@ -129,44 +139,88 @@ struct Gate
      */
     weyl::WeylCoord weylCoord() const;
 
+    /** `name(p,…) q[i],q[j]`, the gate syntax of circuit/qasm.hh. */
     std::string toString() const;
 
     // ----- Factories ---------------------------------------------------
-    static Gate x(int q) { return simple(Op::X, q); }
-    static Gate y(int q) { return simple(Op::Y, q); }
-    static Gate z(int q) { return simple(Op::Z, q); }
-    static Gate h(int q) { return simple(Op::H, q); }
-    static Gate s(int q) { return simple(Op::S, q); }
-    static Gate sdg(int q) { return simple(Op::Sdg, q); }
-    static Gate t(int q) { return simple(Op::T, q); }
-    static Gate tdg(int q) { return simple(Op::Tdg, q); }
-    static Gate sx(int q) { return simple(Op::SX, q); }
-    static Gate rx(int q, double a);
-    static Gate ry(int q, double a);
-    static Gate rz(int q, double a);
-    static Gate u3(int q, double theta, double phi, double lambda);
-    static Gate cx(int c, int t);
-    static Gate cy(int c, int t);
-    static Gate cz(int c, int t);
-    static Gate swap(int a, int b);
-    static Gate iswap(int a, int b);
-    static Gate sqisw(int a, int b);
-    static Gate bgate(int a, int b);
-    static Gate cp(int c, int t, double a);
-    static Gate rzz(int a, int b, double t);
-    static Gate rxx(int a, int b, double t);
-    static Gate ryy(int a, int b, double t);
-    static Gate can(int a, int b, const weyl::WeylCoord &c);
+    static Gate x(int q) { return make(Op::X, {q}); }
+    static Gate y(int q) { return make(Op::Y, {q}); }
+    static Gate z(int q) { return make(Op::Z, {q}); }
+    static Gate h(int q) { return make(Op::H, {q}); }
+    static Gate s(int q) { return make(Op::S, {q}); }
+    static Gate sdg(int q) { return make(Op::Sdg, {q}); }
+    static Gate t(int q) { return make(Op::T, {q}); }
+    static Gate tdg(int q) { return make(Op::Tdg, {q}); }
+    static Gate sx(int q) { return make(Op::SX, {q}); }
+    static Gate rx(int q, double a) { return make(Op::RX, {q}, {a}); }
+    static Gate ry(int q, double a) { return make(Op::RY, {q}, {a}); }
+    static Gate rz(int q, double a) { return make(Op::RZ, {q}, {a}); }
+    static Gate u3(int q, double theta, double phi, double lambda)
+    {
+        return make(Op::U3, {q}, {theta, phi, lambda});
+    }
+    static Gate cx(int c, int t) { return make(Op::CX, {c, t}); }
+    static Gate cy(int c, int t) { return make(Op::CY, {c, t}); }
+    static Gate cz(int c, int t) { return make(Op::CZ, {c, t}); }
+    static Gate swap(int a, int b) { return make(Op::SWAP, {a, b}); }
+    static Gate iswap(int a, int b) { return make(Op::ISWAP, {a, b}); }
+    static Gate sqisw(int a, int b) { return make(Op::SQISW, {a, b}); }
+    static Gate bgate(int a, int b) { return make(Op::B, {a, b}); }
+    static Gate cp(int c, int t, double a) { return make(Op::CP, {c, t}, {a}); }
+    static Gate rzz(int a, int b, double t)
+    {
+        return make(Op::RZZ, {a, b}, {t});
+    }
+    static Gate rxx(int a, int b, double t)
+    {
+        return make(Op::RXX, {a, b}, {t});
+    }
+    static Gate ryy(int a, int b, double t)
+    {
+        return make(Op::RYY, {a, b}, {t});
+    }
+    static Gate can(int a, int b, const weyl::WeylCoord &c)
+    {
+        return make(Op::CAN, {a, b}, {c.x, c.y, c.z});
+    }
     static Gate u4(int a, int b, const Matrix &m);
-    static Gate ccx(int c1, int c2, int t);
-    static Gate ccz(int c1, int c2, int t);
-    static Gate cswap(int c, int a, int b);
-    static Gate peres(int c1, int c2, int t);
+    static Gate ccx(int c1, int c2, int t)
+    {
+        return make(Op::CCX, {c1, c2, t});
+    }
+    static Gate ccz(int c1, int c2, int t)
+    {
+        return make(Op::CCZ, {c1, c2, t});
+    }
+    static Gate cswap(int c, int a, int b)
+    {
+        return make(Op::CSWAP, {c, a, b});
+    }
+    static Gate peres(int c1, int c2, int t)
+    {
+        return make(Op::PERES, {c1, c2, t});
+    }
     static Gate mcx(const std::vector<int> &controls, int target);
 
   private:
-    static Gate simple(Op op, int q);
+    static Gate make(Op op, std::vector<int> qubits,
+                     std::vector<double> params = {});
 };
+
+/**
+ * The one rule for a well-formed gate on a register of `numQubits`:
+ * the op's qubit count (two or more for MCX), operands in range and
+ * distinct, the op's parameter count, finite parameters, and a matrix
+ * payload on a U4 and on no other op. Every reader of gates from text
+ * or disk applies it. @return "" if `g` is well formed, else why not.
+ */
+std::string gateError(const Gate &g, int numQubits);
+
+/**
+ * The operand part of gateError, which also serves measurements: at
+ * least one operand, each in [0, numQubits) and none repeated.
+ */
+std::string operandError(const std::vector<int> &qubits, int numQubits);
 
 } // namespace reqisc::circuit
 

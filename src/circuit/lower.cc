@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 #include "circuit/dag.hh"
 #include "weyl/su2.hh"
@@ -176,8 +177,12 @@ decomposeMcx(const Circuit &c)
                         static_cast<int>(anc.size()) < k - 2; ++q)
             if (!used[q])
                 anc.push_back(q);
-        assert(static_cast<int>(anc.size()) == k - 2 &&
-               "MCX needs k-2 ancilla qubits");
+        if (static_cast<int>(anc.size()) < k - 2)
+            throw std::invalid_argument(
+                "'" + g.toString() + "' lacks spare wires for its " +
+                "V-chain: it needs " + std::to_string(k - 2) + ", the " +
+                std::to_string(c.numQubits()) + "-qubit register has " +
+                std::to_string(anc.size()));
         std::vector<Gate> compute;
         compute.push_back(
             Gate::ccx(g.qubits[0], g.qubits[1], anc[0]));

@@ -21,7 +21,8 @@ namespace reqisc::circuit
  * Rewrite every MCX with >= 3 controls into a clean-ancilla CCX
  * ladder. Ancillas are taken from qubits unused by the gate; the
  * caller guarantees enough idle (|0>) qubits exist, as the RevLib-
- * style benchmarks do.
+ * style benchmarks do. Throws std::invalid_argument on an MCX with k
+ * controls whose register leaves fewer than k - 2 other wires.
  */
 Circuit decomposeMcx(const Circuit &c);
 

@@ -1,6 +1,6 @@
 #include "circuit/qasm.hh"
 
-#include <cstdio>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,48 +12,104 @@ namespace reqisc::circuit
 namespace
 {
 
-std::string
-trimToken(const std::string &s)
+std::string_view
+trim(std::string_view s)
 {
     const size_t b = s.find_first_not_of(" \t\r\n");
-    if (b == std::string::npos)
-        return "";
-    const size_t e = s.find_last_not_of(" \t\r\n");
-    return s.substr(b, e - b + 1);
+    if (b == std::string_view::npos)
+        return {};
+    return s.substr(b, s.find_last_not_of(" \t\r\n") - b + 1);
+}
+
+/** `parse` (std::stoi or std::stod) over the whole trimmed token. */
+template <typename T, typename Parse>
+bool
+parseToken(std::string_view tok, T &out, Parse parse)
+{
+    const std::string t(trim(tok));
+    if (t.empty())
+        return false;
+    try {
+        size_t used = 0;
+        out = parse(t, &used);
+        return used == t.size();
+    } catch (const std::logic_error &) {
+        return false;
+    }
 }
 
 } // namespace
 
 bool
-parseTokenInt(const std::string &tok, int &out)
+parseTokenInt(std::string_view tok, int &out)
 {
-    const std::string t = trimToken(tok);
-    if (t.empty())
-        return false;
-    try {
-        size_t used = 0;
-        out = std::stoi(t, &used);
-        return used == t.size();
-    } catch (const std::logic_error &) {
-        return false;
-    }
+    return parseToken(tok, out, [](const std::string &t, size_t *used) {
+        return std::stoi(t, used);
+    });
 }
 
 bool
-parseTokenDouble(const std::string &tok, double &out)
+parseTokenDouble(std::string_view tok, double &out)
 {
-    const std::string t = trimToken(tok);
-    if (t.empty())
-        return false;
-    try {
-        size_t used = 0;
-        out = std::stod(t, &used);
-        return used == t.size();
-    } catch (const std::logic_error &) {
-        return false;
-    }
+    return parseToken(tok, out, [](const std::string &t, size_t *used) {
+        return std::stod(t, used);
+    });
 }
 
+void
+writeGate(std::ostream &os, std::string_view name,
+          const std::vector<double> &params,
+          const std::vector<int> &qubits)
+{
+    os << name;
+    if (!params.empty()) {
+        os << "(";
+        for (size_t i = 0; i < params.size(); ++i)
+            os << (i ? "," : "") << params[i];
+        os << ")";
+    }
+    os << " ";
+    for (size_t i = 0; i < qubits.size(); ++i)
+        os << (i ? "," : "") << "q[" << qubits[i] << "]";
+}
+
+std::string
+splitGate(std::string_view text, std::string_view &name, Gate &g)
+{
+    name = text.substr(0, text.find_first_of(" ("));
+    std::string_view rest = text.substr(name.size());
+    if (!rest.empty() && rest.front() == '(') {
+        const size_t close = rest.find(')');
+        if (close == std::string_view::npos)
+            return "unterminated parameter list";
+        std::string_view list = rest.substr(1, close - 1);
+        rest.remove_prefix(close + 1);
+        while (!list.empty()) {
+            const size_t comma = list.find(',');
+            const std::string_view tok = list.substr(0, comma);
+            double v = 0.0;
+            if (!parseTokenDouble(tok, v))
+                return "bad number '" + std::string(tok) + "'";
+            g.params.push_back(v);
+            list.remove_prefix(comma == std::string_view::npos
+                                   ? list.size()
+                                   : comma + 1);
+        }
+    }
+    for (size_t pos = 0;
+         (pos = rest.find("q[", pos)) != std::string_view::npos;) {
+        const size_t rb = rest.find(']', pos);
+        if (rb == std::string_view::npos)
+            return "unterminated qubit operand";
+        const std::string_view tok = rest.substr(pos + 2, rb - pos - 2);
+        int q = 0;
+        if (!parseTokenInt(tok, q))
+            return "bad integer '" + std::string(tok) + "'";
+        g.qubits.push_back(q);
+        pos = rb + 1;
+    }
+    return {};
+}
 
 std::string
 toQasm(const Circuit &input)
@@ -70,16 +126,7 @@ toQasm(const Circuit &input)
     os << "qreg q[" << c.numQubits() << "];\n";
     os.precision(17);
     for (const Gate &g : c) {
-        os << opName(g.op);
-        if (!g.params.empty()) {
-            os << "(";
-            for (size_t i = 0; i < g.params.size(); ++i)
-                os << (i ? "," : "") << g.params[i];
-            os << ")";
-        }
-        os << " ";
-        for (size_t i = 0; i < g.qubits.size(); ++i)
-            os << (i ? "," : "") << "q[" << g.qubits[i] << "]";
+        writeGate(os, opName(g.op), g.params, g.qubits);
         os << ";\n";
     }
     return os.str();
@@ -88,108 +135,51 @@ toQasm(const Circuit &input)
 Circuit
 fromQasm(const std::string &text)
 {
-    std::istringstream is(text);
-    std::string line;
     Circuit c;
     int lineno = 0;
     auto fail = [&](const std::string &msg) {
         throw std::runtime_error("qasm parse error at line " +
                                  std::to_string(lineno) + ": " + msg);
     };
-    // Strict-token wrappers so malformed numbers surface as clean
-    // parse errors with a line number instead of bare exceptions.
-    auto parseInt = [&](const std::string &tok) {
-        int v = 0;
-        if (!parseTokenInt(tok, v))
-            fail("bad integer '" + tok + "'");
-        return v;
-    };
-    auto parseDouble = [&](const std::string &tok) {
-        double v = 0.0;
-        if (!parseTokenDouble(tok, v))
-            fail("bad number '" + tok + "'");
-        return v;
-    };
-    while (std::getline(is, line)) {
+    for (std::string_view rest = text; !rest.empty();) {
+        const size_t nl = rest.find('\n');
+        std::string_view line = rest.substr(0, nl);
+        rest.remove_prefix(nl == std::string_view::npos ? rest.size()
+                                                        : nl + 1);
         ++lineno;
         // Strip comments and whitespace.
-        const size_t comment = line.find("//");
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
-        size_t begin = line.find_first_not_of(" \t\r");
-        if (begin == std::string::npos)
-            continue;
-        size_t end = line.find_last_not_of(" \t\r");
-        line = line.substr(begin, end - begin + 1);
-        if (line.empty() || line.rfind("OPENQASM", 0) == 0)
+        line = trim(line.substr(0, line.find("//")));
+        if (line.empty() || line.starts_with("OPENQASM"))
             continue;
         if (line.back() != ';')
             fail("missing ';'");
-        line.pop_back();
-        if (line.rfind("qreg", 0) == 0) {
+        line.remove_suffix(1);
+        if (line.starts_with("qreg")) {
             const size_t lb = line.find('[');
             const size_t rb = line.find(']');
-            if (lb == std::string::npos || rb == std::string::npos ||
-                rb < lb)
+            if (lb == std::string_view::npos ||
+                rb == std::string_view::npos || rb < lb)
                 fail("malformed qreg");
-            const int n =
-                parseInt(line.substr(lb + 1, rb - lb - 1));
+            const std::string_view size = line.substr(lb + 1, rb - lb - 1);
+            int n = 0;
+            if (!parseTokenInt(size, n))
+                fail("bad integer '" + std::string(size) + "'");
             if (n <= 0)
                 fail("qreg size must be positive");
             c = Circuit(n);
             continue;
         }
-        // "<name>(p,..)? q[i],q[j],..."
-        size_t sp = line.find_first_of(" (");
-        if (sp == std::string::npos)
-            fail("malformed gate line");
-        const std::string name = line.substr(0, sp);
         Gate g;
+        std::string_view name;
+        if (const std::string bad = splitGate(line, name, g); !bad.empty())
+            fail(bad);
         if (!opFromName(name, g.op))
-            fail("unknown op '" + name + "'");
-        size_t cursor = sp;
-        if (line[sp] == '(') {
-            const size_t close = line.find(')', sp);
-            if (close == std::string::npos)
-                fail("unterminated parameter list");
-            std::string params = line.substr(sp + 1, close - sp - 1);
-            std::istringstream ps(params);
-            std::string tok;
-            while (std::getline(ps, tok, ','))
-                g.params.push_back(parseDouble(tok));
-            cursor = close + 1;
-        }
-        // Qubit operands.
-        std::string rest = line.substr(cursor);
-        size_t pos = 0;
-        while ((pos = rest.find("q[", pos)) != std::string::npos) {
-            const size_t rb = rest.find(']', pos);
-            if (rb == std::string::npos)
-                fail("unterminated qubit operand");
-            g.qubits.push_back(
-                parseInt(rest.substr(pos + 2, rb - pos - 2)));
-            pos = rb + 1;
-        }
-        if (g.qubits.empty())
-            fail("gate with no qubits");
+            fail("unknown op '" + std::string(name) + "'");
         if (c.numQubits() == 0)
             fail("gate before qreg declaration");
-        for (int q : g.qubits)
-            if (q < 0 || q >= c.numQubits())
-                fail("qubit index q[" + std::to_string(q) +
-                     "] out of range for qreg of size " +
-                     std::to_string(c.numQubits()));
-        for (size_t a = 0; a < g.qubits.size(); ++a)
-            for (size_t b = a + 1; b < g.qubits.size(); ++b)
-                if (g.qubits[a] == g.qubits[b])
-                    fail("duplicate qubit operand q[" +
-                         std::to_string(g.qubits[a]) + "]");
-        if (g.op != Op::MCX &&
-            opParamCount(g.op) !=
-                static_cast<int>(g.params.size()) &&
-            !(g.op == Op::CAN && g.params.size() == 3) &&
-            !(g.op == Op::U3 && g.params.size() == 3))
-            fail("wrong parameter count for '" + name + "'");
+        if (const std::string bad = gateError(g, c.numQubits());
+            !bad.empty())
+            fail(bad);
         c.add(std::move(g));
     }
     return c;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Textual circuit serialization (OpenQASM-2-flavoured).
+ * Textual circuit serialization (OpenQASM-2-flavoured) and the one
+ * gate syntax of every textual format.
  *
  * The paper's artifact emits QASM for every compiled benchmark; this
  * is the equivalent interchange path. All named ops round-trip;
@@ -8,12 +9,18 @@
  * Gate parameters are written as radians with 17 significant digits
  * (round-trip exact for doubles); the non-standard "can" mnemonic
  * carries the Weyl coordinates (x, y, z) as its three parameters.
+ *
+ * A gate reads `name(p,…) q[i],q[j]` in QASM, in RQISA assembly
+ * (isa/assembly.hh) and in Gate::toString: writeGate writes it and
+ * splitGate splits it, and each reader then applies gateError.
  */
 
 #ifndef REQISC_CIRCUIT_QASM_HH
 #define REQISC_CIRCUIT_QASM_HH
 
+#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.hh"
 
@@ -25,9 +32,29 @@ std::string toQasm(const Circuit &c);
 
 /**
  * Parse a circuit written by toQasm (or hand-written in the same
- * dialect). Throws std::runtime_error on malformed input.
+ * dialect). Throws std::runtime_error on malformed input, a gate
+ * that fails gateError included.
  */
 Circuit fromQasm(const std::string &text);
+
+/**
+ * Write one gate: the name, its parameters (if any) in parentheses
+ * at the stream's precision, a space, then the comma-separated
+ * `q[i]` operands.
+ */
+void writeGate(std::ostream &os, std::string_view name,
+               const std::vector<double> &params,
+               const std::vector<int> &qubits);
+
+/**
+ * Split the text writeGate writes. The name runs to the first ' ' or
+ * '('; a parenthesized, comma-separated parameter list may follow,
+ * and every `q[i]` after it is an operand. Fills `name` and a fresh
+ * gate's `params` and `qubits` (the op is the caller's to resolve).
+ * @return "" or why the text does not split.
+ */
+std::string splitGate(std::string_view text, std::string_view &name,
+                      Gate &g);
 
 /**
  * Strict numeric-token parsers shared by the textual formats (QASM
@@ -35,8 +62,8 @@ Circuit fromQasm(const std::string &text);
  * then the whole token must parse — trailing garbage, overflow and
  * empty tokens all return false instead of throwing.
  */
-bool parseTokenInt(const std::string &tok, int &out);
-bool parseTokenDouble(const std::string &tok, double &out);
+bool parseTokenInt(std::string_view tok, int &out);
+bool parseTokenDouble(std::string_view tok, double &out);
 
 } // namespace reqisc::circuit
 

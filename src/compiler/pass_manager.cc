@@ -146,8 +146,14 @@ class TemplateSynthPass final : public Pass
     std::string name() const override { return "synth"; }
     void run(CompilationUnit &u) override
     {
-        u.circuit =
-            templateSynthesis(circuit::decomposeMcx(u.circuit));
+        circuit::Circuit lowered;
+        try {
+            lowered = circuit::decomposeMcx(u.circuit);
+        } catch (const std::invalid_argument &e) {
+            throw UnsupportedGateError("pass 'synth': " +
+                                       std::string(e.what()));
+        }
+        u.circuit = templateSynthesis(lowered);
     }
 };
 

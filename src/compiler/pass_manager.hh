@@ -135,8 +135,9 @@ class Pass
 /**
  * Thrown by PassManager::run before a twoQubitGatesOnly() pass whose
  * active artifact holds a gate on three or more qubits, as a custom
- * pass list without `synth` leaves an MCX. The service reports it as
- * a bad-request.
+ * pass list without `synth` leaves an MCX, and by `synth` on an MCX
+ * whose register lacks the spare wires decomposeMcx needs. The
+ * service reports it as a bad-request.
  */
 class UnsupportedGateError : public std::invalid_argument
 {

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "circuit/qasm.hh"  // shared strict numeric-token parsers
+#include "circuit/qasm.hh"  // the gate syntax and numeric tokens
 
 namespace reqisc::isa
 {
@@ -49,29 +49,20 @@ toAssembly(const Program &p)
     os.precision(17);
     os << kHeader << "\n";
     os << "qubits " << p.numQubits() << ";\n";
+    const std::vector<double> none;  // a measurement writes no params
     for (const Instruction &i : p.instructions()) {
+        const bool meas = i.kind == Instruction::Kind::Measure;
+        // Opaque matrix payloads have no textual form; a 'u4' line
+        // could never round-trip, so refuse loudly.
+        if (!meas && i.gate.op == circuit::Op::U4)
+            throw std::invalid_argument(
+                "isa::toAssembly: opaque u4 block has no RQISA "
+                "form; expand to {Can, U3} "
+                "(circuit::expandToCanU3) before scheduling");
         os << "@" << i.start << " ";
-        if (i.kind == Instruction::Kind::Measure) {
-            os << kMeasureMnemonic;
-        } else {
-            // Opaque matrix payloads have no textual form; a 'u4'
-            // line could never round-trip, so refuse loudly.
-            if (i.gate.op == circuit::Op::U4)
-                throw std::invalid_argument(
-                    "isa::toAssembly: opaque u4 block has no RQISA "
-                    "form; expand to {Can, U3} "
-                    "(circuit::expandToCanU3) before scheduling");
-            os << circuit::opName(i.gate.op);
-            if (!i.gate.params.empty()) {
-                os << "(";
-                for (size_t k = 0; k < i.gate.params.size(); ++k)
-                    os << (k ? "," : "") << i.gate.params[k];
-                os << ")";
-            }
-        }
-        os << " ";
-        for (size_t k = 0; k < i.qubits().size(); ++k)
-            os << (k ? "," : "") << "q[" << i.qubits()[k] << "]";
+        circuit::writeGate(
+            os, meas ? kMeasureMnemonic : circuit::opName(i.gate.op),
+            meas ? none : i.gate.params, i.qubits());
         os << " dur " << i.duration << ";\n";
     }
     return os.str();
@@ -127,56 +118,28 @@ fromAssembly(const std::string &text)
             fail(lineno, "missing mnemonic");
         Instruction instr;
         instr.start = parseDouble(line.substr(1, sp0 - 1), lineno);
-
-        size_t cursor = sp0 + 1;
-        const size_t mn_end = line.find_first_of(" (", cursor);
-        if (mn_end == std::string::npos)
-            fail(lineno, "missing operands");
-        const std::string mnemonic =
-            line.substr(cursor, mn_end - cursor);
-        if (mnemonic == kMeasureMnemonic) {
-            instr.kind = Instruction::Kind::Measure;
-            instr.gate.op = circuit::Op::I;
-        } else if (!circuit::opFromName(mnemonic, instr.gate.op)) {
-            fail(lineno, "unknown mnemonic '" + mnemonic + "'");
-        }
-        cursor = mn_end;
-        if (line[cursor] == '(') {
-            if (instr.kind == Instruction::Kind::Measure)
-                fail(lineno, "meas takes no parameters");
-            const size_t close = line.find(')', cursor);
-            if (close == std::string::npos)
-                fail(lineno, "unterminated parameter list");
-            std::istringstream ps(
-                line.substr(cursor + 1, close - cursor - 1));
-            std::string tok;
-            while (std::getline(ps, tok, ','))
-                instr.gate.params.push_back(parseDouble(tok, lineno));
-            cursor = close + 1;
-        }
-        const size_t dur_kw = line.find(" dur ", cursor);
+        const size_t dur_kw = line.find(" dur ", sp0 + 1);
         if (dur_kw == std::string::npos)
             fail(lineno, "missing 'dur' field");
-        std::string operands = line.substr(cursor, dur_kw - cursor);
-        size_t pos = 0;
-        while ((pos = operands.find("q[", pos)) !=
-               std::string::npos) {
-            const size_t rb = operands.find(']', pos);
-            if (rb == std::string::npos)
-                fail(lineno, "unterminated qubit operand");
-            instr.gate.qubits.push_back(parseInt(
-                operands.substr(pos + 2, rb - pos - 2), lineno));
-            pos = rb + 1;
+        std::string_view mnemonic;
+        std::string bad = circuit::splitGate(
+            std::string_view(line).substr(sp0 + 1, dur_kw - sp0 - 1),
+            mnemonic, instr.gate);
+        if (!bad.empty())
+            fail(lineno, bad);
+        if (mnemonic == kMeasureMnemonic) {
+            if (!instr.gate.params.empty())
+                fail(lineno, "meas takes no parameters");
+            instr.kind = Instruction::Kind::Measure;
+            bad = circuit::operandError(instr.qubits(), p.numQubits());
+        } else if (circuit::opFromName(mnemonic, instr.gate.op)) {
+            bad = circuit::gateError(instr.gate, p.numQubits());
+        } else {
+            bad = "unknown mnemonic '" + std::string(mnemonic) + "'";
         }
-        if (instr.gate.qubits.empty())
-            fail(lineno, "instruction with no qubits");
+        if (!bad.empty())
+            fail(lineno, bad);
         instr.duration = parseDouble(line.substr(dur_kw + 5), lineno);
-        if (instr.kind == Instruction::Kind::Gate &&
-            circuit::opParamCount(instr.gate.op) !=
-                static_cast<int>(instr.gate.params.size()) &&
-            instr.gate.op != circuit::Op::MCX)
-            fail(lineno, "wrong parameter count for '" + mnemonic +
-                             "'");
         p.add(std::move(instr));
     }
     if (!saw_header)

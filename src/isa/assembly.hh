@@ -21,8 +21,10 @@
  *   @2.4714414690791831 meas q[0] dur 10;
  *   @2.4714414690791831 meas q[1] dur 10;
  *
- * The parser enforces the Program invariants (qubit exclusivity,
- * operand ranges) on ingest, so a parsed program is always valid.
+ * Gates share circuit/qasm.hh's syntax and are checked by
+ * circuit::gateError line by line; the parser enforces the other
+ * Program invariants (qubit exclusivity) on ingest, so a parsed
+ * program is always valid.
  */
 
 #ifndef REQISC_ISA_ASSEMBLY_HH

@@ -108,20 +108,14 @@ Program::validate(const route::Topology *topo) const
             complain(idx, "negative or non-finite start time");
         if (!std::isfinite(i.duration) || i.duration < 0.0)
             complain(idx, "negative or non-finite duration");
-        if (i.qubits().empty())
-            complain(idx, "no qubit operands");
-        bool in_range = true;
-        for (int q : i.qubits())
-            if (q < 0 || q >= numQubits_) {
-                complain(idx, "qubit index out of range");
-                in_range = false;
-            }
-        for (size_t a = 0; a < i.qubits().size(); ++a)
-            for (size_t b = a + 1; b < i.qubits().size(); ++b)
-                if (i.qubits()[a] == i.qubits()[b])
-                    complain(idx, "duplicate qubit operand");
-        if (!in_range)
+        const std::string bad =
+            i.kind == Instruction::Kind::Gate
+                ? circuit::gateError(i.gate, numQubits_)
+                : circuit::operandError(i.qubits(), numQubits_);
+        if (!bad.empty()) {
+            complain(idx, bad);
             continue;
+        }
         if (topo && i.kind == Instruction::Kind::Gate &&
             i.qubits().size() == 2 &&
             !topo->connected(i.qubits()[0], i.qubits()[1]))

@@ -12,7 +12,9 @@
  *  - qubit exclusivity: two instructions sharing a qubit never
  *    overlap in time,
  *  - starts and durations are finite and non-negative,
- *  - qubit operands are in range and distinct per instruction,
+ *  - every gate passes circuit::gateError (qubit and parameter
+ *    counts, operands in range and distinct, finite parameters), and
+ *    a measurement's operands are in range and distinct,
  *  - with a topology, every 2Q instruction acts on a connected pair.
  *
  * Times are in 1/g units (isa/duration_model.hh). Instruction order

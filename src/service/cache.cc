@@ -432,9 +432,11 @@ SynthCache::load(const std::string &path)
         std::uint64_t ngates;
         if (!r.u64(ngates) || ngates > kMaxGates)
             return false;
+        // Cached gates carry local ids 0..2, which hit verification
+        // indexes.
         e.result.gates.resize(ngates);
-        for (std::uint64_t g = 0; g < ngates; ++g)
-            if (!r.gate(e.result.gates[g]))
+        for (circuit::Gate &g : e.result.gates)
+            if (!r.gate(g) || !circuit::gateError(g, 3).empty())
                 return false;
         if (!r.f64(e.use.solveSeconds) || !r.i64(e.use.uses))
             return false;

@@ -732,6 +732,70 @@ TEST(SynthCachePersist, CountMustMatchTheEntries)
     EXPECT_EQ(over.size(), 0u);
 }
 
+// ---- Cached gates the hit verification would misread -------------------
+
+namespace
+{
+
+/**
+ * Save a valid-checksum synth file whose one success entry, keyed on
+ * the Toffoli permutation, holds `gate` alone; return its path.
+ */
+std::string
+saveEntryWithGate(const std::string &name, const circuit::Gate &gate)
+{
+    const std::string path = scratchDir(name) + "/synth.cache";
+    synth::SynthesisResult result;
+    result.success = true;
+    result.blockCount = 1;
+    result.gates = {gate};
+    service::SynthCache cache;
+    cache.store(toffoliPermutation(), synth::SynthesisOptions{}, result,
+                0.5);
+    EXPECT_TRUE(cache.save(path));
+    return path;
+}
+
+/**
+ * load() refuses the file and the lookup of its key misses. Before
+ * load checked each gate, such a file loaded and the first lookup
+ * read out of range in hit verification (a segfault).
+ */
+void
+expectRejectedOnLoad(const std::string &path)
+{
+    service::SynthCache cache;
+    bool loaded = true;
+    EXPECT_NO_THROW(loaded = cache.load(path));
+    EXPECT_FALSE(loaded);
+    EXPECT_EQ(cache.size(), 0u);
+    synth::SynthesisResult out;
+    EXPECT_FALSE(
+        cache.lookup(toffoliPermutation(), synth::SynthesisOptions{}, out));
+}
+
+} // namespace
+
+TEST(SynthCachePersist, GateOnAQubitPastTheBlockIsRejected)
+{
+    // Cached gates carry the block's local ids 0..2.
+    expectRejectedOnLoad(saveEntryWithGate(
+        "synth_qubit7", circuit::Gate::u3(7, 0.5, 0.25, 0.125)));
+    // The same entry on qubit 2 loads.
+    service::SynthCache control;
+    EXPECT_TRUE(control.load(saveEntryWithGate(
+        "synth_qubit2", circuit::Gate::u3(2, 0.5, 0.25, 0.125))));
+    EXPECT_EQ(control.size(), 1u);
+}
+
+TEST(SynthCachePersist, U4WithoutItsMatrixIsRejected)
+{
+    circuit::Gate bare;
+    bare.op = circuit::Op::U4;
+    bare.qubits = {0, 1};
+    expectRejectedOnLoad(saveEntryWithGate("synth_bare_u4", bare));
+}
+
 TEST(PulseCachePersist, InflatedCountIsRejectedWithoutSideEffects)
 {
     // At about 4.5 KB per parsed entry, reserving room for this

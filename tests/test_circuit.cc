@@ -593,6 +593,25 @@ TEST(Qasm, UnterminatedGateIsRejected)
     expectQasmError("qreg q[2];\nfrobnicate q[0];\n", "unknown op");
 }
 
+TEST(Qasm, WrongQubitCountIsRejected)
+{
+    // Each of these compiled "ok" to a wrong circuit, or (mcx q[0])
+    // crashed the compiler, before the parser checked qubit counts.
+    expectQasmError("qreg q[3];\nh q[0],q[1];\n", "wrong qubit count");
+    expectQasmError("qreg q[3];\ncx q[0];\n", "wrong qubit count");
+    expectQasmError("qreg q[3];\nccx q[0],q[1];\n", "wrong qubit count");
+    expectQasmError("qreg q[3];\nswap q[0],q[1],q[2];\n",
+                    "wrong qubit count");
+    expectQasmError("qreg q[3];\nmcx q[0];\n", "at least 2");
+}
+
+TEST(Qasm, NonFiniteParameterIsRejected)
+{
+    expectQasmError("qreg q[2];\nrx(nan) q[0];\n", "non-finite");
+    expectQasmError("qreg q[2];\nrzz(inf) q[0],q[1];\n", "non-finite");
+    expectQasmError("qreg q[2];\nu3(0.5,-inf,0) q[0];\n", "non-finite");
+}
+
 TEST(Qasm, BenignWhitespaceInsideTokensIsAccepted)
 {
     // The strict number parsing must not narrow the accepted

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -340,12 +341,94 @@ TEST(Assembly, ParserRejectsMalformedInput)
     expectError("RQISA 1.0;\nqubits 2;\n"
                 "@0 rx q[0] dur 1;\n",
                 "parameter count");
+    // The gate rule QASM applies, line by line.
+    for (const char *gate :
+         {"h q[0],q[1]", "cx q[0]", "ccx q[0],q[1]", "swap q[0],q[1],q[2]",
+          "mcx q[0]"})
+        expectError(std::string("RQISA 1.0;\nqubits 3;\n@0 ") + gate +
+                        " dur 1;\n",
+                    "line 3: wrong qubit count");
+    expectError("RQISA 1.0;\nqubits 2;\n@0 rx(nan) q[0] dur 1;\n",
+                "non-finite");
+    expectError("RQISA 1.0;\nqubits 2;\n@0 rzz(inf) q[0],q[1] dur 1;\n",
+                "non-finite");
+    expectError("RQISA 1.0;\nqubits 2;\n@0 meas q[0],q[0] dur 1;\n",
+                "duplicate qubit operand");
     // The program invariants are enforced on ingest: two overlapping
     // instructions on one qubit are rejected.
     expectError("RQISA 1.0;\nqubits 2;\n"
                 "@0 h q[0] dur 1;\n"
                 "@0.5 x q[0] dur 1;\n",
                 "overlapping");
+}
+
+TEST(GateText, OnlyEachOpsOwnCountsParse)
+{
+    // Every named op with 0-4 operands and 0-4 parameters through
+    // both parsers. The expected counts come from the factories, not
+    // the op table, and an MCX takes two operands or more.
+    Gate id;
+    id.qubits = {0};
+    const std::vector<Gate> shapes = {
+        id, Gate::x(0), Gate::y(0), Gate::z(0), Gate::h(0), Gate::s(0),
+        Gate::sdg(0), Gate::t(0), Gate::tdg(0), Gate::sx(0),
+        Gate::rx(0, 1), Gate::ry(0, 1), Gate::rz(0, 1),
+        Gate::u3(0, 1, 2, 3), Gate::cx(0, 1), Gate::cy(0, 1),
+        Gate::cz(0, 1), Gate::swap(0, 1), Gate::iswap(0, 1),
+        Gate::sqisw(0, 1), Gate::bgate(0, 1), Gate::cp(0, 1, 1),
+        Gate::rzz(0, 1, 1), Gate::rxx(0, 1, 1), Gate::ryy(0, 1, 1),
+        Gate::can(0, 1, {0.5, 0.25, 0.125}), Gate::ccx(0, 1, 2),
+        Gate::ccz(0, 1, 2), Gate::cswap(0, 1, 2), Gate::peres(0, 1, 2),
+        Gate::mcx({0}, 1)};
+    // Every op but the opaque u4 has a textual form and a shape here.
+    std::set<Op> ops;
+    for (const Gate &shape : shapes)
+        ops.insert(shape.op);
+    ASSERT_EQ(ops.size(), shapes.size());
+    ASSERT_EQ(ops.size(), static_cast<size_t>(Op::MCX));
+    ASSERT_EQ(ops.count(Op::U4), 0u);
+    int accepted = 0;
+    for (const Gate &shape : shapes) {
+        const std::string name = opName(shape.op);
+        for (int nq = 0; nq <= 4; ++nq) {
+            for (int np = 0; np <= 4; ++np) {
+                std::string text = name;
+                for (int p = 0; p < np; ++p)
+                    text += (p ? "," : "(") + std::to_string(0.25 * p) +
+                            (p == np - 1 ? ")" : "");
+                for (int q = 0; q < nq; ++q)
+                    text += (q ? ",q[" : " q[") + std::to_string(q) + "]";
+                const bool wantQubits =
+                    shape.op == Op::MCX ? nq >= 2 : nq == shape.numQubits();
+                const bool want =
+                    wantQubits && np == static_cast<int>(shape.params.size());
+                SCOPED_TRACE(text);
+                bool qasm = true;
+                try {
+                    const Circuit c =
+                        circuit::fromQasm("qreg q[5];\n" + text + ";\n");
+                    ASSERT_EQ(c.size(), 1u);
+                    EXPECT_EQ(c[0].op, shape.op);
+                    EXPECT_EQ(c[0].numQubits(), nq);
+                    EXPECT_EQ(static_cast<int>(c[0].params.size()), np);
+                } catch (const std::runtime_error &) {
+                    qasm = false;
+                }
+                bool rqisa = true;
+                try {
+                    (void)isa::fromAssembly("RQISA 1.0;\nqubits 5;\n@0 " +
+                                            text + " dur 1;\n");
+                } catch (const std::runtime_error &) {
+                    rqisa = false;
+                }
+                EXPECT_EQ(qasm, want);
+                EXPECT_EQ(rqisa, want);
+                accepted += want;
+            }
+        }
+    }
+    // One shape per fixed-arity op, three for MCX (2, 3, 4 operands).
+    EXPECT_EQ(accepted, static_cast<int>(shapes.size()) + 2);
 }
 
 TEST(Assembly, RefusesOpaqueU4Blocks)

@@ -488,6 +488,11 @@ TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
         {"qreg q[2];\nrx(0.5 q[0];\n", "unterminated parameter"},
         {"qreg q[2];\nh q[0]\n", "missing ';'"},
         {"h q[0];\nqreg q[2];\n", "gate before qreg"},
+        // The gate rule: the first of these killed the service and
+        // the others compiled "ok" to a wrong circuit.
+        {"qreg q[3];\nmcx q[0];\n", "wrong qubit count"},
+        {"qreg q[3];\nh q[0],q[1];\n", "wrong qubit count"},
+        {"qreg q[3];\nrx(nan) q[0];\n", "non-finite"},
     };
     service::ServiceOptions sopts;
     sopts.threads = 2;
@@ -508,6 +513,8 @@ TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
     for (size_t i = 0; i < bad_ids.size(); ++i) {
         const service::JobResult r = svc.wait(bad_ids[i]);
         EXPECT_FALSE(r.ok) << bad[i].first;
+        EXPECT_EQ(r.errorInfo.code, service::errc::kParseError)
+            << bad[i].first;
         EXPECT_NE(r.errorInfo.message.find("qasm parse error"),
                   std::string::npos)
             << r.errorInfo.message;
@@ -517,6 +524,28 @@ TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
     const service::JobResult gr = svc.wait(good_id);
     ASSERT_TRUE(gr.ok) << gr.errorInfo.message;
     EXPECT_GT(gr.metrics.count2Q, 0);
+}
+
+TEST(CompileService, McxWithoutSpareWiresIsABadRequest)
+{
+    // Three controls need one spare wire for the V-chain; a 4-qubit
+    // register has none. This segfaulted `synth` in Release.
+    service::ServiceOptions sopts;
+    sopts.threads = 1;
+    service::CompileService svc(sopts);
+    for (const char *spec : {"full", "eff"}) {
+        service::CompileRequest req;
+        req.name = "mcx4";
+        req.qasm = "qreg q[4];\nmcx q[0],q[1],q[2],q[3];\n";
+        req.pipelineSpec = spec;
+        const service::JobResult r = svc.wait(svc.submit(std::move(req)));
+        EXPECT_FALSE(r.ok) << spec;
+        EXPECT_EQ(r.errorInfo.code, service::errc::kBadRequest) << spec;
+        EXPECT_NE(r.errorInfo.message.find(
+                      "pass 'synth': 'mcx q[0],q[1],q[2],q[3]'"),
+                  std::string::npos)
+            << r.errorInfo.message;
+    }
 }
 
 TEST(CompileService, WaitSemantics)
