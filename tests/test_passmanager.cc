@@ -665,6 +665,80 @@ TEST(PipelineSpec, CalibrateIsANoOpOnAHeterogeneousChip)
     EXPECT_EQ(r.metrics.unsolvedClasses, 0);
 }
 
+// ---- Pinned registry rows and trace names ------------------------------
+
+TEST(PassRegistry, RowsArePinned)
+{
+    // Token, accepted arguments and summary of every row, in order:
+    // what `reqisc-compile --list-passes` prints.
+    const std::vector<std::vector<std::string>> want = {
+        {"synth", "",
+         "program-aware template synthesis (incl. MCX lowering)"},
+        {"group-pauli", "",
+         "commutation-aware 2Q Pauli-rotation grouping"},
+        {"fuse", "", "greedy 1Q fusion + same-pair SU(4) block fusion"},
+        {"dag-compact", "",
+         "commutation-aware DAG compaction (Section 5.1.3)"},
+        {"hier-synth", "nc",
+         "DAG compacting + 3Q partition + approximate resynthesis; "
+         ":nc skips the compacting step (Fig 14 ablation)"},
+        {"mirror", "",
+         "near-identity gate mirroring with tracked permutation"},
+        {"rebase", "",
+         "variational fixed-basis re-expression (Section 5.3.1)"},
+        {"lower", "", "expand to the {Can, U3} normal form"},
+        {"route", "",
+         "mirroring-SABRE onto the backend topology (SWAP -> Can); "
+         "no-op without a backend"},
+        {"reconfigure", "",
+         "score routed circuit: per-edge reconfigured vs uniform gate "
+         "set; no-op until routed"},
+        {"schedule", "serial|asap|alap",
+         "lower into a timed RQISA program; :serial/:asap/:alap "
+         "overrides the strategy"},
+        {"estimate", "",
+         "evaluate #2Q / depth / duration / distinct-SU(4) of the "
+         "active artifact"},
+        {"calibrate", "",
+         "pulse-solve each distinct SU(4) class of the logical "
+         "circuit; no-op on a heterogeneous backend"},
+    };
+    std::vector<std::vector<std::string>> got;
+    for (const compiler::PassInfo &info : compiler::passRegistry()) {
+        std::string args;
+        for (const auto &arg : info.args) {
+            if (!args.empty())
+                args += '|';
+            args += arg;
+        }
+        got.push_back({std::string(info.token), args,
+                       std::string(info.summary)});
+    }
+    EXPECT_EQ(got, want);
+}
+
+TEST(PassRegistry, TraceNamesAreTheTokensAsWritten)
+{
+    Circuit input(3);
+    input.add(Gate::h(0));
+    input.add(Gate::cx(0, 1));
+    input.add(Gate::cx(1, 2));
+    for (const std::string token :
+         {"schedule", "schedule:alap", "hier-synth:nc"}) {
+        CompilationUnit unit = CompilationUnit::forInput(input);
+        PassManager pm;
+        std::string error;
+        PipelineSpec spec;
+        spec.kind = PipelineSpec::Kind::Custom;
+        spec.passes = {"lower", token};
+        ASSERT_TRUE(compiler::buildPipeline(spec, {}, pm, error))
+            << error;
+        pm.run(unit);
+        ASSERT_EQ(unit.metrics.passes.size(), 2u) << token;
+        EXPECT_EQ(unit.metrics.passes.back().pass, token);
+    }
+}
+
 // ---- PassTrace invariants ----------------------------------------------
 
 TEST(PassTrace, NamedFullPipelineTraceIsChainedAndConsistent)
