@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "circuit/lower.hh"
@@ -76,19 +77,19 @@ CompilationUnit::forInput(circuit::Circuit in, CompileOptions opts)
 // ---- PassManager -------------------------------------------------------
 
 void
+Pass::run(CompilationUnit &unit) const
+{
+    const std::string_view arg =
+        token_.size() > row_->token.size()
+            ? std::string_view(token_).substr(row_->token.size() + 1)
+            : std::string_view();
+    row_->body(unit, arg);
+}
+
+void
 PassManager::add(std::unique_ptr<Pass> pass)
 {
     passes_.push_back(std::move(pass));
-}
-
-std::vector<std::string>
-PassManager::passNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(passes_.size());
-    for (const auto &p : passes_)
-        names.push_back(p->name());
-    return names;
 }
 
 void
@@ -130,391 +131,249 @@ PassManager::run(CompilationUnit &unit) const
     }
 }
 
-// ---- The concrete passes -----------------------------------------------
-
-namespace
-{
-
-using circuit::Circuit;
-using circuit::Gate;
-using circuit::Op;
-
-/** Program-aware template synthesis (incl. the MCX pre-lowering). */
-class TemplateSynthPass final : public Pass
-{
-  public:
-    std::string name() const override { return "synth"; }
-    void run(CompilationUnit &u) override
-    {
-        circuit::Circuit lowered;
-        try {
-            lowered = circuit::decomposeMcx(u.circuit);
-        } catch (const std::invalid_argument &e) {
-            throw UnsupportedGateError("pass 'synth': " +
-                                       std::string(e.what()));
-        }
-        u.circuit = templateSynthesis(lowered);
-    }
-};
-
-class GroupPauliPass final : public Pass
-{
-  public:
-    std::string name() const override { return "group-pauli"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = groupPauliRotations(u.circuit);
-    }
-};
-
-class FusePass final : public Pass
-{
-  public:
-    std::string name() const override { return "fuse"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = fuse2QBlocks(fuse1Q(u.circuit));
-    }
-};
-
-class DagCompactPass final : public Pass
-{
-  public:
-    std::string name() const override { return "dag-compact"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = dagCompact(u.circuit, u.options.synthTol);
-    }
-};
-
-/**
- * Hierarchical synthesis (ReQISC-Full's extra stage). The "nc"
- * variant is the Fig-14 ablation: the same partition + approximate
- * resynthesis with the DAG-compacting step skipped.
- */
-class HierarchicalSynthPass final : public Pass
-{
-  public:
-    explicit HierarchicalSynthPass(bool compacting)
-        : compacting_(compacting)
-    {
-    }
-
-    std::string name() const override
-    {
-        return compacting_ ? "hier-synth" : "hier-synth:nc";
-    }
-
-    void run(CompilationUnit &u) override
-    {
-        const CompileOptions &opts = u.options;
-        u.circuit = hierarchicalSynthesis(
-            u.circuit, opts.mTh, opts.synthTol, opts.seed,
-            opts.synthMemo, opts.synthPool, compacting_);
-        u.passNote =
-            "workers=" +
-            std::to_string(opts.synthPool ? opts.synthPool->workers()
-                                          : 1);
-    }
-
-  private:
-    bool compacting_;
-};
-
-class MirrorPass final : public Pass
-{
-  public:
-    std::string name() const override { return "mirror"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = mirrorNearIdentity(u.circuit,
-                                       u.finalPermutation,
-                                       u.options.mirrorThreshold);
-    }
-};
-
-/** Variational fixed-basis re-expression (Section 5.3.1). */
-class VariationalRebasePass final : public Pass
-{
-  public:
-    std::string name() const override { return "rebase"; }
-    void run(CompilationUnit &u) override
-    {
-        Circuit fixed(u.circuit.numQubits());
-        for (const Gate &g : u.circuit) {
-            if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
-                auto gates = synth::su4ToFixedBasis(
-                    g.qubits[0], g.qubits[1], g.matrix(),
-                    u.options.variationalBasis);
-                if (!gates.empty()) {
-                    for (Gate &e : gates)
-                        fixed.add(std::move(e));
-                    continue;
-                }
-            }
-            fixed.add(g);
-        }
-        u.circuit = std::move(fixed);
-    }
-};
-
-class LowerPass final : public Pass
-{
-  public:
-    std::string name() const override { return "lower"; }
-    bool twoQubitGatesOnly() const override { return true; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = circuit::expandToCanU3(u.circuit);
-    }
-};
-
-/**
- * Mirroring-SABRE onto the backend topology; SWAPs are fused into
- * Can gates (SU(4)-ISA convention: one SWAP = one Can). No-op
- * without a backend (there is no topology to route onto).
- */
-class SabreRoutePass final : public Pass
-{
-  public:
-    std::string name() const override { return "route"; }
-    bool twoQubitGatesOnly() const override { return true; }
-    void run(CompilationUnit &u) override
-    {
-        if (!u.backend)
-            return;
-        route::RouteOptions ropts;
-        ropts.mirroring = true;
-        const route::RouteResult rr = route::sabreRoute(
-            u.circuit, u.backend->topology(), ropts);
-        Circuit phys(rr.circuit.numQubits());
-        for (const Gate &g : rr.circuit) {
-            if (g.op == Op::SWAP)
-                phys.add(Gate::can(g.qubits[0], g.qubits[1],
-                                   weyl::WeylCoord::swap()));
-            else
-                phys.add(g);
-        }
-        u.metrics.backend.used = true;
-        u.metrics.backend.routedSwaps = rr.swapsInserted;
-        u.metrics.backend.routedSwapsAbsorbed = rr.swapsAbsorbed;
-        // Logical q -> compiled wire -> physical wire.
-        u.finalLayout.resize(u.finalPermutation.size());
-        for (std::size_t q = 0; q < u.finalPermutation.size(); ++q)
-            u.finalLayout[q] = rr.finalLayout[static_cast<
-                std::size_t>(u.finalPermutation[q])];
-        u.routed = std::move(phys);
-        u.hasRouted = true;
-    }
-};
-
-/**
- * Score the routed circuit under the per-edge reconfigured gate-set
- * table vs the best uniform one. No-op until a backend and a routed
- * artifact exist.
- */
-class ReconfigurePass final : public Pass
-{
-  public:
-    std::string name() const override { return "reconfigure"; }
-    void run(CompilationUnit &u) override
-    {
-        if (!u.backend || !u.reconfig || !u.hasRouted)
-            return;
-        u.metrics.backend.fidelityReconfigured =
-            backend::estimateFidelity(u.routed, *u.backend,
-                                      u.reconfig->table);
-        u.metrics.backend.fidelityUniform =
-            backend::estimateFidelity(u.routed, *u.backend,
-                                      u.reconfig->uniformTable);
-    }
-};
-
-/**
- * Evaluate the circuit-level metrics (#2Q, Depth2Q, duration,
- * distinct-SU(4)) of the active artifact: the routed circuit under
- * the backend's per-edge duration model once it exists, the logical
- * circuit under the genAshN model of `coupling` otherwise.
- */
-class EstimateFidelityPass final : public Pass
-{
-  public:
-    std::string name() const override { return "estimate"; }
-    bool twoQubitGatesOnly() const override { return true; }
-    void run(CompilationUnit &u) override
-    {
-        Metrics m;
-        if (u.backend && u.hasRouted) {
-            const isa::DurationModel durations =
-                u.backend->durationModel();
-            m = evaluate(u.routed,
-                         [&durations](const Gate &g) {
-                             return g.numQubits() < 2
-                                        ? 0.0
-                                        : durations.gate(g);
-                         });
-        } else {
-            m = evaluate(u.circuit,
-                         reqiscDurationModel(u.coupling));
-        }
-        u.metrics.count2Q = m.count2Q;
-        u.metrics.depth2Q = m.depth2Q;
-        u.metrics.duration = m.duration;
-        u.metrics.distinctSU4 = m.distinctSU4;
-    }
-};
-
-/** Lower into a timed RQISA program (isa::schedule). */
-class SchedulePass final : public Pass
-{
-  public:
-    explicit SchedulePass(isa::Strategy strategy, bool override_strat)
-        : strategy_(strategy), override_(override_strat)
-    {
-    }
-
-    std::string name() const override
-    {
-        return override_
-                   ? std::string("schedule:") +
-                         isa::strategyName(strategy_)
-                   : "schedule";
-    }
-
-    bool twoQubitGatesOnly() const override { return true; }
-
-    void run(CompilationUnit &u) override
-    {
-        isa::ScheduleOptions sopts = u.scheduleOptions;
-        if (override_)
-            sopts.strategy = strategy_;
-        if (u.backend && u.hasRouted) {
-            sopts.durations = u.backend->durationModel();
-            sopts.topology = &u.backend->topology();
-            u.program = isa::schedule(u.routed, sopts);
-        } else {
-            sopts.durations.coupling = u.coupling;
-            u.program = isa::schedule(u.circuit, sopts);
-        }
-        u.metrics.schedule = u.program.stats();
-        u.metrics.schedule.strategy = isa::strategyName(sopts.strategy);
-        u.hasProgram = true;
-    }
-
-  private:
-    isa::Strategy strategy_;
-    bool override_;
-};
-
-/**
- * Plan the per-circuit calibration (Section 6.5): pulse-solve each
- * distinct SU(4) class of the logical circuit on the unit's coupling,
- * through the options' pulse memo when one is installed, with each
- * EA multistart on the options' synth pool when one is installed.
- * No-op on a heterogeneous backend, whose reconfigured per-edge table
- * already is the calibration set (one native instruction per edge).
- */
-class CalibratePass final : public Pass
-{
-  public:
-    std::string name() const override { return "calibrate"; }
-    void run(CompilationUnit &u) override
-    {
-        if (u.backend && !u.backend->isHomogeneous())
-            return;
-        u.metrics.unsolvedClasses =
-            uarch::planCalibration(u.circuit, u.coupling, 1e-6,
-                                   u.options.pulseMemo,
-                                   u.options.synthPool)
-                .unsolved;
-    }
-};
-
-} // namespace
-
-// ---- Registry and spec parsing -----------------------------------------
+// ---- The pass table ----------------------------------------------------
 
 const std::vector<PassInfo> &
 passRegistry()
 {
-    static const std::vector<PassInfo> registry = {
+    static const std::vector<PassInfo> table = {
         {"synth",
          "program-aware template synthesis (incl. MCX lowering)",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             Circuit lowered;
+             try {
+                 lowered = circuit::decomposeMcx(u.circuit);
+             } catch (const std::invalid_argument &e) {
+                 throw UnsupportedGateError("pass 'synth': " +
+                                            std::string(e.what()));
+             }
+             u.circuit = templateSynthesis(lowered);
+         }},
         {"group-pauli",
          "commutation-aware 2Q Pauli-rotation grouping",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             u.circuit = groupPauliRotations(u.circuit);
+         }},
         {"fuse", "greedy 1Q fusion + same-pair SU(4) block fusion",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             u.circuit = fuse2QBlocks(fuse1Q(u.circuit));
+         }},
         {"dag-compact",
          "commutation-aware DAG compaction (Section 5.1.3)",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             u.circuit = dagCompact(u.circuit, u.options.synthTol);
+         }},
+        // ReQISC-Full's extra stage. ":nc" is the Fig-14 ablation:
+        // the same partition + approximate resynthesis with the
+        // DAG-compacting step skipped.
         {"hier-synth",
          "DAG compacting + 3Q partition + approximate resynthesis; "
          ":nc skips the compacting step (Fig 14 ablation)",
-         {"nc"}},
+         {"nc"},
+         false,
+         [](CompilationUnit &u, std::string_view arg) {
+             const CompileOptions &opts = u.options;
+             u.circuit = hierarchicalSynthesis(
+                 u.circuit, opts.mTh, opts.synthTol, opts.seed,
+                 opts.synthMemo, opts.synthPool, arg != "nc");
+             u.passNote = "workers=" +
+                          std::to_string(opts.synthPool
+                                             ? opts.synthPool->workers()
+                                             : 1);
+         }},
         {"mirror",
          "near-identity gate mirroring with tracked permutation",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             u.circuit = mirrorNearIdentity(u.circuit,
+                                            u.finalPermutation,
+                                            u.options.mirrorThreshold);
+         }},
         {"rebase",
          "variational fixed-basis re-expression (Section 5.3.1)",
-         {}},
-        {"lower", "expand to the {Can, U3} normal form", {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             Circuit fixed(u.circuit.numQubits());
+             for (const Gate &g : u.circuit) {
+                 if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
+                     auto gates = synth::su4ToFixedBasis(
+                         g.qubits[0], g.qubits[1], g.matrix(),
+                         u.options.variationalBasis);
+                     if (!gates.empty()) {
+                         for (Gate &e : gates)
+                             fixed.add(std::move(e));
+                         continue;
+                     }
+                 }
+                 fixed.add(g);
+             }
+             u.circuit = std::move(fixed);
+         }},
+        {"lower", "expand to the {Can, U3} normal form",
+         {},
+         true,
+         [](CompilationUnit &u, std::string_view) {
+             u.circuit = circuit::expandToCanU3(u.circuit);
+         }},
+        // SWAPs are fused into Can gates (SU(4)-ISA convention: one
+        // SWAP = one Can).
         {"route",
          "mirroring-SABRE onto the backend topology (SWAP -> Can); "
          "no-op without a backend",
-         {}},
+         {},
+         true,
+         [](CompilationUnit &u, std::string_view) {
+             if (!u.backend)
+                 return;
+             route::RouteOptions ropts;
+             ropts.mirroring = true;
+             const route::RouteResult rr = route::sabreRoute(
+                 u.circuit, u.backend->topology(), ropts);
+             Circuit phys(rr.circuit.numQubits());
+             for (const Gate &g : rr.circuit) {
+                 if (g.op == Op::SWAP)
+                     phys.add(Gate::can(g.qubits[0], g.qubits[1],
+                                        weyl::WeylCoord::swap()));
+                 else
+                     phys.add(g);
+             }
+             u.metrics.backend.used = true;
+             u.metrics.backend.routedSwaps = rr.swapsInserted;
+             u.metrics.backend.routedSwapsAbsorbed = rr.swapsAbsorbed;
+             // Logical q -> compiled wire -> physical wire.
+             u.finalLayout.resize(u.finalPermutation.size());
+             for (std::size_t q = 0; q < u.finalPermutation.size(); ++q)
+                 u.finalLayout[q] = rr.finalLayout[static_cast<
+                     std::size_t>(u.finalPermutation[q])];
+             u.routed = std::move(phys);
+             u.hasRouted = true;
+         }},
         {"reconfigure",
          "score routed circuit: per-edge reconfigured vs uniform "
          "gate set; no-op until routed",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             if (!u.backend || !u.reconfig || !u.hasRouted)
+                 return;
+             u.metrics.backend.fidelityReconfigured =
+                 backend::estimateFidelity(u.routed, *u.backend,
+                                           u.reconfig->table);
+             u.metrics.backend.fidelityUniform =
+                 backend::estimateFidelity(u.routed, *u.backend,
+                                           u.reconfig->uniformTable);
+         }},
         {"schedule",
          "lower into a timed RQISA program; :serial/:asap/:alap "
          "overrides the strategy",
-         {"serial", "asap", "alap"}},
+         {"serial", "asap", "alap"},
+         true,
+         [](CompilationUnit &u, std::string_view arg) {
+             isa::ScheduleOptions sopts = u.scheduleOptions;
+             if (!arg.empty())
+                 isa::strategyFromName(std::string(arg), sopts.strategy);
+             if (u.backend && u.hasRouted) {
+                 sopts.durations = u.backend->durationModel();
+                 sopts.topology = &u.backend->topology();
+                 u.program = isa::schedule(u.routed, sopts);
+             } else {
+                 sopts.durations.coupling = u.coupling;
+                 u.program = isa::schedule(u.circuit, sopts);
+             }
+             u.metrics.schedule = u.program.stats();
+             u.metrics.schedule.strategy =
+                 isa::strategyName(sopts.strategy);
+             u.hasProgram = true;
+         }},
+        // The routed circuit is scored under the backend's per-edge
+        // duration model once it exists, the logical circuit under
+        // the genAshN model of `coupling` otherwise.
         {"estimate",
          "evaluate #2Q / depth / duration / distinct-SU(4) of the "
          "active artifact",
-         {}},
+         {},
+         true,
+         [](CompilationUnit &u, std::string_view) {
+             Metrics m;
+             if (u.backend && u.hasRouted) {
+                 const isa::DurationModel durations =
+                     u.backend->durationModel();
+                 m = evaluate(u.routed, [&durations](const Gate &g) {
+                     return g.numQubits() < 2 ? 0.0 : durations.gate(g);
+                 });
+             } else {
+                 m = evaluate(u.circuit,
+                              reqiscDurationModel(u.coupling));
+             }
+             u.metrics.count2Q = m.count2Q;
+             u.metrics.depth2Q = m.depth2Q;
+             u.metrics.duration = m.duration;
+             u.metrics.distinctSU4 = m.distinctSU4;
+         }},
+        // Section 6.5: one pulse solve per distinct SU(4) class,
+        // through the options' pulse memo and synth pool when
+        // installed. A heterogeneous backend's reconfigured per-edge
+        // table already is the calibration set.
         {"calibrate",
          "pulse-solve each distinct SU(4) class of the logical "
          "circuit; no-op on a heterogeneous backend",
-         {}},
+         {},
+         false,
+         [](CompilationUnit &u, std::string_view) {
+             if (u.backend && !u.backend->isHomogeneous())
+                 return;
+             u.metrics.unsolvedClasses =
+                 uarch::planCalibration(u.circuit, u.coupling, 1e-6,
+                                        u.options.pulseMemo,
+                                        u.options.synthPool)
+                     .unsolved;
+         }},
     };
-    return registry;
+    return table;
 }
 
 namespace
 {
 
-/** Split "name[:arg]"; find the registry row; validate the arg. */
+/** The table row a "name[:arg]" token names, its arg validated. */
 const PassInfo *
-resolveToken(const std::string &token, std::string &name,
-             std::string &arg, std::string &error)
+resolveToken(const std::string &token, std::string &error)
 {
     const auto colon = token.find(':');
-    name = token.substr(0, colon);
-    arg = colon == std::string::npos ? ""
-                                     : token.substr(colon + 1);
+    const std::string_view name = std::string_view(token).substr(0, colon);
+    const std::string_view arg =
+        colon == std::string::npos
+            ? std::string_view()
+            : std::string_view(token).substr(colon + 1);
     if (colon != std::string::npos && arg.empty()) {
         // "hier-synth:" must not silently mean "hier-synth": a
         // dangling colon is almost always a truncated argument.
         error = "empty argument in pass token '" + token + "'";
         return nullptr;
     }
-    for (const PassInfo &info : passRegistry()) {
-        if (info.token != name)
+    for (const PassInfo &row : passRegistry()) {
+        if (row.token != name)
             continue;
         if (!arg.empty() &&
-            std::find(info.args.begin(), info.args.end(), arg) ==
-                info.args.end()) {
-            error = "pass '" + name +
-                    "' does not accept argument '" + arg + "'";
+            std::find(row.args.begin(), row.args.end(), arg) ==
+                row.args.end()) {
+            error = "pass '" + row.token + "' does not accept argument '" +
+                    std::string(arg) + "'";
             return nullptr;
         }
-        return &info;
+        return &row;
     }
-    error = "unknown pass '" + name + "'";
+    error = "unknown pass '" + std::string(name) + "'";
     return nullptr;
 }
 
@@ -523,44 +382,10 @@ resolveToken(const std::string &token, std::string &name,
 std::unique_ptr<Pass>
 makePass(const std::string &token, std::string &error)
 {
-    std::string name, arg;
-    if (!resolveToken(token, name, arg, error))
+    const PassInfo *row = resolveToken(token, error);
+    if (!row)
         return nullptr;
-    if (name == "synth")
-        return std::make_unique<TemplateSynthPass>();
-    if (name == "group-pauli")
-        return std::make_unique<GroupPauliPass>();
-    if (name == "fuse")
-        return std::make_unique<FusePass>();
-    if (name == "dag-compact")
-        return std::make_unique<DagCompactPass>();
-    if (name == "hier-synth")
-        return std::make_unique<HierarchicalSynthPass>(
-            arg != "nc");
-    if (name == "mirror")
-        return std::make_unique<MirrorPass>();
-    if (name == "rebase")
-        return std::make_unique<VariationalRebasePass>();
-    if (name == "lower")
-        return std::make_unique<LowerPass>();
-    if (name == "route")
-        return std::make_unique<SabreRoutePass>();
-    if (name == "reconfigure")
-        return std::make_unique<ReconfigurePass>();
-    if (name == "schedule") {
-        isa::Strategy strat = isa::Strategy::Asap;
-        const bool override_strat = !arg.empty();
-        if (override_strat)
-            isa::strategyFromName(arg, strat);  // arg validated above
-        return std::make_unique<SchedulePass>(strat,
-                                              override_strat);
-    }
-    if (name == "estimate")
-        return std::make_unique<EstimateFidelityPass>();
-    if (name == "calibrate")
-        return std::make_unique<CalibratePass>();
-    error = "unknown pass '" + name + "'";  // unreachable
-    return nullptr;
+    return std::unique_ptr<Pass>(new Pass(*row, token));
 }
 
 bool
@@ -597,8 +422,7 @@ parsePipelineSpec(const std::string &text, PipelineSpec &out,
                     "'";
             return false;
         }
-        std::string name, arg;
-        if (!resolveToken(token, name, arg, error))
+        if (!resolveToken(token, error))
             return false;
         tokens.push_back(token);
         if (comma == std::string::npos)
@@ -620,9 +444,8 @@ compilePassList(PipelineSpec::Kind kind, const CompileOptions &opts)
     std::vector<std::string> list = {"synth", "group-pauli",
                                      "fuse"};
     if (kind == PipelineSpec::Kind::Full)
-        list.push_back(opts.dagCompacting ? "hier-synth"
-                                          : "hier-synth:nc");
-    if (opts.applyMirroring && !opts.variationalMode)
+        list.push_back("hier-synth");
+    if (!opts.variationalMode)
         list.push_back("mirror");
     list.push_back(opts.variationalMode ? "rebase" : "lower");
     return list;

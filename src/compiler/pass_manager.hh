@@ -8,15 +8,19 @@
  * circuit, tracked permutation, routed circuit + final layout, timed
  * isa::Program, Metrics — together with the immutable compile
  * context (options, target backend, coupling, schedule options).
- * Passes are first-class objects (`Pass`: name() + run(unit)) and a
+ * Every pass is one row of one table, passRegistry(): its token,
+ * summary, accepted arguments, gate-width contract and body. A `Pass`
+ * is a handle on a row plus the token it was made from, and a
  * PassManager runs a declarative list of them, recording wall time
  * and artifact deltas into a per-pass Metrics::passes trace.
  *
- * The three former pipeline wirings all route through here:
- * compiler::reqiscEff / reqiscFull are thin wrappers over the named
- * Eff/Full compile-stage lists, service::CompileService::runJob is
- * "build unit, run pipeline, copy out", and reqisc-compile exposes
- * the spec grammar directly (`--pipeline custom:...`).
+ * The pass list is the only pipeline switch. compiler::reqiscEff /
+ * reqiscFull run the named Eff/Full compile-stage lists,
+ * service::CompileService::runJob is "build unit, run pipeline, copy
+ * out", and reqisc-compile exposes the spec grammar directly
+ * (`--pipeline custom:...`). An ablation is a pass-list edit: Fig
+ * 14's ReQISC-NC swaps `hier-synth` for `hier-synth:nc`, and a list
+ * without `mirror` compiles without mirroring.
  *
  * Pipeline-spec grammar (parsePipelineSpec):
  *
@@ -24,9 +28,9 @@
  *     list    := token ("," token)*
  *     token   := pass-name (":" arg)?
  *
- * e.g. "custom:synth,mirror,route,schedule:asap". Pass names come
- * from passRegistry(); today only `schedule` and `hier-synth` take
- * an argument (the strategy / the "nc" ablation variant).
+ * e.g. "custom:synth,mirror,route,schedule:asap". Pass names are the
+ * table's tokens; today only `schedule` and `hier-synth` take an
+ * argument (the strategy / the "nc" ablation variant).
  *
  * Determinism contract: for a fixed (input, options, pass list) the
  * artifacts produced by running the manager are bit-identical across
@@ -42,6 +46,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backend/backend.hh"
@@ -116,20 +121,49 @@ struct CompilationUnit
                                     CompileOptions opts = {});
 };
 
-/** A first-class compilation stage. */
-class Pass
+/**
+ * One row of the pass table: everything that defines a pass. The body
+ * gets the ":arg" part of the token it runs under ("" when absent),
+ * already checked against `args`.
+ */
+struct PassInfo
 {
-  public:
-    virtual ~Pass() = default;
-    /** Registry token, echoed into PassTrace::pass. */
-    virtual std::string name() const = 0;
-    virtual void run(CompilationUnit &unit) = 0;
+    std::string token;    //!< spec name ("synth", "schedule", ...)
+    std::string summary;  //!< one-line description
+    /** Accepted ":arg" values; empty when the pass takes none. */
+    std::vector<std::string> args;
     /**
      * True for a pass that takes 1Q and 2Q gates only (lower, route,
      * estimate, schedule); PassManager::run never hands it a wider
      * gate.
      */
-    virtual bool twoQubitGatesOnly() const { return false; }
+    bool twoQubitGatesOnly = false;
+    void (*body)(CompilationUnit &unit, std::string_view arg) = nullptr;
+};
+
+/** Every pass, one row each, in canonical listing order. */
+const std::vector<PassInfo> &passRegistry();
+
+/** A compilation stage: a table row bound to a token (see makePass). */
+class Pass
+{
+  public:
+    /** The token as written ("schedule:alap"); PassTrace::pass. */
+    const std::string &name() const { return token_; }
+    bool twoQubitGatesOnly() const { return row_->twoQubitGatesOnly; }
+    /** Run the row's body under the token's argument. */
+    void run(CompilationUnit &unit) const;
+
+  private:
+    friend std::unique_ptr<Pass> makePass(const std::string &token,
+                                          std::string &error);
+    Pass(const PassInfo &row, std::string token)
+        : row_(&row), token_(std::move(token))
+    {
+    }
+
+    const PassInfo *row_;
+    std::string token_;
 };
 
 /**
@@ -151,9 +185,6 @@ class PassManager
   public:
     void add(std::unique_ptr<Pass> pass);
 
-    std::size_t size() const { return passes_.size(); }
-    std::vector<std::string> passNames() const;
-
     /**
      * Run every pass in order. Each pass appends one PassTrace to
      * unit.metrics.passes (wall time, gate/#2Q before/after on the
@@ -167,22 +198,10 @@ class PassManager
     std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-/** A registered pass, for --list-passes and spec validation. */
-struct PassInfo
-{
-    std::string token;    //!< spec name ("synth", "schedule", ...)
-    std::string summary;  //!< one-line description
-    /** Accepted ":arg" values; empty when the pass takes none. */
-    std::vector<std::string> args;
-};
-
-/** All registered passes, in canonical listing order. */
-const std::vector<PassInfo> &passRegistry();
-
 /**
- * Instantiate a registered pass from a spec token (optionally
- * "name:arg"). Returns nullptr and fills `error` for an unknown name
- * or an argument the pass does not accept.
+ * Bind a spec token ("name" or "name:arg") to its table row. Returns
+ * nullptr and fills `error` for an unknown name or an argument the
+ * pass does not accept.
  */
 std::unique_ptr<Pass> makePass(const std::string &token,
                                std::string &error);
@@ -209,11 +228,10 @@ bool parsePipelineSpec(const std::string &text, PipelineSpec &out,
                        std::string &error);
 
 /**
- * The compile-stage pass list of a named pipeline under the given
- * options — what reqiscEff/reqiscFull run. The list is a pure
- * function of the options: the Fig-14 dagCompacting ablation is the
- * `hier-synth` -> `hier-synth:nc` edit, variational mode swaps the
- * final `lower` for `rebase` and drops `mirror`.
+ * The compile-stage pass list of a named pipeline — what
+ * reqiscEff/reqiscFull run. Of the options it reads only
+ * variationalMode, which swaps the final `lower` for `rebase` and
+ * drops `mirror`.
  */
 std::vector<std::string>
 compilePassList(PipelineSpec::Kind kind, const CompileOptions &opts);

@@ -1,6 +1,7 @@
 #include "compiler/pipeline.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "compiler/pass_manager.hh"
 #include "compiler/passes.hh"
@@ -57,27 +58,16 @@ templateSynthesis(const circuit::Circuit &c)
     return out;
 }
 
-namespace
-{
-
-/**
- * Both named pipelines are one code path now: expand the named
- * compile-stage pass list under the options and run it over a fresh
- * unit. The wrappers keep the historical CompileResult shape; the
- * per-pass trace is available through the CompilationUnit /
- * service::JobResult route.
- */
 CompileResult
-runNamedPipeline(PipelineSpec::Kind kind,
-                 const circuit::Circuit &input,
-                 const CompileOptions &opts)
+runPasses(const circuit::Circuit &input, std::vector<std::string> passes,
+          const CompileOptions &opts)
 {
-    CompilationUnit unit = CompilationUnit::forInput(input, opts);
     PassManager pm;
     std::string error;
-    PipelineSpec spec;
-    spec.kind = kind;
-    buildPipeline(spec, opts, pm, error);  // named lists never fail
+    if (!buildPipeline({PipelineSpec::Kind::Custom, std::move(passes)},
+                       opts, pm, error))
+        throw std::invalid_argument(error);
+    CompilationUnit unit = CompilationUnit::forInput(input, opts);
     pm.run(unit);
     CompileResult res;
     res.circuit = std::move(unit.circuit);
@@ -85,18 +75,20 @@ runNamedPipeline(PipelineSpec::Kind kind,
     return res;
 }
 
-} // namespace
-
 CompileResult
 reqiscEff(const circuit::Circuit &input, const CompileOptions &opts)
 {
-    return runNamedPipeline(PipelineSpec::Kind::Eff, input, opts);
+    return runPasses(input,
+                     compilePassList(PipelineSpec::Kind::Eff, opts),
+                     opts);
 }
 
 CompileResult
 reqiscFull(const circuit::Circuit &input, const CompileOptions &opts)
 {
-    return runNamedPipeline(PipelineSpec::Kind::Full, input, opts);
+    return runPasses(input,
+                     compilePassList(PipelineSpec::Kind::Full, opts),
+                     opts);
 }
 
 } // namespace reqisc::compiler

@@ -11,6 +11,7 @@
 #ifndef REQISC_COMPILER_PIPELINE_HH
 #define REQISC_COMPILER_PIPELINE_HH
 
+#include <string>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -21,14 +22,15 @@
 namespace reqisc::compiler
 {
 
-/** Pipeline configuration knobs. */
+/**
+ * What the passes read. The pass list, not an option, picks which
+ * passes run (compiler/pass_manager.hh).
+ */
 struct CompileOptions
 {
-    bool applyMirroring = true;  //!< near-identity gate mirroring
     double mirrorThreshold = 0.1;
     int mTh = 4;                 //!< hierarchical-synthesis threshold
     double synthTol = 1e-9;      //!< approximate-synthesis precision
-    bool dagCompacting = true;   //!< ablation switch (Fig 14)
     /**
      * Seed for the numeric-instantiation searches. Compilation is a
      * deterministic function of (input, options) including this seed,
@@ -63,7 +65,8 @@ struct CompileOptions
      * Variational-program mode (Section 5.3.1): re-express every
      * SU(4) over one fixed 2Q basis gate plus parameterized 1Q
      * layers, trading a slightly higher #2Q for a constant-size
-     * calibration set (the PMW-protocol trade-off).
+     * calibration set (the PMW-protocol trade-off). The named pass
+     * lists end in `rebase` instead of `mirror`, `lower`.
      */
     bool variationalMode = false;
     circuit::Op variationalBasis = circuit::Op::SQISW;
@@ -86,15 +89,24 @@ struct CompileResult
 circuit::Circuit templateSynthesis(const circuit::Circuit &c);
 
 /**
- * The ReQISC-Eff pipeline. Thin compatibility wrapper: expands the
- * named Eff pass list (compiler/pass_manager.hh) and runs it through
- * the PassManager — bit-identical to the historical monolithic
- * implementation for every (input, options, seed).
+ * Run a compile-stage pass list (compiler/pass_manager.hh tokens)
+ * over the input through the PassManager. An ablation is a list:
+ * Fig 14's ReQISC-NC is the Full list with `hier-synth:nc`. Throws
+ * std::invalid_argument on a token that names no pass.
+ */
+CompileResult runPasses(const circuit::Circuit &input,
+                        std::vector<std::string> passes,
+                        const CompileOptions &opts = {});
+
+/**
+ * The ReQISC-Eff pipeline: runPasses over the named Eff list —
+ * bit-identical to the historical monolithic implementation for
+ * every (input, options, seed).
  */
 CompileResult reqiscEff(const circuit::Circuit &input,
                         const CompileOptions &opts = {});
 
-/** The ReQISC-Full pipeline (wrapper, see reqiscEff). */
+/** The ReQISC-Full pipeline (see reqiscEff). */
 CompileResult reqiscFull(const circuit::Circuit &input,
                          const CompileOptions &opts = {});
 

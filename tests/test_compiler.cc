@@ -519,9 +519,9 @@ TEST(Pipeline, EffHasFewDistinctSU4)
 TEST(Pipeline, NoCompactingAblationStillCorrect)
 {
     Circuit c = mixedCircuit(47);
-    CompileOptions opts;
-    opts.dagCompacting = false;
-    CompileResult r = reqiscFull(c, opts);
+    CompileResult r =
+        runPasses(c, {"synth", "group-pauli", "fuse", "hier-synth:nc",
+                      "mirror", "lower"});
     EXPECT_TRUE(sameSemantics(c, r.circuit, r.finalPermutation,
                               1e-3));
 }

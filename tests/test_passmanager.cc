@@ -5,8 +5,9 @@
  *  - the named Eff/Full pass lists reproduce the pre-refactor
  *    monolithic pipelines bit-for-bit (a verbatim copy of the old
  *    implementation serves as the oracle) on every examples/qasm/
- *    circuit and on the options variants (no-mirroring, variational,
- *    dagCompacting off);
+ *    circuit, under the variational and seed options, and the lists
+ *    without `mirror` and with `hier-synth:nc` reproduce its
+ *    no-mirroring and no-compacting switches;
  *  - the service's pass-managed runJob matches the old hand-sequenced
  *    route -> evaluate -> reconfigure -> schedule tail on a concrete
  *    chip, artifact by artifact;
@@ -77,14 +78,25 @@ using test::circuitsIdentical;
 
 // ---- The pre-refactor pipelines, kept verbatim as the oracle -----------
 
+/**
+ * The two pipeline-shape switches the pre-refactor pipelines read from
+ * CompileOptions; the pass list sets them now.
+ */
+struct LegacyFlags
+{
+    bool applyMirroring = true;
+    bool dagCompacting = true;
+};
+
 CompileResult
-legacyFinish(Circuit c, const CompileOptions &opts)
+legacyFinish(Circuit c, const CompileOptions &opts,
+             const LegacyFlags &flags)
 {
     CompileResult res;
     std::vector<int> perm(c.numQubits());
     for (int q = 0; q < c.numQubits(); ++q)
         perm[q] = q;
-    if (opts.applyMirroring && !opts.variationalMode)
+    if (flags.applyMirroring && !opts.variationalMode)
         c = compiler::mirrorNearIdentity(c, perm,
                                          opts.mirrorThreshold);
     if (opts.variationalMode) {
@@ -113,23 +125,25 @@ legacyFinish(Circuit c, const CompileOptions &opts)
 }
 
 CompileResult
-legacyEff(const Circuit &input, const CompileOptions &opts)
+legacyEff(const Circuit &input, const CompileOptions &opts,
+          const LegacyFlags &flags = {})
 {
     Circuit c = circuit::decomposeMcx(input);
     c = compiler::templateSynthesis(c);
     c = compiler::groupPauliRotations(c);
     c = compiler::fuse2QBlocks(compiler::fuse1Q(c));
-    return legacyFinish(std::move(c), opts);
+    return legacyFinish(std::move(c), opts, flags);
 }
 
 CompileResult
-legacyFull(const Circuit &input, const CompileOptions &opts)
+legacyFull(const Circuit &input, const CompileOptions &opts,
+           const LegacyFlags &flags = {})
 {
     Circuit c = circuit::decomposeMcx(input);
     c = compiler::templateSynthesis(c);
     c = compiler::groupPauliRotations(c);
     c = compiler::fuse2QBlocks(compiler::fuse1Q(c));
-    if (opts.dagCompacting) {
+    if (flags.dagCompacting) {
         c = compiler::hierarchicalSynthesis(
             c, opts.mTh, opts.synthTol, opts.seed, opts.synthMemo);
     } else {
@@ -178,28 +192,7 @@ legacyFull(const Circuit &input, const CompileOptions &opts)
         }
         c = compiler::fuse2QBlocks(compiler::fuse1Q(out));
     }
-    return legacyFinish(std::move(c), opts);
-}
-
-/** Run a compile-stage pass list explicitly through a PassManager. */
-CompileResult
-runExplicit(const Circuit &input, const CompileOptions &opts,
-            const std::vector<std::string> &tokens)
-{
-    CompilationUnit unit = CompilationUnit::forInput(input, opts);
-    PassManager pm;
-    for (const std::string &tok : tokens) {
-        std::string error;
-        auto pass = compiler::makePass(tok, error);
-        EXPECT_NE(pass, nullptr) << error;
-        if (pass)
-            pm.add(std::move(pass));
-    }
-    pm.run(unit);
-    CompileResult res;
-    res.circuit = std::move(unit.circuit);
-    res.finalPermutation = std::move(unit.finalPermutation);
-    return res;
+    return legacyFinish(std::move(c), opts, flags);
 }
 
 void
@@ -210,58 +203,51 @@ expectSameCompile(const CompileResult &a, const CompileResult &b,
     EXPECT_EQ(a.finalPermutation, b.finalPermutation) << what;
 }
 
+/** The named Full list with `hier` in place of `hier-synth`. */
+std::vector<std::string>
+fullListWith(const std::string &hier)
+{
+    std::vector<std::string> list =
+        compiler::compilePassList(PipelineSpec::Kind::Full, {});
+    std::replace(list.begin(), list.end(), std::string("hier-synth"),
+                 hier);
+    return list;
+}
+
 } // namespace
 
-// ---- Wrapper vs explicit pass list vs legacy oracle --------------------
+// ---- Named and edited pass lists vs the legacy oracle ------------------
 
 TEST(PassManagerEquivalence, EffAndFullMatchLegacyOnEveryExample)
 {
     for (const std::string &rel : kExampleQasm) {
         const Circuit input = loadExample(rel);
         const CompileOptions opts;
-
-        const CompileResult eff = compiler::reqiscEff(input, opts);
-        expectSameCompile(eff, legacyEff(input, opts),
-                          rel + " eff vs legacy");
-        expectSameCompile(
-            eff,
-            runExplicit(input, opts,
-                        compiler::compilePassList(
-                            PipelineSpec::Kind::Eff, opts)),
-            rel + " eff vs explicit list");
-
-        const CompileResult full = compiler::reqiscFull(input, opts);
-        expectSameCompile(full, legacyFull(input, opts),
+        expectSameCompile(compiler::reqiscEff(input, opts),
+                          legacyEff(input, opts), rel + " eff vs legacy");
+        expectSameCompile(compiler::reqiscFull(input, opts),
+                          legacyFull(input, opts),
                           rel + " full vs legacy");
-        expectSameCompile(
-            full,
-            runExplicit(input, opts,
-                        compiler::compilePassList(
-                            PipelineSpec::Kind::Full, opts)),
-            rel + " full vs explicit list");
     }
 }
 
 TEST(PassManagerEquivalence, OptionVariantsMatchLegacy)
 {
     const Circuit input = loadExample(kExampleQasm[1]);  // qft4
+    const CompileOptions defaults;
 
-    CompileOptions no_mirror;
+    // The former option switches are pass-list edits.
+    LegacyFlags no_mirror;
     no_mirror.applyMirroring = false;
-    expectSameCompile(compiler::reqiscEff(input, no_mirror),
-                      legacyEff(input, no_mirror), "no-mirror eff");
-
-    CompileOptions nc;
-    nc.dagCompacting = false;
-    expectSameCompile(compiler::reqiscFull(input, nc),
-                      legacyFull(input, nc), "dagCompacting=off");
-    // The ablation is also exactly the hier-synth:nc pass-list edit.
     expectSameCompile(
-        compiler::reqiscFull(input, nc),
-        runExplicit(input, nc,
-                    {"synth", "group-pauli", "fuse", "hier-synth:nc",
-                     "mirror", "lower"}),
-        "dagCompacting=off vs explicit :nc list");
+        compiler::runPasses(input, {"synth", "group-pauli", "fuse", "lower"}),
+        legacyEff(input, defaults, no_mirror), "no-mirror eff");
+
+    LegacyFlags nc;
+    nc.dagCompacting = false;
+    expectSameCompile(
+        compiler::runPasses(input, fullListWith("hier-synth:nc")),
+        legacyFull(input, defaults, nc), "dagCompacting=off");
 
     CompileOptions variational;
     variational.variationalMode = true;
@@ -739,6 +725,48 @@ TEST(PassRegistry, TraceNamesAreTheTokensAsWritten)
     }
 }
 
+TEST(PassRegistry, EveryRowMeetsItsGateWidthContract)
+{
+    // A ccx in front of every row, on a chip: the four rows that take
+    // 1Q and 2Q gates only refuse it by name before running, and the
+    // other nine take it.
+    const backend::Backend chip = backend::Backend::fromJsonFile(
+        std::string(REQISC_SOURCE_DIR) + "/examples/chips/chain8_xy.json");
+    const backend::ReconfigureResult reconfig = backend::reconfigure(chip);
+    const std::vector<std::string> narrow = {"lower", "route", "estimate",
+                                             "schedule"};
+    Circuit input(3);
+    input.add(Gate::ccx(0, 1, 2));
+    input.add(Gate::cx(1, 2));
+    int wide = 0;
+    for (const compiler::PassInfo &row : compiler::passRegistry()) {
+        CompilationUnit unit = CompilationUnit::forInput(input);
+        unit.backend = &chip;
+        unit.reconfig = &reconfig;
+        PassManager pm;
+        std::string error;
+        auto pass = compiler::makePass(row.token, error);
+        ASSERT_NE(pass, nullptr) << error;
+        pm.add(std::move(pass));
+        if (std::find(narrow.begin(), narrow.end(), row.token) ==
+            narrow.end()) {
+            ++wide;
+            EXPECT_NO_THROW(pm.run(unit)) << row.token;
+            continue;
+        }
+        try {
+            pm.run(unit);
+            ADD_FAILURE() << row.token << " ran on a ccx";
+        } catch (const compiler::UnsupportedGateError &e) {
+            EXPECT_NE(std::string(e.what()).find("pass '" + row.token +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(wide, 9);
+}
+
 // ---- PassTrace invariants ----------------------------------------------
 
 TEST(PassTrace, NamedFullPipelineTraceIsChainedAndConsistent)
@@ -823,36 +851,37 @@ TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
 {
     // hier-synth fans its independent block solves out over a
     // synth::BlockPool when CompileOptions::synthPool is set; so does
-    // its Fig-14 ablation (dagCompacting off, the hier-synth:nc
-    // pass). The compiled artifacts must be bit-identical to the
-    // serial path at every worker count, with and without a shared
-    // memo.
+    // its Fig-14 ablation, the hier-synth:nc pass. The compiled
+    // artifacts must be bit-identical to the serial path at every
+    // worker count, with and without a shared memo.
     for (const std::string &rel : kExampleQasm) {
         const Circuit input = loadExample(rel);
-        for (bool compacting : {true, false}) {
-            CompileOptions opts;
-            opts.dagCompacting = compacting;
+        for (const std::string hier : {"hier-synth", "hier-synth:nc"}) {
+            const std::vector<std::string> passes = fullListWith(hier);
             const CompileResult serial =
-                compiler::reqiscFull(input, opts);
+                compiler::runPasses(input, passes);
             for (int workers : {2, 4}) {
                 const std::string what =
-                    rel + (compacting ? "" : " nc") +
+                    rel + " " + hier +
                     " workers=" + std::to_string(workers);
                 synth::BlockPool pool(workers - 1);
-                CompileOptions par = opts;
+                CompileOptions par;
                 par.synthPool = &pool;
-                expectSameCompile(compiler::reqiscFull(input, par),
-                                  serial, what);
+                expectSameCompile(
+                    compiler::runPasses(input, passes, par), serial,
+                    what);
 
                 // Pool + shared cache together (the service
                 // configuration): two runs (cold then warm) both
                 // match the serial oracle.
                 service::SynthCache cache;
                 par.synthMemo = &cache;
-                expectSameCompile(compiler::reqiscFull(input, par),
-                                  serial, what + " memo cold");
-                expectSameCompile(compiler::reqiscFull(input, par),
-                                  serial, what + " memo warm");
+                expectSameCompile(
+                    compiler::runPasses(input, passes, par), serial,
+                    what + " memo cold");
+                expectSameCompile(
+                    compiler::runPasses(input, passes, par), serial,
+                    what + " memo warm");
             }
         }
     }
@@ -862,19 +891,15 @@ TEST(ParallelHierSynth, TraceNoteReportsWorkerCount)
 {
     const Circuit input = loadExample(kExampleQasm[1]);  // qft4
     synth::BlockPool pool(3);
-    for (bool compacting : {true, false}) {
+    for (const std::string hier : {"hier-synth", "hier-synth:nc"}) {
         CompileOptions opts;
         opts.synthPool = &pool;
-        opts.dagCompacting = compacting;
-        const std::string hier =
-            compacting ? "hier-synth" : "hier-synth:nc";
         CompilationUnit unit = CompilationUnit::forInput(input, opts);
         PassManager pm;
         std::string error;
         PipelineSpec spec;
         spec.kind = PipelineSpec::Kind::Custom;
-        spec.passes =
-            compiler::compilePassList(PipelineSpec::Kind::Full, opts);
+        spec.passes = fullListWith(hier);
         ASSERT_TRUE(compiler::buildPipeline(spec, opts, pm, error))
             << error;
         pm.run(unit);
