@@ -10,9 +10,16 @@ randomGinibre(int n, Rng &rng)
 {
     std::normal_distribution<double> g(0.0, 1.0);
     Matrix m(n, n);
-    for (int i = 0; i < n; ++i)
-        for (int j = 0; j < n; ++j)
-            m(i, j) = Complex(g(rng), g(rng));
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            // Imaginary part first: the order every pinned artifact
+            // was drawn in, kept explicit so no compiler can pick
+            // another (tools/check_rng_draws.py).
+            const double im = g(rng);
+            const double re = g(rng);
+            m(i, j) = Complex(re, im);
+        }
+    }
     return m;
 }
 

@@ -215,9 +215,13 @@ makeHwb(int wires, unsigned seed)
                 continue;
             c.add(Gate::cswap(ctl, a, b));
         }
-        c.add(Gate::cx(dq(rng), (dq(rng) + 1) % wires == 0
-                                    ? (wires - 1)
-                                    : dq(rng)));
+        // The target's draws first: the order every pinned artifact
+        // was drawn in (tools/check_rng_draws.py).
+        const int probe = dq(rng);
+        const int target =
+            (probe + 1) % wires == 0 ? (wires - 1) : dq(rng);
+        const int control = dq(rng);
+        c.add(Gate::cx(control, target));
     }
     Benchmark bm;
     bm.name = nameOf("hwb", wires, static_cast<int>(seed % 97));

@@ -152,11 +152,11 @@ TEST(U4Payload, CachedDecompositionMatchesAFreshOneBitForBit)
     for (const weyl::WeylCoord &c :
          {weyl::WeylCoord{kPi / 4.0, 0.3, 0.1},
           weyl::WeylCoord{0.5, 0.2, 0.0}}) {
-        const Matrix left =
-            kron(randomUnitary(2, rng), randomUnitary(2, rng));
-        const Matrix right =
-            kron(randomUnitary(2, rng), randomUnitary(2, rng));
-        inputs.push_back(left * weyl::canonicalGate(c) * right);
+        // Right factors first (tools/check_rng_draws.py).
+        const Matrix l1 = randomUnitary(2, rng), l0 = randomUnitary(2, rng);
+        const Matrix r1 = randomUnitary(2, rng), r0 = randomUnitary(2, rng);
+        inputs.push_back(kron(l0, l1) * weyl::canonicalGate(c) *
+                         kron(r0, r1));
     }
 
     SimdGuard guard;
@@ -412,7 +412,8 @@ TEST(Lower, TwoQubitAnalyticCases)
     targets.push_back(Gate::sqisw(0, 1).matrix());
     targets.push_back(Gate::bgate(0, 1).matrix());
     targets.push_back(Gate::rzz(0, 1, 0.7).matrix());
-    targets.push_back(kron(randomSU2(rng), randomSU2(rng)));
+    const Matrix local1 = randomSU2(rng), local0 = randomSU2(rng);
+    targets.push_back(kron(local0, local1));
     targets.push_back(Gate::swap(0, 1).matrix());
     targets.push_back(randomUnitary(4, rng));
     targets.push_back(

@@ -213,8 +213,11 @@ TEST(Invariants, MatchKakOracle)
     Rng rng(301);
     for (int rep = 0; rep < 30; ++rep) {
         Matrix u = randomUnitary(4, rng);
-        Matrix l = kron(randomSU2(rng), randomSU2(rng));
-        Matrix r = kron(randomSU2(rng), randomSU2(rng));
+        // Right factors first (tools/check_rng_draws.py).
+        const Matrix l1 = randomSU2(rng), l0 = randomSU2(rng);
+        const Matrix r1 = randomSU2(rng), r0 = randomSU2(rng);
+        Matrix l = kron(l0, l1);
+        Matrix r = kron(r0, r1);
         // Invariant under local dressing.
         EXPECT_TRUE(weyl::locallyEquivalentFast(u, l * u * r, 1e-7));
         // Agreement with the KAK-based oracle on both outcomes.

@@ -172,7 +172,10 @@ TEST(KernelsBitIdentity, KronDaggerAxpyScale)
             const Matrix a = qmath::randomUnitary(n, rng);
             const Matrix x = qmath::randomUnitary(n, rng);
             std::uniform_real_distribution<double> u(-2.0, 2.0);
-            const Complex s(u(rng), u(rng));
+            // Imaginary part first (tools/check_rng_draws.py).
+            const double im = u(rng);
+            const double re = u(rng);
+            const Complex s(re, im);
             Matrix ds, dv, ys, yv, ss, sv;
             kernels::setSimdEnabled(false);
             kernels::daggerInto(ds, a);

@@ -94,9 +94,10 @@ TEST(SupportDefect, CxSpreadsEachQubitOntoThePair)
 TEST(SupportDefect, VanishesWhereTheCircuitKeepsTheSupport)
 {
     Rng rng(229);
-    const Matrix local = kron(kron(randomUnitary(2, rng),
-                                   randomUnitary(2, rng)),
-                              randomUnitary(2, rng));
+    // Right factors first (tools/check_rng_draws.py).
+    const Matrix u2 = randomUnitary(2, rng), u1 = randomUnitary(2, rng),
+                 u0 = randomUnitary(2, rng);
+    const Matrix local = kron(kron(u0, u1), u2);
     for (int q = 0; q < 3; ++q)
         EXPECT_LE(supportDefect(local, 3, q, {q}), 1e-14) << q;
 
@@ -342,8 +343,10 @@ TEST(Synthesis, TwoQubitBlockTrivial)
 TEST(Synthesis, LocalTargetZeroBlocks)
 {
     Rng rng(219);
-    Matrix target = kron(kron(randomSU2(rng), randomSU2(rng)),
-                         randomSU2(rng));
+    // Right factors first (tools/check_rng_draws.py).
+    const Matrix c = randomSU2(rng), b = randomSU2(rng),
+                 a = randomSU2(rng);
+    Matrix target = kron(kron(a, b), c);
     SynthesisResult r = synthesizeBlock(target, {0, 1, 2});
     ASSERT_TRUE(r.success);
     EXPECT_EQ(r.blockCount, 0);
@@ -382,7 +385,9 @@ TEST(Synthesis, Su4ToCnotsSpecialClasses)
     EXPECT_EQ(cxCount(Gate::iswap(0, 1).matrix()), 2);
     EXPECT_LE(cxCount(Gate::swap(0, 1).matrix()), 3);
     Rng rng(227);
-    EXPECT_EQ(cxCount(kron(randomSU2(rng), randomSU2(rng))), 0);
+    // Right factor first (tools/check_rng_draws.py).
+    const Matrix b = randomSU2(rng), a = randomSU2(rng);
+    EXPECT_EQ(cxCount(kron(a, b)), 0);
 }
 
 TEST(Templates, CcxVariantsCorrect)

@@ -139,7 +139,9 @@ TEST(Kak, LocalGatesHaveZeroCoordinate)
 {
     Rng rng(67);
     for (int rep = 0; rep < 10; ++rep) {
-        Matrix u = kron(randomSU2(rng), randomSU2(rng));
+        // Right factor first (tools/check_rng_draws.py).
+        const Matrix b = randomSU2(rng), a = randomSU2(rng);
+        Matrix u = kron(a, b);
         EXPECT_TRUE(weylCoordinate(u).approxEqual(
             WeylCoord::identity(), 1e-8));
     }
@@ -192,8 +194,11 @@ TEST(Kak, InvariantUnderLocalGates)
     Rng rng(73);
     for (int rep = 0; rep < 15; ++rep) {
         Matrix u = randomUnitary(4, rng);
-        Matrix l = kron(randomSU2(rng), randomSU2(rng));
-        Matrix r = kron(randomSU2(rng), randomSU2(rng));
+        // Right factors first (tools/check_rng_draws.py).
+        const Matrix l1 = randomSU2(rng), l0 = randomSU2(rng);
+        const Matrix r1 = randomSU2(rng), r0 = randomSU2(rng);
+        Matrix l = kron(l0, l1);
+        Matrix r = kron(r0, r1);
         EXPECT_TRUE(locallyEquivalent(u, l * u * r, 1e-7));
     }
 }
