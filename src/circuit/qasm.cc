@@ -160,6 +160,15 @@ fromQasm(const std::string &text)
             if (lb == std::string_view::npos ||
                 rb == std::string_view::npos || rb < lb)
                 fail("malformed qreg");
+            // The dialect has one register, q, and every operand reads
+            // q[i]: another name or a second register would lose or
+            // misread the gates around it.
+            if (c.numQubits() > 0)
+                fail("a second qreg: a program declares one register, q");
+            const std::string_view reg = trim(line.substr(4, lb - 4));
+            if (reg != "q")
+                fail("register '" + std::string(reg) +
+                     "': a program declares one register, q");
             const std::string_view size = line.substr(lb + 1, rb - lb - 1);
             int n = 0;
             if (!parseTokenInt(size, n))

@@ -32,7 +32,8 @@ std::string toQasm(const Circuit &c);
 
 /**
  * Parse a circuit written by toQasm (or hand-written in the same
- * dialect). Throws std::runtime_error on malformed input, a gate
+ * dialect: one register, named q). Throws std::runtime_error on
+ * malformed input, a second qreg, another register name and a gate
  * that fails gateError included.
  */
 Circuit fromQasm(const std::string &text);

@@ -571,6 +571,18 @@ TEST(Qasm, MalformedHeaderIsRejected)
     expectQasmError("qreg q[-3];\n", "positive");
 }
 
+TEST(Qasm, OneRegisterNamedQ)
+{
+    // A second qreg once reset the circuit, so this compiled "ok" to
+    // the x alone; another name failed only on its operand count.
+    expectQasmError("qreg q[2];\nh q[0];\ncx q[0],q[1];\nqreg q[3];\n"
+                    "x q[2];\n",
+                    "a second qreg");
+    expectQasmError("qreg r[2];\nh r[0];\n", "register 'r'");
+    expectQasmError("qreg q[2];\nqreg r[2];\n", "a second qreg");
+    EXPECT_EQ(circuit::fromQasm("qreg  q [2];\nh q[1];\n").numQubits(), 2);
+}
+
 TEST(Qasm, BadQubitIndexIsRejected)
 {
     expectQasmError("qreg q[2];\ncx q[0],q[5];\n", "out of range");
