@@ -133,14 +133,25 @@ PassManager::run(CompilationUnit &unit) const
 
 // ---- The pass table ----------------------------------------------------
 
+namespace
+{
+
+// PassInfo::twoQubitGatesOnly, by name in the rows below.
+constexpr bool kAnyWidth = false;
+constexpr bool kTwoQubitGatesOnly = true;
+
+} // namespace
+
 const std::vector<PassInfo> &
 passRegistry()
 {
+    // Each row: token, summary, accepted ":arg" values, gate width,
+    // body.
     static const std::vector<PassInfo> table = {
         {"synth",
          "program-aware template synthesis (incl. MCX lowering)",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              Circuit lowered;
              try {
@@ -154,20 +165,20 @@ passRegistry()
         {"group-pauli",
          "commutation-aware 2Q Pauli-rotation grouping",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              u.circuit = groupPauliRotations(u.circuit);
          }},
         {"fuse", "greedy 1Q fusion + same-pair SU(4) block fusion",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              u.circuit = fuse2QBlocks(fuse1Q(u.circuit));
          }},
         {"dag-compact",
          "commutation-aware DAG compaction (Section 5.1.3)",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              u.circuit = dagCompact(u.circuit, u.options.synthTol);
          }},
@@ -178,7 +189,7 @@ passRegistry()
          "DAG compacting + 3Q partition + approximate resynthesis; "
          ":nc skips the compacting step (Fig 14 ablation)",
          {"nc"},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view arg) {
              const CompileOptions &opts = u.options;
              u.circuit = hierarchicalSynthesis(
@@ -192,7 +203,7 @@ passRegistry()
         {"mirror",
          "near-identity gate mirroring with tracked permutation",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              u.circuit = mirrorNearIdentity(u.circuit,
                                             u.finalPermutation,
@@ -201,7 +212,7 @@ passRegistry()
         {"rebase",
          "variational fixed-basis re-expression (Section 5.3.1)",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              Circuit fixed(u.circuit.numQubits());
              for (const Gate &g : u.circuit) {
@@ -221,7 +232,7 @@ passRegistry()
          }},
         {"lower", "expand to the {Can, U3} normal form",
          {},
-         true,
+         kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view) {
              u.circuit = circuit::expandToCanU3(u.circuit);
          }},
@@ -231,7 +242,7 @@ passRegistry()
          "mirroring-SABRE onto the backend topology (SWAP -> Can); "
          "no-op without a backend",
          {},
-         true,
+         kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view) {
              if (!u.backend)
                  return;
@@ -262,7 +273,7 @@ passRegistry()
          "score routed circuit: per-edge reconfigured vs uniform "
          "gate set; no-op until routed",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              if (!u.backend || !u.reconfig || !u.hasRouted)
                  return;
@@ -277,7 +288,7 @@ passRegistry()
          "lower into a timed RQISA program; :serial/:asap/:alap "
          "overrides the strategy",
          {"serial", "asap", "alap"},
-         true,
+         kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view arg) {
              isa::ScheduleOptions sopts = u.scheduleOptions;
              if (!arg.empty())
@@ -302,7 +313,7 @@ passRegistry()
          "evaluate #2Q / depth / duration / distinct-SU(4) of the "
          "active artifact",
          {},
-         true,
+         kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view) {
              Metrics m;
              if (u.backend && u.hasRouted) {
@@ -328,7 +339,7 @@ passRegistry()
          "pulse-solve each distinct SU(4) class of the logical "
          "circuit; no-op on a heterogeneous backend",
          {},
-         false,
+         kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
              if (u.backend && !u.backend->isHomogeneous())
                  return;
