@@ -13,6 +13,9 @@
  *    chip, artifact by artifact;
  *  - pipeline-spec parsing accepts the documented grammar and rejects
  *    malformed specs with actionable errors;
+ *  - the pass table's rows (what --list-passes prints), the trace
+ *    names of argument tokens and each row's gate-width contract are
+ *    pinned;
  *  - PassTrace invariants: nonnegative times, before/after chaining,
  *    and #2Q consistency with the final metrics.
  */

@@ -149,7 +149,7 @@ def split_args(code, lo, hi):
 
 
 def drawn_engines(arg, scopes, at):
-    """Names of the engines the argument text code[at:] draws from."""
+    """Names of the engines `arg`, found at offset `at`, draws from."""
     found = set()
     for name, lo, hi in scopes:
         if not lo <= at < hi or name in found:
