@@ -412,6 +412,7 @@ TEST(Lower, TwoQubitAnalyticCases)
     targets.push_back(Gate::sqisw(0, 1).matrix());
     targets.push_back(Gate::bgate(0, 1).matrix());
     targets.push_back(Gate::rzz(0, 1, 0.7).matrix());
+    // Right factor first (tools/check_rng_draws.py).
     const Matrix local1 = randomSU2(rng), local0 = randomSU2(rng);
     targets.push_back(kron(local0, local1));
     targets.push_back(Gate::swap(0, 1).matrix());
