@@ -34,8 +34,8 @@ main(int argc, char **argv)
         copts.variationalMode = bm.isTypeII;
         auto eff = compiler::reqiscEff(bm.circuit, copts);
         auto full = compiler::reqiscFull(bm.circuit, copts);
-        const int de = eff.circuit.countDistinctSU4(1e-6);
-        const int df = full.circuit.countDistinctSU4(1e-6);
+        const int de = eff.circuit.countDistinctSU4();
+        const int df = full.circuit.countDistinctSU4();
         eff_max = std::max(eff_max, de);
         full_max = std::max(full_max, df);
         ++count;
@@ -61,9 +61,9 @@ main(int argc, char **argv)
         compiler::CompileOptions copts;
         copts.variationalMode = bm.isTypeII;
         const int de = compiler::reqiscEff(bm.circuit, copts)
-                           .circuit.countDistinctSU4(1e-6);
+                           .circuit.countDistinctSU4();
         const int df = compiler::reqiscFull(bm.circuit, copts)
-                           .circuit.countDistinctSU4(1e-6);
+                           .circuit.countDistinctSU4();
         for (int b = 0; b < 6; ++b) {
             if (de >= edges[b] && de < edges[b + 1])
                 ++hist_eff[b];

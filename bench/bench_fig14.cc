@@ -52,8 +52,8 @@ main(int argc, char **argv)
             sums[k] += red;
             row.push_back(pct(red));
         }
-        row.push_back(std::to_string(v[2].countDistinctSU4(1e-6)));
-        row.push_back(std::to_string(v[4].countDistinctSU4(1e-6)));
+        row.push_back(std::to_string(v[2].countDistinctSU4()));
+        row.push_back(std::to_string(v[4].countDistinctSU4()));
         ++n;
         table.addRow(row);
     }

@@ -35,12 +35,12 @@ main()
         std::printf("  default mode:     #2Q=%3d distinct SU(4)=%d "
                     "(recalibrate on every parameter update)\n",
                     plain.circuit.count2Q(),
-                    plain.circuit.countDistinctSU4(1e-6));
+                    plain.circuit.countDistinctSU4());
         std::printf("  variational mode: #2Q=%3d distinct SU(4)=%d "
                     "(fixed SQiSW; 1Q phases via PMW, no "
                     "recalibration)\n",
                     var.circuit.count2Q(),
-                    var.circuit.countDistinctSU4(1e-6));
+                    var.circuit.countDistinctSU4());
     }
     return 0;
 }

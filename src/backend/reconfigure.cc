@@ -40,36 +40,6 @@ defaultWorkload()
     return kDefault;
 }
 
-Workload
-workloadFromCircuits(const std::vector<circuit::Circuit> &circuits,
-                     double cluster_tol)
-{
-    Workload w;
-    double total = 0.0;
-    for (const circuit::Circuit &c : circuits) {
-        for (const circuit::Gate &g : c) {
-            if (!g.is2Q())
-                continue;
-            const weyl::WeylCoord coord = g.weylCoord();
-            total += 1.0;
-            bool found = false;
-            for (auto &[rep, weight] : w) {
-                if (rep.approxEqual(coord, cluster_tol)) {
-                    weight += 1.0;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                w.emplace_back(coord, 1.0);
-        }
-    }
-    if (total > 0.0)
-        for (auto &[rep, weight] : w)
-            weight /= total;
-    return w;
-}
-
 int
 applicationsFor(circuit::Op op, const weyl::WeylCoord &target,
                 double tol)
@@ -186,13 +156,13 @@ ReconfigureResult::differsFromUniform() const
 ReconfigureResult
 reconfigure(const Backend &backend, const ReconfigureOptions &opts)
 {
-    const Workload &workload =
-        opts.workload.empty() ? defaultWorkload() : opts.workload;
     const std::vector<GateSetCandidate> &cands = gateSetCandidates();
     std::vector<double> expected;
     expected.reserve(cands.size());
     for (const GateSetCandidate &c : cands)
-        expected.push_back(expectedApplications(c.op, workload));
+        expected.push_back(
+            expectedApplications(c.op, defaultWorkload()));
+    const double tau0 = isa::NoiseModel{}.tau0;
 
     ReconfigureResult res;
     res.table.reserve(backend.edges().size());
@@ -207,7 +177,7 @@ reconfigure(const Backend &backend, const ReconfigureOptions &opts)
         size_t best = 0;
         for (size_t ci = 0; ci < cands.size(); ++ci) {
             scored[ci].push_back(scoreCandidate(
-                backend, edge, cands[ci], expected[ci], opts.tau0));
+                backend, edge, cands[ci], expected[ci], tau0));
             const EdgeInstruction &instr = scored[ci].back();
             uniformLog[ci] +=
                 std::log(std::max(instr.score, 1e-300));
@@ -245,8 +215,7 @@ reconfigure(const Backend &backend, const ReconfigureOptions &opts)
 double
 estimateFidelity(const circuit::Circuit &routed,
                  const Backend &backend,
-                 const std::vector<EdgeInstruction> &table,
-                 bool include_readout)
+                 const std::vector<EdgeInstruction> &table)
 {
     double logf = 0.0;
     std::set<int> used;
@@ -277,9 +246,8 @@ estimateFidelity(const circuit::Circuit &routed,
                      std::numeric_limits<double>::min()));
     }
     double f = std::exp(logf);
-    if (include_readout)
-        for (int q : used)
-            f *= 1.0 - backend.qubit(q).readoutError;
+    for (int q : used)
+        f *= 1.0 - backend.qubit(q).readoutError;
     return f;
 }
 

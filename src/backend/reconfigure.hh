@@ -73,16 +73,11 @@ const std::vector<GateSetCandidate> &gateSetCandidates();
 using Workload = std::vector<std::pair<weyl::WeylCoord, double>>;
 
 /**
- * Default workload: the 2Q class mix of typical compiled NISQ
+ * The scoring workload: the 2Q class mix of typical compiled NISQ
  * programs — CNOT-class dominated, routing SWAPs, a tail of generic
  * and near-identity SU(4)s from fusion/mirroring.
  */
 const Workload &defaultWorkload();
-
-/** Empirical workload: the 2Q Weyl classes of concrete circuits. */
-Workload workloadFromCircuits(
-    const std::vector<circuit::Circuit> &circuits,
-    double cluster_tol = 1e-6);
 
 /**
  * Applications of fixed basis `op` (plus free 1Q layers) needed to
@@ -112,13 +107,12 @@ struct EdgeInstruction
     uarch::PulseSolution pulse;
 };
 
-/** Reconfiguration knobs. */
+/**
+ * Reconfiguration knobs. Candidates are scored over defaultWorkload(),
+ * with p0 scaled at isa::NoiseModel's reference duration tau0.
+ */
 struct ReconfigureOptions
 {
-    /** Scoring workload; empty = defaultWorkload(). */
-    Workload workload;
-    /** Reference duration for the p0 error scaling. */
-    double tau0 = uarch::conventionalCnotDuration(1.0);
     /** Also run the genAshN pulse solver for each chosen entry. */
     bool solvePulses = false;
 };
@@ -149,15 +143,14 @@ ReconfigureResult reconfigure(const Backend &backend,
  * gate on an edge; throws std::invalid_argument otherwise) executed
  * with the given instruction table: the product of per-2Q-gate
  * scores (each compiled SU(4) modeled as a workload draw over the
- * edge's native instruction), 1Q-gate decoherence factors, and —
- * when `include_readout` — one (1 - readoutError) factor per used
- * qubit. Comparable across tables of the same Backend; the per-edge
- * table dominates the uniform one by construction.
+ * edge's native instruction), 1Q-gate decoherence factors, and one
+ * (1 - readoutError) factor per used qubit. Comparable across tables
+ * of the same Backend; the per-edge table dominates the uniform one
+ * by construction.
  */
 double estimateFidelity(const circuit::Circuit &routed,
                         const Backend &backend,
-                        const std::vector<EdgeInstruction> &table,
-                        bool include_readout = true);
+                        const std::vector<EdgeInstruction> &table);
 
 } // namespace reqisc::backend
 

@@ -63,25 +63,24 @@ Circuit::depth2Q() const
     return depth;
 }
 
-int
-Circuit::countDistinctSU4(double tol) const
+std::vector<SU4Class>
+Circuit::su4Classes(double tol) const
 {
-    std::vector<weyl::WeylCoord> reps;
+    std::vector<SU4Class> classes;
     for (const Gate &g : gates_) {
         if (!g.is2Q())
             continue;
-        weyl::WeylCoord c = g.weylCoord();
-        bool found = false;
-        for (const auto &r : reps) {
-            if (r.approxEqual(c, tol)) {
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            reps.push_back(c);
+        const weyl::WeylCoord c = g.weylCoord();
+        const auto hit = std::find_if(
+            classes.begin(), classes.end(), [&](const SU4Class &k) {
+                return k.coord.approxEqual(c, tol);
+            });
+        if (hit != classes.end())
+            ++hit->uses;
+        else
+            classes.push_back({c, 1});
     }
-    return static_cast<int>(reps.size());
+    return classes;
 }
 
 std::string

@@ -23,6 +23,21 @@
 namespace reqisc::circuit
 {
 
+/**
+ * The SU(4)-class tolerance: two 2Q gates are one class when their
+ * Weyl coordinates are WeylCoord::approxEqual within it. The distinct
+ * count (Fig 13), the calibration plan and the pulse cache's
+ * lookup all cluster at this tolerance (Section 6.5).
+ */
+inline constexpr double kSU4ClassTol = 1e-6;
+
+/** One distinct SU(4) class of a circuit (see Circuit::su4Classes). */
+struct SU4Class
+{
+    weyl::WeylCoord coord;   //!< the first gate's coordinate
+    int uses = 0;            //!< 2Q gates in the class
+};
+
 /** An ordered list of gates on a fixed-size qubit register. */
 class Circuit
 {
@@ -62,11 +77,21 @@ class Circuit
     int depth2Q() const;
 
     /**
-     * Number of distinct SU(4) classes among the 2Q gates, clustering
-     * Weyl coordinates with the given tolerance. This is the paper's
-     * calibration-overhead metric (Fig 13).
+     * The distinct SU(4) classes of the 2Q gates, in first-seen
+     * order. A gate joins the first class whose representative (the
+     * coordinate of the class's first gate) is within `tol` of its
+     * Weyl coordinate, and opens a new class otherwise.
      */
-    int countDistinctSU4(double tol = 1e-6) const;
+    std::vector<SU4Class> su4Classes(double tol = kSU4ClassTol) const;
+
+    /**
+     * Number of su4Classes(): the paper's calibration-overhead metric
+     * (Fig 13).
+     */
+    int countDistinctSU4() const
+    {
+        return static_cast<int>(su4Classes().size());
+    }
 
     /** Pretty multi-line dump (one gate per line, QASM-like). */
     std::string toString() const;

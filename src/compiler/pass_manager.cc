@@ -180,7 +180,7 @@ passRegistry()
          {},
          kAnyWidth,
          [](CompilationUnit &u, std::string_view) {
-             u.circuit = dagCompact(u.circuit, u.options.synthTol);
+             u.circuit = dagCompact(u.circuit, kSynthTol);
          }},
         // ReQISC-Full's extra stage. ":nc" is the Fig-14 ablation:
         // the same partition + approximate resynthesis with the
@@ -193,7 +193,7 @@ passRegistry()
          [](CompilationUnit &u, std::string_view arg) {
              const CompileOptions &opts = u.options;
              u.circuit = hierarchicalSynthesis(
-                 u.circuit, opts.mTh, opts.synthTol, opts.seed,
+                 u.circuit, kHierSynthThreshold, kSynthTol, opts.seed,
                  opts.synthMemo, opts.synthPool, arg != "nc");
              u.passNote = "workers=" +
                           std::to_string(opts.synthPool
@@ -207,7 +207,7 @@ passRegistry()
          [](CompilationUnit &u, std::string_view) {
              u.circuit = mirrorNearIdentity(u.circuit,
                                             u.finalPermutation,
-                                            u.options.mirrorThreshold);
+                                            uarch::kMirrorThreshold);
          }},
         {"rebase",
          "variational fixed-basis re-expression (Section 5.3.1)",
@@ -219,7 +219,7 @@ passRegistry()
                  if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
                      auto gates = synth::su4ToFixedBasis(
                          g.qubits[0], g.qubits[1], g.matrix(),
-                         u.options.variationalBasis);
+                         kVariationalBasis);
                      if (!gates.empty()) {
                          for (Gate &e : gates)
                              fixed.add(std::move(e));
@@ -344,7 +344,8 @@ passRegistry()
              if (u.backend && !u.backend->isHomogeneous())
                  return;
              u.metrics.unsolvedClasses =
-                 uarch::planCalibration(u.circuit, u.coupling, 1e-6,
+                 uarch::planCalibration(u.circuit, u.coupling,
+                                        circuit::kSU4ClassTol,
                                         u.options.pulseMemo,
                                         u.options.synthPool)
                      .unsolved;

@@ -22,6 +22,7 @@
 #include "circuit/circuit.hh"
 #include "synth/pool.hh"
 #include "synth/synthesis.hh"
+#include "uarch/genashn.hh"
 
 namespace reqisc::compiler
 {
@@ -30,6 +31,19 @@ using circuit::Circuit;
 using circuit::Gate;
 using circuit::Op;
 using qmath::Matrix;
+
+/**
+ * The hierarchical-synthesis threshold m_th of Section 5.1.2: a 3Q
+ * block with more 2Q gates than this is re-synthesized.
+ */
+inline constexpr int kHierSynthThreshold = 4;
+
+/**
+ * The approximate-synthesis precision: the trace infidelity that
+ * dagCompact's exchanges and hierarchicalSynthesis's block solves
+ * accept.
+ */
+inline constexpr double kSynthTol = 1e-9;
 
 /** Merge adjacent one-qubit gates into single U3s, drop identities. */
 Circuit fuse1Q(const Circuit &c);
@@ -78,12 +92,12 @@ int compactnessScore(const Circuit &c);
  * @param c circuit over {U4/CAN/1Q}
  * @param tol accepted infidelity for an exchange
  */
-Circuit dagCompact(const Circuit &c, double tol = 1e-9);
+Circuit dagCompact(const Circuit &c, double tol = kSynthTol);
 
 /**
  * Approximate synthesis over the 3Q partition: blocks with more than
  * `m_th` 2Q gates are re-synthesized into fewer SU(4)s when possible
- * (Section 5.1.2, threshold m_th = 4). `tol` is the accepted
+ * (Section 5.1.2, kHierSynthThreshold). `tol` is the accepted
  * infidelity of both the dagCompact exchanges that run first and the
  * block resyntheses. `seed` drives the numeric
  * instantiation (deterministic per call); `memo` optionally shares
@@ -98,21 +112,22 @@ Circuit dagCompact(const Circuit &c, double tol = 1e-9);
  * compacting, the input is partitioned as it is and reassembled in
  * block order; the resynthesis that follows is the same.
  */
-Circuit hierarchicalSynthesis(const Circuit &c, int m_th = 4,
-                              double tol = 1e-9,
+Circuit hierarchicalSynthesis(const Circuit &c,
+                              int m_th = kHierSynthThreshold,
+                              double tol = kSynthTol,
                               unsigned seed = 777,
                               synth::BlockMemo *memo = nullptr,
                               synth::BlockPool *pool = nullptr,
                               bool compacting = true);
 
 /**
- * Near-identity gate mirroring (Section 4.3). Every 2Q gate whose
- * Weyl coordinate has L1 norm below `r` is composed with SWAP (its
+ * Near-identity gate mirroring (Section 4.3). Every 2Q gate that
+ * uarch::needsMirror at threshold `r` is composed with SWAP (its
  * mirror) and the rewiring is tracked in the returned permutation:
  * logical qubit q of the input ends on wire perm[q] of the output.
  */
 Circuit mirrorNearIdentity(const Circuit &c, std::vector<int> &perm,
-                           double r = 0.1);
+                           double r = uarch::kMirrorThreshold);
 
 /**
  * Commutation-aware grouping of two-qubit Pauli rotations (the

@@ -23,14 +23,22 @@ namespace reqisc::compiler
 {
 
 /**
+ * The fixed 2Q basis of the variational mode (Section 5.3.1): SQiSW,
+ * the half-entangler of arXiv:2105.06074.
+ */
+inline constexpr circuit::Op kVariationalBasis = circuit::Op::SQISW;
+
+/**
  * What the passes read. The pass list, not an option, picks which
- * passes run (compiler/pass_manager.hh).
+ * passes run (compiler/pass_manager.hh). The paper's fixed compile
+ * parameters are constants, not options: the mirror threshold
+ * uarch::kMirrorThreshold, the hierarchical-synthesis threshold
+ * kHierSynthThreshold, the synthesis precision kSynthTol
+ * (compiler/passes.hh), the variational basis kVariationalBasis and
+ * the SU(4)-class tolerance circuit::kSU4ClassTol.
  */
 struct CompileOptions
 {
-    double mirrorThreshold = 0.1;
-    int mTh = 4;                 //!< hierarchical-synthesis threshold
-    double synthTol = 1e-9;      //!< approximate-synthesis precision
     /**
      * Seed for the numeric-instantiation searches. Compilation is a
      * deterministic function of (input, options) including this seed,
@@ -63,13 +71,12 @@ struct CompileOptions
     uarch::PulseMemo *pulseMemo = nullptr;
     /**
      * Variational-program mode (Section 5.3.1): re-express every
-     * SU(4) over one fixed 2Q basis gate plus parameterized 1Q
-     * layers, trading a slightly higher #2Q for a constant-size
-     * calibration set (the PMW-protocol trade-off). The named pass
-     * lists end in `rebase` instead of `mirror`, `lower`.
+     * SU(4) over kVariationalBasis plus parameterized 1Q layers,
+     * trading a slightly higher #2Q for a constant-size calibration
+     * set (the PMW-protocol trade-off). The named pass lists end in
+     * `rebase` instead of `mirror`, `lower`.
      */
     bool variationalMode = false;
-    circuit::Op variationalBasis = circuit::Op::SQISW;
 };
 
 /** A compiled program: {Can, U3} circuit + tracked output wiring. */

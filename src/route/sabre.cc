@@ -27,6 +27,15 @@ namespace
  */
 constexpr int kAbsorbReach = 257;
 
+/** W, the weight of the lookahead term in the SABRE cost. */
+constexpr double kExtendedWeight = 0.5;
+
+/** |E|, about how many 2Q gates beyond the front the lookahead sees. */
+constexpr int kExtendedSize = 20;
+
+/** The decay a SWAP adds to both its wires; reset per emitted gate. */
+constexpr double kDecayIncrement = 0.001;
+
 /**
  * Mutable routing state for one pass. Work is proportional to the
  * decisions taken: the ready set, the lookahead scratch and the
@@ -107,8 +116,8 @@ struct Router
         if (l2 >= 0)
             phys[l2] = p1;
         std::swap(host[p1], host[p2]);
-        decay[p1] += opts.decayIncrement;
-        decay[p2] += opts.decayIncrement;
+        decay[p1] += kDecayIncrement;
+        decay[p2] += kDecayIncrement;
     }
 
     void
@@ -121,7 +130,7 @@ struct Router
     }
 
     /**
-     * The lookahead set: about opts.extendedSize 2Q gates beyond the
+     * The lookahead set: about kExtendedSize 2Q gates beyond the
      * front, in breadth-first order. Every gate reachable from the
      * front is still unemitted, so only the stamp filters.
      */
@@ -135,7 +144,7 @@ struct Router
             seen[f] = stamp;
         for (size_t head = 0;
              head < queue.size() &&
-             static_cast<int>(ext.size()) < opts.extendedSize;
+             static_cast<int>(ext.size()) < kExtendedSize;
              ++head) {
             for (int s : dag.nodes[queue[head]].succs) {
                 if (seen[s] == stamp)
@@ -165,7 +174,7 @@ struct Router
                 const Gate &g = logical[i];
                 e += topo.distance(phys[g.qubits[0]], phys[g.qubits[1]]);
             }
-            cost += opts.extendedWeight * e / ext.size();
+            cost += kExtendedWeight * e / ext.size();
         }
         return cost;
     }

@@ -26,9 +26,6 @@ namespace reqisc::route
 struct RouteOptions
 {
     bool mirroring = false;      //!< enable mirroring-SABRE
-    double extendedWeight = 0.5; //!< W, lookahead weight
-    int extendedSize = 20;       //!< |E|, lookahead window
-    double decayIncrement = 0.001; //!< reset on every emitted gate
     bool reverseTraversalInit = true;  //!< SABRE-style initial layout
     /**
      * Read by nothing: routing draws no random numbers. perfbench's

@@ -139,7 +139,8 @@ class PulseCache final : public uarch::PulseMemo
      *        are considered equal (bucket width of the lookup)
      * @param capacity LRU bound on the number of classes kept
      */
-    explicit PulseCache(const uarch::Coupling &cpl, double tol = 1e-6,
+    explicit PulseCache(const uarch::Coupling &cpl,
+                        double tol = circuit::kSU4ClassTol,
                         std::size_t capacity = 1 << 14);
     ~PulseCache() override;
 

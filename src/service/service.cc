@@ -234,7 +234,7 @@ CompileService::CompileService(ServiceOptions opts)
             // serve it directly. (Backend::uniform can produce an
             // edge-less single-qubit chip; keep the default
             // coupling there.)
-            opts_.coupling = opts_.backend->edges().front().coupling;
+            coupling_ = opts_.backend->edges().front().coupling;
         } else {
             // The pulse cache is bound to a single coupling, which
             // heterogeneous chips do not have.
@@ -244,7 +244,7 @@ CompileService::CompileService(ServiceOptions opts)
     if (opts_.enableCaches)
         synthCache_ = std::make_unique<SynthCache>();
     if (pulse_cache)
-        pulseCache_ = std::make_unique<PulseCache>(opts_.coupling);
+        pulseCache_ = std::make_unique<PulseCache>(coupling_);
     if (!opts_.cacheDir.empty()) {
         if (synthCache_)
             synthLoaded_ = synthCache_->load(
@@ -549,7 +549,7 @@ CompileService::runJob(const Job &job)
                                                 copts);
         unit.backend = opts_.backend.get();
         unit.reconfig = opts_.backend ? &reconfig_ : nullptr;
-        unit.coupling = opts_.coupling;
+        unit.coupling = coupling_;
         unit.scheduleOptions = job.req.scheduleOptions;
         unit.onPass = [this, &job](const compiler::PassTrace &t) {
             std::lock_guard<std::mutex> lk(mu_);

@@ -66,8 +66,6 @@ struct ServiceOptions
      * both off). A heterogeneous backend has no pulse cache anyway.
      */
     bool enableCaches = true;
-    /** Target hardware: duration model, pulse solves, calibration. */
-    uarch::Coupling coupling = uarch::Coupling::xy(1.0);
     /**
      * Intra-job workers for hier-synth's block resynthesis and
      * calibrate's EA multistarts: 1 solves both serially (no pool),
@@ -94,9 +92,9 @@ struct ServiceOptions
      * the chip topology (mirroring-SABRE), evaluates metrics and
      * schedules under the backend's per-edge duration model, and
      * fills Metrics::backend with the reconfigured-vs-uniform
-     * fidelity estimates. The shared pulse cache stays bound to
-     * `coupling`, which per-edge couplings would invalidate, so it
-     * is disabled for heterogeneous backends.
+     * fidelity estimates. The shared pulse cache is bound to one
+     * coupling, which per-edge couplings would invalidate, so it is
+     * disabled for heterogeneous backends.
      */
     std::shared_ptr<const backend::Backend> backend;
     /**
@@ -160,9 +158,9 @@ struct CompileRequest
     /**
      * Lower the compiled circuit into a timed RQISA program
      * (JobResult::program) and fill Metrics::schedule. The duration
-     * model's coupling is overridden with the service-wide
-     * ServiceOptions::coupling so timing, pulse solves and metrics
-     * all describe the same device.
+     * model's coupling is overridden with the service's coupling
+     * (the chip's on a homogeneous backend, else XY at g = 1) so
+     * timing, pulse solves and metrics all describe the same device.
      */
     bool schedule = false;
     isa::ScheduleOptions scheduleOptions;
@@ -311,6 +309,12 @@ class CompileService
 
     ServiceOptions opts_;
     int threads_ = 1;
+    /**
+     * The device coupling of duration models, pulse solves and the
+     * pulse cache: a homogeneous backend's edge coupling, XY at g = 1
+     * otherwise.
+     */
+    uarch::Coupling coupling_ = uarch::Coupling::xy(1.0);
     /** Gate-set tables, computed once when a backend is present. */
     backend::ReconfigureResult reconfig_;
     std::unique_ptr<SynthCache> synthCache_;   //!< null when disabled

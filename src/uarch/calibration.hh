@@ -5,8 +5,9 @@
  * A compiled program's calibration workload is proportional to its
  * number of *distinct* SU(4) classes: each class is pulse-solved once
  * (model-based parameter generation) and then characterized on
- * hardware. This module clusters a circuit's 2Q gates into classes,
- * solves each once with the genAshN scheme, and reports the total
+ * hardware. This module takes a circuit's classes
+ * (circuit::Circuit::su4Classes at circuit::kSU4ClassTol), solves
+ * each once with the genAshN scheme, and reports the total
  * cost under a simple linear model — the quantity Figs 13/14 track.
  */
 
@@ -82,8 +83,9 @@ struct CalibrationPlan
 
 /**
  * Build the calibration plan for a compiled {Can, U3} circuit on the
- * given coupling. Gates are clustered by Weyl coordinate with the
- * given tolerance; each class is solved once. With a `memo`, classes
+ * given coupling. The entries are the circuit's su4Classes at
+ * `cluster_tol`, in the same order; each class is solved once, in
+ * that order. With a `memo`, classes
  * already pulse-solved elsewhere (e.g. by another circuit of a batch
  * going through the same service cache) are reused instead of
  * re-solved — the clustering itself stays per-circuit, so the
@@ -94,7 +96,8 @@ struct CalibrationPlan
  */
 CalibrationPlan planCalibration(const circuit::Circuit &c,
                                 const Coupling &cpl,
-                                double cluster_tol = 1e-6,
+                                double cluster_tol =
+                                    circuit::kSU4ClassTol,
                                 PulseMemo *memo = nullptr,
                                 synth::BlockPool *pool = nullptr);
 

@@ -111,10 +111,16 @@ class GateScheme
 };
 
 /**
- * Near-identity test of Section 4.3: gates with L1-norm coordinate
- * below the hardware threshold r are mirrored at compile time.
+ * The near-identity threshold r of Section 4.3: the L1 norm of a Weyl
+ * coordinate at or below which a gate is mirrored.
  */
-bool needsMirror(const weyl::WeylCoord &c, double r = 0.1);
+inline constexpr double kMirrorThreshold = 0.1;
+
+/**
+ * Near-identity test of Section 4.3: gates with L1-norm coordinate
+ * at or below the hardware threshold r are mirrored at compile time.
+ */
+bool needsMirror(const weyl::WeylCoord &c, double r = kMirrorThreshold);
 
 /** Solution for an arbitrary (non-canonical) device Hamiltonian. */
 struct ArbitrarySolution

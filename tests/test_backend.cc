@@ -567,27 +567,6 @@ TEST(Reconfigure, SolvePulsesFillsConvergedSolutions)
     EXPECT_NEAR(rc.table[0].pulse.tau, rc.table[0].duration, 1e-9);
 }
 
-TEST(Reconfigure, WorkloadFromCircuitsCountsWeylClasses)
-{
-    circuit::Circuit c(3);
-    c.add(circuit::Gate::cx(0, 1));
-    c.add(circuit::Gate::cz(1, 2));  // same class as CX
-    c.add(circuit::Gate::swap(0, 2));
-    c.add(circuit::Gate::h(0));      // 1Q gates are ignored
-    const backend::Workload w =
-        backend::workloadFromCircuits({c});
-    ASSERT_EQ(w.size(), 2u);
-    double cnotWeight = 0.0, swapWeight = 0.0;
-    for (const auto &[coord, weight] : w) {
-        if (coord.approxEqual(weyl::WeylCoord::cnot(), 1e-6))
-            cnotWeight = weight;
-        if (coord.approxEqual(weyl::WeylCoord::swap(), 1e-6))
-            swapWeight = weight;
-    }
-    EXPECT_NEAR(cnotWeight, 2.0 / 3.0, 1e-12);
-    EXPECT_NEAR(swapWeight, 1.0 / 3.0, 1e-12);
-}
-
 // ---------------------------------------------------------------------
 // Service integration + the acceptance property
 // ---------------------------------------------------------------------

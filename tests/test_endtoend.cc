@@ -80,13 +80,11 @@ TEST_P(EndToEnd, FullPreservesSemanticsAndNeverWorseThanEff)
 TEST_P(EndToEnd, CompiledGatesAreNotNearIdentity)
 {
     // Mirroring must leave no near-identity 2Q gate behind.
-    compiler::CompileOptions opts;
-    compiler::CompileResult r =
-        compiler::reqiscFull(bm().circuit, opts);
+    compiler::CompileResult r = compiler::reqiscFull(bm().circuit);
     for (const Gate &g : r.circuit) {
         if (g.is2Q()) {
             EXPECT_GT(g.weylCoord().norm1(),
-                      opts.mirrorThreshold - 1e-9)
+                      uarch::kMirrorThreshold - 1e-9)
                 << bm().name << " " << g.toString();
         }
     }
@@ -123,7 +121,7 @@ TEST_P(EndToEnd, CalibrationPlanCoversCircuit)
         total += e.uses;
     EXPECT_EQ(total, r.circuit.count2Q()) << bm().name;
     EXPECT_EQ(plan.distinctGates(),
-              r.circuit.countDistinctSU4(1e-6));
+              r.circuit.countDistinctSU4());
     EXPECT_GT(plan.cost(), 0.0);
 }
 

@@ -91,6 +91,21 @@ struct LegacyFlags
     bool dagCompacting = true;
 };
 
+/**
+ * The four compile parameters the pre-refactor pipelines read from
+ * CompileOptions; the library holds them as constants now, and the
+ * oracle keeps its own copies so it checks them independently.
+ */
+struct LegacyParams
+{
+    double mirrorThreshold = 0.1;
+    int mTh = 4;
+    double synthTol = 1e-9;
+    Op variationalBasis = Op::SQISW;
+};
+
+const LegacyParams kLegacy;
+
 CompileResult
 legacyFinish(Circuit c, const CompileOptions &opts,
              const LegacyFlags &flags)
@@ -101,14 +116,14 @@ legacyFinish(Circuit c, const CompileOptions &opts,
         perm[q] = q;
     if (flags.applyMirroring && !opts.variationalMode)
         c = compiler::mirrorNearIdentity(c, perm,
-                                         opts.mirrorThreshold);
+                                         kLegacy.mirrorThreshold);
     if (opts.variationalMode) {
         Circuit fixed(c.numQubits());
         for (const Gate &g : c) {
             if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
                 auto gates = synth::su4ToFixedBasis(
                     g.qubits[0], g.qubits[1], g.matrix(),
-                    opts.variationalBasis);
+                    kLegacy.variationalBasis);
                 if (!gates.empty()) {
                     for (Gate &e : gates)
                         fixed.add(std::move(e));
@@ -148,7 +163,7 @@ legacyFull(const Circuit &input, const CompileOptions &opts,
     c = compiler::fuse2QBlocks(compiler::fuse1Q(c));
     if (flags.dagCompacting) {
         c = compiler::hierarchicalSynthesis(
-            c, opts.mTh, opts.synthTol, opts.seed, opts.synthMemo);
+            c, kLegacy.mTh, kLegacy.synthTol, opts.seed, opts.synthMemo);
     } else {
         std::vector<compiler::Partition3Q> blocks =
             compiler::partition3Q(c);
@@ -159,7 +174,7 @@ legacyFull(const Circuit &input, const CompileOptions &opts,
         c = std::move(nc);
         Circuit out(input.numQubits());
         for (const auto &b : compiler::partition3Q(c)) {
-            if (b.count2Q <= opts.mTh || b.qubits.size() < 3) {
+            if (b.count2Q <= kLegacy.mTh || b.qubits.size() < 3) {
                 for (const Gate &g : b.gates)
                     out.add(g);
                 continue;
@@ -177,7 +192,7 @@ legacyFull(const Circuit &input, const CompileOptions &opts,
             for (const Gate &g : b.gates)
                 u = synth::liftGate(g.matrix(), local(g), 3) * u;
             synth::SynthesisOptions sopts;
-            sopts.tol = opts.synthTol;
+            sopts.tol = kLegacy.synthTol;
             sopts.maxBlocks = std::min(7, b.count2Q - 1);
             sopts.descending = true;
             sopts.seed = opts.seed;
@@ -406,11 +421,12 @@ TEST(PassManagerEquivalence, ServiceNoBackendMatchesLegacySequence)
     // The service installs its synth memo; memo hits are re-verified
     // so artifacts are unchanged — compile standalone for the oracle.
     const CompileResult compiled = compiler::reqiscFull(input, copts);
+    // Without a backend the service times everything on XY at g = 1.
+    const uarch::Coupling xy = uarch::Coupling::xy(1.0);
     compiler::Metrics metrics = compiler::evaluate(
-        compiled.circuit,
-        compiler::reqiscDurationModel(sopts.coupling));
+        compiled.circuit, compiler::reqiscDurationModel(xy));
     isa::ScheduleOptions schopts = req.scheduleOptions;
-    schopts.durations.coupling = sopts.coupling;
+    schopts.durations.coupling = xy;
     const isa::Program program =
         isa::schedule(compiled.circuit, schopts);
 

@@ -257,7 +257,7 @@ TEST(CompilerProperties, VariationalModePreservesSemantics)
     opts.variationalMode = true;
     compiler::CompileResult r = compiler::reqiscEff(c, opts);
     // One distinct 2Q class (the fixed basis gate).
-    EXPECT_EQ(r.circuit.countDistinctSU4(1e-6), 1);
+    EXPECT_EQ(r.circuit.countDistinctSU4(), 1);
     const Matrix ref = qsim::buildUnitary(circuit::lowerToCnot(c));
     const Matrix got = qsim::buildUnitaryWithPermutation(
         r.circuit, r.finalPermutation);

@@ -77,6 +77,15 @@ using route::RouteOptions;
 using route::RouteResult;
 using route::Topology;
 
+/**
+ * The three SABRE tuning values the router once read from
+ * RouteOptions; route/sabre.cc holds them as constants now, and the
+ * oracle keeps its own copies so it checks them independently.
+ */
+constexpr double kLegacyExtendedWeight = 0.5;
+constexpr int kLegacyExtendedSize = 20;
+constexpr double kLegacyDecayIncrement = 0.001;
+
 /** Mutable routing state for one pass. */
 struct Router
 {
@@ -143,8 +152,8 @@ struct Router
         if (l2 >= 0)
             phys[l2] = p1;
         std::swap(host[p1], host[p2]);
-        decay[p1] += opts.decayIncrement;
-        decay[p2] += opts.decayIncrement;
+        decay[p1] += kLegacyDecayIncrement;
+        decay[p2] += kLegacyDecayIncrement;
     }
 
     /** Ready gates (all DAG predecessors emitted). */
@@ -168,7 +177,7 @@ struct Router
         for (size_t f : front)
             seen[f] = true;
         while (!queue.empty() &&
-               static_cast<int>(ext.size()) < opts.extendedSize) {
+               static_cast<int>(ext.size()) < kLegacyExtendedSize) {
             size_t i = queue.front();
             queue.pop_front();
             for (int s : dag.nodes[i].succs) {
@@ -202,7 +211,7 @@ struct Router
                 e += topo.distance(mapping[g.qubits[0]],
                                    mapping[g.qubits[1]]);
             }
-            cost += opts.extendedWeight * e / ext.size();
+            cost += kLegacyExtendedWeight * e / ext.size();
         }
         return cost;
     }
