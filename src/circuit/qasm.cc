@@ -38,6 +38,28 @@ parseToken(std::string_view tok, T &out, Parse parse)
     }
 }
 
+/**
+ * Call `take` on each trimmed token of the comma-separated `list`,
+ * stopping at the first error it returns; a blank list has no
+ * tokens, and a stray comma leaves an empty one.
+ */
+template <typename Take>
+std::string
+eachToken(std::string_view list, Take take)
+{
+    if (trim(list).empty())
+        return {};
+    for (;;) {
+        const size_t comma = list.find(',');
+        if (std::string bad = take(trim(list.substr(0, comma)));
+            !bad.empty())
+            return bad;
+        if (comma == std::string_view::npos)
+            return {};
+        list.remove_prefix(comma + 1);
+    }
+}
+
 } // namespace
 
 bool
@@ -82,33 +104,33 @@ splitGate(std::string_view text, std::string_view &name, Gate &g)
         const size_t close = rest.find(')');
         if (close == std::string_view::npos)
             return "unterminated parameter list";
-        std::string_view list = rest.substr(1, close - 1);
+        const std::string bad = eachToken(
+            rest.substr(1, close - 1), [&](std::string_view tok) {
+                double v = 0.0;
+                if (!parseTokenDouble(tok, v))
+                    return "bad number '" + std::string(tok) + "'";
+                g.params.push_back(v);
+                return std::string();
+            });
+        if (!bad.empty())
+            return bad;
         rest.remove_prefix(close + 1);
-        while (!list.empty()) {
-            const size_t comma = list.find(',');
-            const std::string_view tok = list.substr(0, comma);
-            double v = 0.0;
-            if (!parseTokenDouble(tok, v))
-                return "bad number '" + std::string(tok) + "'";
-            g.params.push_back(v);
-            list.remove_prefix(comma == std::string_view::npos
-                                   ? list.size()
-                                   : comma + 1);
-        }
     }
-    for (size_t pos = 0;
-         (pos = rest.find("q[", pos)) != std::string_view::npos;) {
-        const size_t rb = rest.find(']', pos);
+    return eachToken(rest, [&](std::string_view tok) {
+        if (!tok.starts_with("q["))
+            return "bad operand '" + std::string(tok) + "'";
+        const size_t rb = tok.find(']');
         if (rb == std::string_view::npos)
-            return "unterminated qubit operand";
-        const std::string_view tok = rest.substr(pos + 2, rb - pos - 2);
+            return std::string("unterminated qubit operand");
+        if (rb + 1 != tok.size())
+            return "bad operand '" + std::string(tok) + "'";
+        const std::string_view index = tok.substr(2, rb - 2);
         int q = 0;
-        if (!parseTokenInt(tok, q))
-            return "bad integer '" + std::string(tok) + "'";
+        if (!parseTokenInt(index, q))
+            return "bad integer '" + std::string(index) + "'";
         g.qubits.push_back(q);
-        pos = rb + 1;
-    }
-    return {};
+        return std::string();
+    });
 }
 
 std::string

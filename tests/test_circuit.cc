@@ -584,6 +584,25 @@ TEST(Qasm, OneRegisterNamedQ)
     EXPECT_EQ(circuit::fromQasm("qreg  q [2];\nh q[1];\n").numQubits(), 2);
 }
 
+TEST(Qasm, OperandsAreExactlyTheQTokens)
+{
+    // The reader once took every "q[" after the gate name, so the
+    // first text compiled "ok" as h q[0]; cx q[0],q[1].
+    expectQasmError("qreg q[2];\nh xq[0];\ncx q[0] junk q[1];\n",
+                    "line 2: bad operand 'xq[0]'");
+    expectQasmError("qreg q[2];\ncx q[0] junk q[1];\n",
+                    "bad operand 'q[0] junk q[1]'");
+    expectQasmError("qreg q[2];\nh r[0];\n", "bad operand 'r[0]'");
+    expectQasmError("qreg q[2];\ncx q[0]q[1];\n",
+                    "bad operand 'q[0]q[1]'");
+    expectQasmError("qreg q[2];\ncx q[0],;\n", "bad operand ''");
+    expectQasmError("qreg q[2];\nrx(0.5,) q[0];\n", "bad number ''");
+    const Circuit c =
+        circuit::fromQasm("qreg q[3];\nccx  q[0] ,\tq[ 1 ],q[2] ;\n");
+    ASSERT_EQ(c.size(), 1u);
+    EXPECT_EQ(c[0].qubits, (std::vector<int>{0, 1, 2}));
+}
+
 TEST(Qasm, BadQubitIndexIsRejected)
 {
     expectQasmError("qreg q[2];\ncx q[0],q[5];\n", "out of range");

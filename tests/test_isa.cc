@@ -362,6 +362,30 @@ TEST(Assembly, ParserRejectsMalformedInput)
                 "overlapping");
 }
 
+TEST(Assembly, OperandsAreExactlyTheQTokens)
+{
+    // RQISA splits its gates as QASM does (circuit::splitGate).
+    const auto expectError = [](const std::string &gate,
+                                const std::string &needle) {
+        try {
+            (void)isa::fromAssembly("RQISA 1.0;\nqubits 2;\n@0 " + gate +
+                                    " dur 1;\n");
+            FAIL() << "no error for: " << gate;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectError("h xq[0]", "line 3: bad operand 'xq[0]'");
+    expectError("cx q[0] junk q[1]", "bad operand 'q[0] junk q[1]'");
+    expectError("meas q[0],", "bad operand ''");
+    const isa::Program p = isa::fromAssembly(
+        "RQISA 1.0;\nqubits 2;\n@0 cx q[0] , q[ 1 ] dur 1;\n");
+    ASSERT_EQ(p.size(), 1u);
+    EXPECT_EQ(p.instructions()[0].gate.qubits, (std::vector<int>{0, 1}));
+}
+
 TEST(GateText, OnlyEachOpsOwnCountsParse)
 {
     // Every named op with 0-4 operands and 0-4 parameters through
