@@ -31,6 +31,23 @@ lowerToCnot3(const circuit::Circuit &input)
 namespace
 {
 
+/** The gates with every U4 re-emitted through the minimal-CX KAK path. */
+std::vector<Gate>
+u4sToCnots(const std::vector<Gate> &gates)
+{
+    std::vector<Gate> out;
+    for (const Gate &g : gates) {
+        if (g.op != Op::U4) {
+            out.push_back(g);
+            continue;
+        }
+        for (Gate &e :
+             synth::su4ToCnots(g.qubits[0], g.qubits[1], g.matrix()))
+            out.push_back(std::move(e));
+    }
+    return out;
+}
+
 /**
  * Consolidate 2Q runs and re-emit each through the minimal-CX KAK
  * path (Qiskit's Collect2qBlocks + ConsolidateBlocks equivalent).
@@ -38,18 +55,9 @@ namespace
 Circuit
 consolidateBlocks(const Circuit &c)
 {
-    Circuit fused = fuse2QBlocks(fuse1Q(c));
     Circuit out(c.numQubits());
-    for (const Gate &g : fused) {
-        if (g.op == Op::U4) {
-            for (Gate &e : synth::su4ToCnots(g.qubits[0],
-                                             g.qubits[1],
-                                             g.matrix()))
-                out.add(std::move(e));
-        } else {
-            out.add(g);
-        }
-    }
+    for (Gate &g : u4sToCnots(fuse2QBlocks(fuse1Q(c)).gates()))
+        out.add(std::move(g));
     return out;
 }
 
@@ -87,9 +95,12 @@ tketLike(const circuit::Circuit &input)
 namespace
 {
 
-/** Partition + numeric block re-synthesis over SU(4) blocks. */
+/**
+ * Partition + numeric block re-synthesis over SU(4) blocks, emitted
+ * in the {Can, U3} normal form.
+ */
 Circuit
-partitionResynth(const Circuit &input, bool to_cnots)
+partitionResynth(const Circuit &input)
 {
     Circuit c = fuse2QBlocks(fuse1Q(input));
     Circuit out(input.numQubits());
@@ -114,20 +125,7 @@ partitionResynth(const Circuit &input, bool to_cnots)
         for (const Gate &g : gates)
             out.add(g);
     }
-    if (!to_cnots)
-        return circuit::expandToCanU3(fuse2QBlocks(fuse1Q(out)));
-    Circuit cx(out.numQubits());
-    for (const Gate &g : fuse2QBlocks(fuse1Q(out))) {
-        if (g.op == Op::U4 || g.op == Op::CAN) {
-            for (Gate &e : synth::su4ToCnots(g.qubits[0],
-                                             g.qubits[1],
-                                             g.matrix()))
-                cx.add(std::move(e));
-        } else {
-            cx.add(g);
-        }
-    }
-    return cx;
+    return circuit::expandToCanU3(fuse2QBlocks(fuse1Q(out)));
 }
 
 } // namespace
@@ -151,17 +149,7 @@ bqskitLike(const circuit::Circuit &input)
                 synth::blockUnitary(b.gates, b.qubits), b.qubits,
                 opts);
             if (r.success) {
-                std::vector<Gate> cand;
-                for (const Gate &g : r.gates) {
-                    if (g.op == Op::U4) {
-                        for (Gate &e : synth::su4ToCnots(
-                                 g.qubits[0], g.qubits[1],
-                                 g.matrix()))
-                            cand.push_back(std::move(e));
-                    } else {
-                        cand.push_back(g);
-                    }
-                }
+                std::vector<Gate> cand = u4sToCnots(r.gates);
                 int cx = 0;
                 for (const Gate &g : cand)
                     if (g.op == Op::CX)
@@ -195,8 +183,7 @@ tketSU4(const circuit::Circuit &input)
 circuit::Circuit
 bqskitSU4(const circuit::Circuit &input)
 {
-    Circuit c = lowerToCnot3(input);
-    return partitionResynth(c, /*to_cnots=*/false);
+    return partitionResynth(lowerToCnot3(input));
 }
 
 } // namespace reqisc::compiler
