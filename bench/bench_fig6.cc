@@ -90,7 +90,8 @@ main(int argc, char **argv)
     for (const auto &f : families) {
         for (double s : scales) {
             WeylCoord c{f.full.x * s, f.full.y * s, f.full.z * s};
-            if (uarch::needsMirror(c, opt.full ? 0.02 : 0.1))
+            if (uarch::needsMirror(
+                    c, opt.full ? 0.02 : uarch::kMirrorThreshold))
                 continue;   // mirrored at compile time instead
             uarch::PulseSolution sol = scheme.solveCoord(c);
             if (!sol.converged) {

@@ -70,7 +70,7 @@ namespace reqisc::compiler
 struct CompilationUnit
 {
     // ----- immutable context (set before running) ----------------------
-    CompileOptions options;      //!< seed, thresholds, memo hooks, ...
+    CompileOptions options;      //!< seed, mode, pool, memo hooks
     /** Target chip; nullptr compiles device-agnostically. */
     const backend::Backend *backend = nullptr;
     /** Per-edge gate-set tables (required by the reconfigure pass). */

@@ -4,8 +4,9 @@
  *
  * (G1, G2) with G1 complex and G2 real are invariant under one-qubit
  * gates and determine the local-equivalence class — a cheaper test
- * than a full KAK decomposition, used by the compiler's distinct-
- * SU(4) clustering and by the test suite as an independent oracle.
+ * than a full KAK decomposition. No other src/ file uses them: the
+ * test suite does, as an oracle independent of KAK. Distinct SU(4)
+ * classes are clustered by Weyl coordinate (Circuit::su4Classes).
  *
  * Convention (Makhlin 2002): with M = MB^dagger U MB the magic-basis
  * transform, G1 = tr(M^T M)^2 / (16 det U) and
