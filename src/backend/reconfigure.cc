@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "uarch/duration.hh"
 
@@ -20,24 +21,6 @@ gateSetCandidates()
         {circuit::Op::B, weyl::WeylCoord::bgate(), "b"},
     };
     return kCandidates;
-}
-
-const Workload &
-defaultWorkload()
-{
-    // The 2Q class mix of the compiled suite after fusion, mirroring
-    // and routing: CNOT-class dominated, a routing-SWAP share, the
-    // other named classes, and a generic + near-identity tail.
-    static const Workload kDefault = {
-        {weyl::WeylCoord::cnot(), 0.45},
-        {weyl::WeylCoord::swap(), 0.15},
-        {weyl::WeylCoord::sqisw(), 0.05},
-        {weyl::WeylCoord::iswap(), 0.05},
-        {weyl::WeylCoord::bgate(), 0.05},
-        {{0.55, 0.35, 0.15}, 0.15},   // generic interior SU(4)
-        {{0.06, 0.03, 0.015}, 0.10},  // near-identity residual
-    };
-    return kDefault;
 }
 
 int
@@ -76,25 +59,32 @@ applicationsFor(circuit::Op op, const weyl::WeylCoord &target,
     throw std::invalid_argument("applicationsFor: unreachable");
 }
 
-double
-expectedApplications(circuit::Op op, const Workload &w)
+namespace
 {
+
+/** Workload-expected applications of `op` per 2Q instruction. */
+double
+expectedApplications(circuit::Op op)
+{
+    // The 2Q class mix of the compiled suite after fusion, mirroring
+    // and routing: CNOT-class dominated, a routing-SWAP share, the
+    // other named classes, and a generic + near-identity tail.
+    static const std::pair<weyl::WeylCoord, double> kWorkload[] = {
+        {weyl::WeylCoord::cnot(), 0.45},
+        {weyl::WeylCoord::swap(), 0.15},
+        {weyl::WeylCoord::sqisw(), 0.05},
+        {weyl::WeylCoord::iswap(), 0.05},
+        {weyl::WeylCoord::bgate(), 0.05},
+        {{0.55, 0.35, 0.15}, 0.15},   // generic interior SU(4)
+        {{0.06, 0.03, 0.015}, 0.10},  // near-identity residual
+    };
     double apps = 0.0, total = 0.0;
-    for (const auto &[coord, weight] : w) {
-        if (weight < 0.0)
-            throw std::invalid_argument(
-                "expectedApplications: negative workload weight");
+    for (const auto &[coord, weight] : kWorkload) {
         apps += weight * applicationsFor(op, coord);
         total += weight;
     }
-    if (total <= 0.0)
-        throw std::invalid_argument(
-            "expectedApplications: empty workload");
     return apps / total;
 }
-
-namespace
-{
 
 /** Score one candidate on one edge (appFidelity^expectedApps). */
 EdgeInstruction
@@ -160,8 +150,7 @@ reconfigure(const Backend &backend, const ReconfigureOptions &opts)
     std::vector<double> expected;
     expected.reserve(cands.size());
     for (const GateSetCandidate &c : cands)
-        expected.push_back(
-            expectedApplications(c.op, defaultWorkload()));
+        expected.push_back(expectedApplications(c.op));
     const double tau0 = isa::NoiseModel{}.tau0;
 
     ReconfigureResult res;

@@ -37,7 +37,6 @@
 #define REQISC_BACKEND_RECONFIGURE_HH
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "backend/backend.hh"
@@ -66,20 +65,6 @@ struct GateSetCandidate
 const std::vector<GateSetCandidate> &gateSetCandidates();
 
 /**
- * A workload histogram: Weyl classes with non-negative weights
- * (normalized internally). Scores average application counts over
- * this distribution.
- */
-using Workload = std::vector<std::pair<weyl::WeylCoord, double>>;
-
-/**
- * The scoring workload: the 2Q class mix of typical compiled NISQ
- * programs — CNOT-class dominated, routing SWAPs, a tail of generic
- * and near-identity SU(4)s from fusion/mirroring.
- */
-const Workload &defaultWorkload();
-
-/**
  * Applications of fixed basis `op` (plus free 1Q layers) needed to
  * realize the class `target`: 0 for identity, 1 for the basis' own
  * class, else the analytic 2-vs-3 rules above. Throws
@@ -87,9 +72,6 @@ const Workload &defaultWorkload();
  */
 int applicationsFor(circuit::Op op, const weyl::WeylCoord &target,
                     double tol = 1e-9);
-
-/** Workload-expected applications per 2Q instruction. */
-double expectedApplications(circuit::Op op, const Workload &w);
 
 /** The selected native instruction of one edge. */
 struct EdgeInstruction
@@ -108,8 +90,10 @@ struct EdgeInstruction
 };
 
 /**
- * Reconfiguration knobs. Candidates are scored over defaultWorkload(),
- * with p0 scaled at isa::NoiseModel's reference duration tau0.
+ * Reconfiguration knobs. The scoring workload is fixed: the 2Q class
+ * mix of typical compiled programs (CNOT-class dominated, routing
+ * SWAPs, a tail of generic and near-identity SU(4)s), and p0 scales
+ * at isa::NoiseModel's reference duration tau0.
  */
 struct ReconfigureOptions
 {

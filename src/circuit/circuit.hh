@@ -24,18 +24,17 @@ namespace reqisc::circuit
 {
 
 /**
- * The SU(4)-class tolerance: two 2Q gates are one class when their
- * Weyl coordinates are WeylCoord::approxEqual within it. The distinct
- * count (Fig 13), the calibration plan and the pulse cache's
- * lookup all cluster at this tolerance (Section 6.5).
+ * The SU(4)-class tolerance of Section 6.5 (WeylCoord::approxEqual):
+ * the distinct count, the calibration plan and the pulse cache's
+ * lookup all cluster at it.
  */
 inline constexpr double kSU4ClassTol = 1e-6;
 
-/** One distinct SU(4) class of a circuit (see Circuit::su4Classes). */
+/** One distinct SU(4) class: its first gate's coordinate and uses. */
 struct SU4Class
 {
-    weyl::WeylCoord coord;   //!< the first gate's coordinate
-    int uses = 0;            //!< 2Q gates in the class
+    weyl::WeylCoord coord;
+    int uses = 0;
 };
 
 /** An ordered list of gates on a fixed-size qubit register. */
@@ -78,16 +77,12 @@ class Circuit
 
     /**
      * The distinct SU(4) classes of the 2Q gates, in first-seen
-     * order. A gate joins the first class whose representative (the
-     * coordinate of the class's first gate) is within `tol` of its
-     * Weyl coordinate, and opens a new class otherwise.
+     * order: a gate joins the first class whose first gate's Weyl
+     * coordinate is within `tol` of its own, or opens a new one.
      */
     std::vector<SU4Class> su4Classes(double tol = kSU4ClassTol) const;
 
-    /**
-     * Number of su4Classes(): the paper's calibration-overhead metric
-     * (Fig 13).
-     */
+    /** The paper's calibration-overhead metric (Fig 13). */
     int countDistinctSU4() const
     {
         return static_cast<int>(su4Classes().size());

@@ -32,17 +32,10 @@ using circuit::Gate;
 using circuit::Op;
 using qmath::Matrix;
 
-/**
- * The hierarchical-synthesis threshold m_th of Section 5.1.2: a 3Q
- * block with more 2Q gates than this is re-synthesized.
- */
+/** The hierarchical-synthesis threshold m_th (Section 5.1.2). */
 inline constexpr int kHierSynthThreshold = 4;
 
-/**
- * The approximate-synthesis precision: the trace infidelity that
- * dagCompact's exchanges and hierarchicalSynthesis's block solves
- * accept.
- */
+/** The synthesis precision: the accepted trace infidelity. */
 inline constexpr double kSynthTol = 1e-9;
 
 /** Merge adjacent one-qubit gates into single U3s, drop identities. */

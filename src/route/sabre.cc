@@ -27,13 +27,10 @@ namespace
  */
 constexpr int kAbsorbReach = 257;
 
-/** W, the weight of the lookahead term in the SABRE cost. */
+// SABRE's tuning: W, the lookahead weight; |E|, the lookahead window;
+// the decay a SWAP adds to its wires (reset on every emitted gate).
 constexpr double kExtendedWeight = 0.5;
-
-/** |E|, about how many 2Q gates beyond the front the lookahead sees. */
 constexpr int kExtendedSize = 20;
-
-/** The decay a SWAP adds to both its wires; reset per emitted gate. */
 constexpr double kDecayIncrement = 0.001;
 
 /**

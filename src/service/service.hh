@@ -309,11 +309,7 @@ class CompileService
 
     ServiceOptions opts_;
     int threads_ = 1;
-    /**
-     * The device coupling of duration models, pulse solves and the
-     * pulse cache: a homogeneous backend's edge coupling, XY at g = 1
-     * otherwise.
-     */
+    /** A homogeneous backend's edge coupling, else XY at g = 1. */
     uarch::Coupling coupling_ = uarch::Coupling::xy(1.0);
     /** Gate-set tables, computed once when a backend is present. */
     backend::ReconfigureResult reconfig_;
