@@ -354,36 +354,19 @@ TEST(Assembly, ParserRejectsMalformedInput)
                 "non-finite");
     expectError("RQISA 1.0;\nqubits 2;\n@0 meas q[0],q[0] dur 1;\n",
                 "duplicate qubit operand");
+    // The operands are exactly the comma-separated q[i] tokens.
+    expectError("RQISA 1.0;\nqubits 2;\n@0 h xq[0] dur 1;\n",
+                "line 3: bad operand 'xq[0]'");
+    expectError("RQISA 1.0;\nqubits 2;\n@0 cx q[0] junk q[1] dur 1;\n",
+                "bad operand 'q[0] junk q[1]'");
+    expectError("RQISA 1.0;\nqubits 2;\n@0 meas q[0], dur 1;\n",
+                "bad operand ''");
     // The program invariants are enforced on ingest: two overlapping
     // instructions on one qubit are rejected.
     expectError("RQISA 1.0;\nqubits 2;\n"
                 "@0 h q[0] dur 1;\n"
                 "@0.5 x q[0] dur 1;\n",
                 "overlapping");
-}
-
-TEST(Assembly, OperandsAreExactlyTheQTokens)
-{
-    // RQISA splits its gates as QASM does (circuit::splitGate).
-    const auto expectError = [](const std::string &gate,
-                                const std::string &needle) {
-        try {
-            (void)isa::fromAssembly("RQISA 1.0;\nqubits 2;\n@0 " + gate +
-                                    " dur 1;\n");
-            FAIL() << "no error for: " << gate;
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find(needle),
-                      std::string::npos)
-                << e.what();
-        }
-    };
-    expectError("h xq[0]", "line 3: bad operand 'xq[0]'");
-    expectError("cx q[0] junk q[1]", "bad operand 'q[0] junk q[1]'");
-    expectError("meas q[0],", "bad operand ''");
-    const isa::Program p = isa::fromAssembly(
-        "RQISA 1.0;\nqubits 2;\n@0 cx q[0] , q[ 1 ] dur 1;\n");
-    ASSERT_EQ(p.size(), 1u);
-    EXPECT_EQ(p.instructions()[0].gate.qubits, (std::vector<int>{0, 1}));
 }
 
 TEST(GateText, OnlyEachOpsOwnCountsParse)
@@ -471,10 +454,12 @@ TEST(Assembly, ToleratesBenignWhitespaceInNumbers)
     const isa::Program p = isa::fromAssembly(
         "RQISA 1.0;\nqubits 2;\n"
         "@0 rx( 0.5 ) q[ 0 ] dur 1;\n"
-        "@1 cx q[0],q[ 1 ] dur 2;\n");
-    ASSERT_EQ(p.size(), 2u);
+        "@1 cx q[0],q[ 1 ] dur 2;\n"
+        "@3 cx q[1] ,\tq[0] dur 2;\n");
+    ASSERT_EQ(p.size(), 3u);
     EXPECT_DOUBLE_EQ(p[0].gate.params[0], 0.5);
     EXPECT_EQ(p[1].qubits()[1], 1);
+    EXPECT_EQ(p[2].qubits(), (std::vector<int>{1, 0}));
 }
 
 // ---- Timeline-aware fidelity -------------------------------------------
