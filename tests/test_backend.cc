@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -687,6 +688,93 @@ TEST(BackendService, HomogeneousChipKeepsThePulseCacheAlive)
     // Calibration planning ran against the shared pulse cache.
     const compiler::CacheCounters stats = svc.pulseCacheStats();
     EXPECT_GT(stats.hits + stats.misses, 0);
+}
+
+TEST(BackendService, NonXyHomogeneousChipIsTheOneDeviceOfItsJobs)
+{
+    // xx_chain5 couples every edge by XX at g = 1. A job that fell
+    // back to XY at g = 1 anywhere (timing, schedule or pulse cache)
+    // would describe another device than the one it targets.
+    const auto chip = std::make_shared<const backend::Backend>(
+        backend::Backend::fromJsonFile(chipPath("xx_chain5.json")));
+    const uarch::Coupling xx = uarch::Coupling::xx(1.0);
+    const uarch::Coupling xy = uarch::Coupling::xy(1.0);
+    const std::string dir =
+        ::testing::TempDir() + "reqisc_backend_xx_chain5";
+    std::filesystem::remove_all(dir);
+    service::ServiceOptions sopts;
+    sopts.backend = chip;
+    sopts.cacheDir = dir;
+    const std::string adder5 =
+        readFile(repoPath("examples/qasm/adder5.qasm"));
+    {
+        service::CompileService svc(sopts);
+
+        // No route pass: the logical circuit is timed on XX.
+        service::CompileRequest unrouted;
+        unrouted.name = "adder5-unrouted";
+        unrouted.qasm = adder5;
+        unrouted.pipelineSpec = "custom:synth,fuse,lower,schedule";
+        const service::JobResult r = svc.wait(svc.submit(unrouted));
+        ASSERT_TRUE(r.ok) << r.errorInfo.message;
+        EXPECT_FALSE(r.metrics.backend.used);
+        int twoQ = 0;
+        for (const isa::Instruction &i : r.program.instructions()) {
+            if (!i.gate.is2Q())
+                continue;
+            ++twoQ;
+            EXPECT_EQ(i.duration,
+                      uarch::optimalDuration(xx, i.gate.weylCoord()))
+                << i.gate.toString();
+        }
+        EXPECT_GT(twoQ, 0);
+        EXPECT_EQ(r.metrics.duration,
+                  compiler::evaluate(r.compiled.circuit,
+                                     compiler::reqiscDurationModel(xx))
+                      .duration);
+        EXPECT_NE(r.metrics.duration,
+                  compiler::evaluate(r.compiled.circuit,
+                                     compiler::reqiscDurationModel(xy))
+                      .duration);
+
+        // Routed: scheduled under the chip's per-edge model.
+        service::CompileRequest routed;
+        routed.name = "adder5-routed";
+        routed.qasm = adder5;
+        routed.pipelineSpec = "eff";
+        routed.schedule = true;
+        const service::JobResult e = svc.wait(svc.submit(routed));
+        ASSERT_TRUE(e.ok) << e.errorInfo.message;
+        EXPECT_TRUE(e.metrics.backend.used);
+        EXPECT_TRUE(e.program.validate(&chip->topology()).empty());
+        const isa::DurationModel model = chip->durationModel();
+        twoQ = 0;
+        for (const isa::Instruction &i : e.program.instructions()) {
+            if (!i.gate.is2Q())
+                continue;
+            ++twoQ;
+            EXPECT_EQ(i.duration, model.gate(i.gate))
+                << i.gate.toString();
+        }
+        EXPECT_GT(twoQ, 0);
+        EXPECT_EQ(e.metrics.duration,
+                  compiler::evaluate(e.routed,
+                                     [&model](const circuit::Gate &g) {
+                                         return g.numQubits() < 2
+                                                    ? 0.0
+                                                    : model.gate(g);
+                                     })
+                      .duration);
+    }
+
+    // The saved pulse cache belongs to XX, not to XY.
+    const std::string saved = dir + "/pulse.cache";
+    service::PulseCache onXx(xx);
+    EXPECT_TRUE(onXx.load(saved));
+    EXPECT_GT(onXx.size(), 0u);
+    service::PulseCache onXy(xy);
+    EXPECT_FALSE(onXy.load(saved));
+    std::filesystem::remove_all(dir);
 }
 
 TEST(BackendService, EstimateFidelityRejectsUnroutedCircuits)
