@@ -14,6 +14,9 @@ namespace reqisc::backend
 namespace
 {
 
+/** Values this close count as equal in Backend::isHomogeneous. */
+constexpr double kHomogeneityTol = 1e-12;
+
 [[noreturn]] void
 schemaError(const std::string &context, int line,
             const std::string &msg)
@@ -334,8 +337,9 @@ Backend::edge(int a, int b) const
 }
 
 bool
-Backend::isHomogeneous(double tol) const
+Backend::isHomogeneous() const
 {
+    constexpr double tol = kHomogeneityTol;
     for (const EdgeProperties &e : edges_) {
         const EdgeProperties &ref = edges_.front();
         if (std::abs(e.coupling.a - ref.coupling.a) > tol ||
@@ -387,6 +391,14 @@ Backend::noiseModel() const
     for (const EdgeProperties &e : edges_)
         noise.p0PerEdge[{e.a, e.b}] = e.p0;
     return noise;
+}
+
+uarch::Coupling
+targetCoupling(const Backend *chip)
+{
+    if (chip && chip->isHomogeneous() && !chip->edges().empty())
+        return chip->edges().front().coupling;
+    return uarch::Coupling::xy(1.0);
 }
 
 } // namespace reqisc::backend

@@ -125,10 +125,10 @@ class Backend
 
     /**
      * True when every edge has the same coupling and p0 and every
-     * qubit the same calibration (the reconfiguration loop then
-     * degenerates to one choice chip-wide).
+     * qubit the same calibration, to 1e-12 (the reconfiguration loop
+     * then degenerates to one choice chip-wide).
      */
-    bool isHomogeneous(double tol = 1e-12) const;
+    bool isHomogeneous() const;
 
     /**
      * Scheduler duration model: per-edge couplings installed in
@@ -152,6 +152,16 @@ class Backend
     std::vector<EdgeProperties> edges_;
     route::Topology topo_ = route::Topology::chain(1);
 };
+
+/**
+ * The one coupling of the device a job targets (`chip`, or nullptr
+ * for no chip): a homogeneous chip's edge coupling, else XY at g = 1
+ * (no chip, a heterogeneous chip, or one with no edge). A job's
+ * logical circuit is timed and pulse-solved on it, and the service's
+ * pulse cache is bound to it; a routed circuit is timed per edge
+ * instead (Backend::durationModel).
+ */
+uarch::Coupling targetCoupling(const Backend *chip);
 
 } // namespace reqisc::backend
 

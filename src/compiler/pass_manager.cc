@@ -74,6 +74,16 @@ CompilationUnit::forInput(circuit::Circuit in, CompileOptions opts)
     return u;
 }
 
+isa::DurationModel
+CompilationUnit::durationModel() const
+{
+    if (backend && hasRouted)
+        return backend->durationModel();
+    isa::DurationModel model;
+    model.coupling = coupling();
+    return model;
+}
+
 // ---- PassManager -------------------------------------------------------
 
 void
@@ -290,42 +300,32 @@ passRegistry()
          {"serial", "asap", "alap"},
          kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view arg) {
-             isa::ScheduleOptions sopts = u.scheduleOptions;
+             isa::ScheduleOptions sopts;
+             sopts.strategy = u.strategy;
              if (!arg.empty())
                  isa::strategyFromName(std::string(arg), sopts.strategy);
-             if (u.backend && u.hasRouted) {
-                 sopts.durations = u.backend->durationModel();
+             sopts.durations = u.durationModel();
+             if (u.backend && u.hasRouted)
                  sopts.topology = &u.backend->topology();
-                 u.program = isa::schedule(u.routed, sopts);
-             } else {
-                 sopts.durations.coupling = u.coupling;
-                 u.program = isa::schedule(u.circuit, sopts);
-             }
+             u.program = isa::schedule(u.active(), sopts);
              u.metrics.schedule = u.program.stats();
              u.metrics.schedule.strategy =
                  isa::strategyName(sopts.strategy);
              u.hasProgram = true;
          }},
-        // The routed circuit is scored under the backend's per-edge
-        // duration model once it exists, the logical circuit under
-        // the genAshN model of `coupling` otherwise.
+        // Timed under the unit's duration model; the critical path
+        // counts 2Q gates only.
         {"estimate",
          "evaluate #2Q / depth / duration / distinct-SU(4) of the "
          "active artifact",
          {},
          kTwoQubitGatesOnly,
          [](CompilationUnit &u, std::string_view) {
-             Metrics m;
-             if (u.backend && u.hasRouted) {
-                 const isa::DurationModel durations =
-                     u.backend->durationModel();
-                 m = evaluate(u.routed, [&durations](const Gate &g) {
-                     return g.numQubits() < 2 ? 0.0 : durations.gate(g);
+             const isa::DurationModel durations = u.durationModel();
+             const Metrics m =
+                 evaluate(u.active(), [&durations](const Gate &g) {
+                     return durations.gate(g);
                  });
-             } else {
-                 m = evaluate(u.circuit,
-                              reqiscDurationModel(u.coupling));
-             }
              u.metrics.count2Q = m.count2Q;
              u.metrics.depth2Q = m.depth2Q;
              u.metrics.duration = m.duration;
@@ -344,7 +344,7 @@ passRegistry()
              if (u.backend && !u.backend->isHomogeneous())
                  return;
              u.metrics.unsolvedClasses =
-                 uarch::planCalibration(u.circuit, u.coupling,
+                 uarch::planCalibration(u.circuit, u.coupling(),
                                         circuit::kSU4ClassTol,
                                         u.options.pulseMemo,
                                         u.options.synthPool)

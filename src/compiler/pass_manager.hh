@@ -7,7 +7,7 @@
  * One CompilationUnit carries the evolving artifact set — logical
  * circuit, tracked permutation, routed circuit + final layout, timed
  * isa::Program, Metrics — together with the immutable compile
- * context (options, target backend, coupling, schedule options).
+ * context (options, target backend, schedule strategy).
  * Every pass is one row of one table, passRegistry(): its token,
  * summary, accepted arguments, gate-width contract and body. A `Pass`
  * is a handle on a row plus the token it was made from, and a
@@ -71,14 +71,16 @@ struct CompilationUnit
 {
     // ----- immutable context (set before running) ----------------------
     CompileOptions options;      //!< seed, mode, pool, memo hooks
-    /** Target chip; nullptr compiles device-agnostically. */
+    /**
+     * Target chip; nullptr compiles device-agnostically. The target
+     * is the one source of the device model: coupling() and
+     * durationModel() derive from it.
+     */
     const backend::Backend *backend = nullptr;
     /** Per-edge gate-set tables (required by the reconfigure pass). */
     const backend::ReconfigureResult *reconfig = nullptr;
-    /** Device coupling used when no concrete backend is set. */
-    uarch::Coupling coupling = uarch::Coupling::xy(1.0);
-    /** Base schedule options (strategy may be overridden per pass). */
-    isa::ScheduleOptions scheduleOptions;
+    /** Schedule strategy; a `schedule:` token overrides it. */
+    isa::Strategy strategy = isa::ScheduleOptions{}.strategy;
 
     // ----- evolving artifacts ------------------------------------------
     /** Current logical-wire artifact (seeded with the input). */
@@ -115,6 +117,22 @@ struct CompilationUnit
     {
         return hasRouted ? routed : circuit;
     }
+
+    /**
+     * The target's coupling (backend::targetCoupling), which
+     * calibrate pulse-solves on and the logical circuit is timed on.
+     */
+    uarch::Coupling coupling() const
+    {
+        return backend::targetCoupling(backend);
+    }
+
+    /**
+     * The duration model of active(), which estimate and schedule
+     * both time it with: the chip's per-edge model once routed, else
+     * coupling()'s genAshN model.
+     */
+    isa::DurationModel durationModel() const;
 
     /** Seed a unit: circuit = input, identity permutation. */
     static CompilationUnit forInput(circuit::Circuit in,

@@ -35,7 +35,9 @@ inline constexpr circuit::Op kVariationalBasis = circuit::Op::SQISW;
  * uarch::kMirrorThreshold, the hierarchical-synthesis threshold
  * kHierSynthThreshold, the synthesis precision kSynthTol
  * (compiler/passes.hh), the variational basis kVariationalBasis and
- * the SU(4)-class tolerance circuit::kSU4ClassTol.
+ * the SU(4)-class tolerance circuit::kSU4ClassTol. A service job
+ * takes seed and variationalMode from its request and the three
+ * hooks from the service, which installs them in every job.
  */
 struct CompileOptions
 {
@@ -66,7 +68,7 @@ struct CompileOptions
     /**
      * Optional shared memo for the calibrate pass's pulse solves (the
      * service layer installs its PulseCache here). Bound to the
-     * unit's coupling; nullptr solves every class afresh.
+     * unit's coupling(); nullptr solves every class afresh.
      */
     uarch::PulseMemo *pulseMemo = nullptr;
     /**

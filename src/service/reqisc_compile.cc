@@ -57,13 +57,13 @@ struct CliOptions
     service::ServiceFlags service;
     std::string pipelineSpec = "full";
     int repeat = 1;
-    unsigned seed = 777;
+    unsigned seed = compiler::CompileOptions{}.seed;
     bool variational = false;
     bool calibrate = true;
     bool stats = false;
     bool json = false;
     bool schedule = false;       //!< lower into timed RQISA programs
-    isa::Strategy strategy = isa::Strategy::Asap;
+    isa::Strategy strategy = isa::ScheduleOptions{}.strategy;
     bool emitIsa = false;        //!< dump RQISA assembly (implies schedule)
     bool emitCircuit = false;    //!< dump compiled circuits (QASM)
     std::string traceOut;        //!< Chrome trace JSON; "" = off

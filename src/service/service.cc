@@ -223,28 +223,18 @@ CompileService::CompileService(ServiceOptions opts)
         const unsigned hw = std::thread::hardware_concurrency();
         threads_ = hw ? static_cast<int>(hw) : 1;
     }
-    bool pulse_cache = opts_.enableCaches;
-    if (opts_.backend) {
-        // The gate-set selection loop runs once per service; jobs
-        // only read the tables.
-        reconfig_ = backend::reconfigure(*opts_.backend);
-        if (opts_.backend->isHomogeneous() &&
-            !opts_.backend->edges().empty()) {
-            // One coupling chip-wide: the shared pulse cache can
-            // serve it directly. (Backend::uniform can produce an
-            // edge-less single-qubit chip; keep the default
-            // coupling there.)
-            coupling_ = opts_.backend->edges().front().coupling;
-        } else {
-            // The pulse cache is bound to a single coupling, which
-            // heterogeneous chips do not have.
-            pulse_cache = false;
-        }
-    }
+    const backend::Backend *chip = opts_.backend.get();
+    // The gate-set selection loop runs once per service; jobs only
+    // read the tables.
+    if (chip)
+        reconfig_ = backend::reconfigure(*chip);
     if (opts_.enableCaches)
         synthCache_ = std::make_unique<SynthCache>();
-    if (pulse_cache)
-        pulseCache_ = std::make_unique<PulseCache>(coupling_);
+    // The pulse cache is bound to one coupling, which a
+    // heterogeneous chip does not have: its jobs calibrate nothing.
+    if (opts_.enableCaches && (!chip || chip->isHomogeneous()))
+        pulseCache_ = std::make_unique<PulseCache>(
+            backend::targetCoupling(chip));
     if (!opts_.cacheDir.empty()) {
         if (synthCache_)
             synthLoaded_ = synthCache_->load(
@@ -535,13 +525,13 @@ CompileService::runJob(const Job &job)
                 "circuit has " + std::to_string(input.numQubits()) +
                     " qubits but the chip has " +
                     std::to_string(opts_.backend->numQubits())));
-        compiler::CompileOptions copts = job.req.options;
         CountingBlockMemo synthMemo(synthCache_.get());
         CountingPulseMemo pulseMemo(pulseCache_.get());
-        if (synthCache_)
-            copts.synthMemo = &synthMemo;
-        if (pulseCache_)
-            copts.pulseMemo = &pulseMemo;
+        compiler::CompileOptions copts;
+        copts.seed = job.req.options.seed;
+        copts.variationalMode = job.req.options.variationalMode;
+        copts.synthMemo = synthCache_ ? &synthMemo : nullptr;
+        copts.pulseMemo = pulseCache_ ? &pulseMemo : nullptr;
         copts.synthPool = blockPool_.get();
 
         compiler::CompilationUnit unit =
@@ -549,8 +539,7 @@ CompileService::runJob(const Job &job)
                                                 copts);
         unit.backend = opts_.backend.get();
         unit.reconfig = opts_.backend ? &reconfig_ : nullptr;
-        unit.coupling = coupling_;
-        unit.scheduleOptions = job.req.scheduleOptions;
+        unit.strategy = job.req.scheduleOptions.strategy;
         unit.onPass = [this, &job](const compiler::PassTrace &t) {
             std::lock_guard<std::mutex> lk(mu_);
             job.record->passes.push_back(t);

@@ -149,7 +149,17 @@ struct CompileRequest
      * job's error like any other per-job failure.
      */
     std::string pipelineSpec = "full";
-    compiler::CompileOptions options;
+    /**
+     * The compile options a client chooses. The service installs the
+     * rest of compiler::CompileOptions, its synth memo, pulse memo
+     * and block pool, in every job.
+     */
+    struct Options
+    {
+        unsigned seed = compiler::CompileOptions{}.seed;
+        bool variationalMode = false;
+    };
+    Options options;
     /**
      * Run the calibrate pass: plan the per-circuit pulse calibration
      * through the shared pulse cache (Metrics::unsolvedClasses).
@@ -157,13 +167,18 @@ struct CompileRequest
     bool calibrate = true;
     /**
      * Lower the compiled circuit into a timed RQISA program
-     * (JobResult::program) and fill Metrics::schedule. The duration
-     * model's coupling is overridden with the service's coupling
-     * (the chip's on a homogeneous backend, else XY at g = 1) so
-     * timing, pulse solves and metrics all describe the same device.
+     * (JobResult::program) and fill Metrics::schedule. The job's
+     * target fixes the durations and topology
+     * (compiler::CompilationUnit::durationModel), so timing, pulse
+     * solves and metrics all describe the same device.
      */
     bool schedule = false;
-    isa::ScheduleOptions scheduleOptions;
+    /** The schedule option a client chooses: the strategy. */
+    struct ScheduleChoice
+    {
+        isa::Strategy strategy = isa::ScheduleOptions{}.strategy;
+    };
+    ScheduleChoice scheduleOptions;
 };
 
 /** Where a job is in its life. */
@@ -309,8 +324,6 @@ class CompileService
 
     ServiceOptions opts_;
     int threads_ = 1;
-    /** A homogeneous backend's edge coupling, else XY at g = 1. */
-    uarch::Coupling coupling_ = uarch::Coupling::xy(1.0);
     /** Gate-set tables, computed once when a backend is present. */
     backend::ReconfigureResult reconfig_;
     std::unique_ptr<SynthCache> synthCache_;   //!< null when disabled

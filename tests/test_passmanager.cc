@@ -287,6 +287,16 @@ TEST(PassManagerEquivalence, OptionVariantsMatchLegacy)
 namespace
 {
 
+/** A request's compile choices, without the service's hooks. */
+compiler::CompileOptions
+choicesOf(const service::CompileRequest &req)
+{
+    compiler::CompileOptions opts;
+    opts.seed = req.options.seed;
+    opts.variationalMode = req.options.variationalMode;
+    return opts;
+}
+
 /** The pre-refactor runJob backend tail, verbatim. */
 void
 legacyBackendTail(const CompileResult &compiled,
@@ -367,7 +377,7 @@ TEST(PassManagerEquivalence, ServiceMatchesLegacyRunJobOnChip)
 
         // Oracle: standalone compile + the legacy tail.
         const CompileResult compiled =
-            compiler::reqiscEff(input, req.options);
+            compiler::reqiscEff(input, choicesOf(req));
         Circuit phys;
         std::vector<int> layout;
         compiler::Metrics metrics;
@@ -417,15 +427,16 @@ TEST(PassManagerEquivalence, ServiceNoBackendMatchesLegacySequence)
     const service::JobResult r = svc.wait(svc.submit(req));
     ASSERT_TRUE(r.ok) << r.errorInfo.message;
 
-    compiler::CompileOptions copts = req.options;
     // The service installs its synth memo; memo hits are re-verified
     // so artifacts are unchanged — compile standalone for the oracle.
-    const CompileResult compiled = compiler::reqiscFull(input, copts);
+    const CompileResult compiled =
+        compiler::reqiscFull(input, choicesOf(req));
     // Without a backend the service times everything on XY at g = 1.
     const uarch::Coupling xy = uarch::Coupling::xy(1.0);
     compiler::Metrics metrics = compiler::evaluate(
         compiled.circuit, compiler::reqiscDurationModel(xy));
-    isa::ScheduleOptions schopts = req.scheduleOptions;
+    isa::ScheduleOptions schopts;
+    schopts.strategy = req.scheduleOptions.strategy;
     schopts.durations.coupling = xy;
     const isa::Program program =
         isa::schedule(compiled.circuit, schopts);
