@@ -1,5 +1,6 @@
 #include "circuit/qasm.hh"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,13 +13,16 @@ namespace reqisc::circuit
 namespace
 {
 
+/** What separates the tokens of a gate. */
+constexpr std::string_view kWhitespace = " \t\r\n";
+
 std::string_view
 trim(std::string_view s)
 {
-    const size_t b = s.find_first_not_of(" \t\r\n");
+    const size_t b = s.find_first_not_of(kWhitespace);
     if (b == std::string_view::npos)
         return {};
-    return s.substr(b, s.find_last_not_of(" \t\r\n") - b + 1);
+    return s.substr(b, s.find_last_not_of(kWhitespace) - b + 1);
 }
 
 /** `parse` (std::stoi or std::stod) over the whole trimmed token. */
@@ -98,7 +102,8 @@ writeGate(std::ostream &os, std::string_view name,
 std::string
 splitGate(std::string_view text, std::string_view &name, Gate &g)
 {
-    name = text.substr(0, text.find_first_of(" ("));
+    name = text.substr(0, std::min(text.find_first_of(kWhitespace),
+                                   text.find('(')));
     std::string_view rest = text.substr(name.size());
     if (!rest.empty() && rest.front() == '(') {
         const size_t close = rest.find(')');

@@ -48,10 +48,11 @@ void writeGate(std::ostream &os, std::string_view name,
                const std::vector<int> &qubits);
 
 /**
- * Split the text writeGate writes. The name runs to the first ' ' or
- * '('; a parenthesized, comma-separated parameter list may follow,
- * and the rest is the operand list: comma-separated `q[i]` tokens and
- * nothing else (whitespace around and inside the tokens is allowed).
+ * Split the text writeGate writes. The name runs to the first
+ * whitespace or '('; a parenthesized, comma-separated parameter list
+ * may follow, and the rest is the operand list: comma-separated
+ * `q[i]` tokens and nothing else (whitespace around and inside the
+ * tokens is allowed).
  * Fills `name` and a fresh gate's `params` and `qubits` (the op is
  * the caller's to resolve).
  * @return "" or why the text does not split, naming the bad token.

@@ -647,11 +647,13 @@ TEST(Qasm, BenignWhitespaceInsideTokensIsAccepted)
     // dialect: padding inside parens/brackets stays legal.
     const Circuit c = circuit::fromQasm(
         "OPENQASM 2.0;\nqreg q[ 2 ];\nrx( 0.5 ) q[ 0 ];\n"
-        "cx q[0],q[ 1 ];\ncx  q[1] ,\tq[0] ;\n");
-    ASSERT_EQ(c.size(), 3u);
+        "cx q[0],q[ 1 ];\ncx  q[1] ,\tq[0] ;\nh\tq[0];\n");
+    ASSERT_EQ(c.size(), 4u);
     EXPECT_DOUBLE_EQ(c[0].params[0], 0.5);
     EXPECT_EQ(c[1].qubits, (std::vector<int>{0, 1}));
     EXPECT_EQ(c[2].qubits, (std::vector<int>{1, 0}));
+    EXPECT_EQ(c[3].op, Op::H);
+    EXPECT_EQ(c[3].qubits, (std::vector<int>{0}));
 }
 
 TEST(Qasm, ErrorsCarryTheLineNumber)
