@@ -12,6 +12,14 @@
 namespace reqisc::backend
 {
 
+namespace
+{
+
+/** Weyl-coordinate tolerance of applicationsFor's class tests. */
+constexpr double kApplicationsTol = 1e-9;
+
+} // namespace
+
 const std::vector<GateSetCandidate> &
 gateSetCandidates()
 {
@@ -24,9 +32,9 @@ gateSetCandidates()
 }
 
 int
-applicationsFor(circuit::Op op, const weyl::WeylCoord &target,
-                double tol)
+applicationsFor(circuit::Op op, const weyl::WeylCoord &target)
 {
+    constexpr double tol = kApplicationsTol;
     if (target.norm1() < tol)
         return 0;
     const GateSetCandidate *cand = nullptr;

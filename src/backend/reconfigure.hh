@@ -67,11 +67,11 @@ const std::vector<GateSetCandidate> &gateSetCandidates();
 /**
  * Applications of fixed basis `op` (plus free 1Q layers) needed to
  * realize the class `target`: 0 for identity, 1 for the basis' own
- * class, else the analytic 2-vs-3 rules above. Throws
- * std::invalid_argument for an op outside gateSetCandidates().
+ * class, else the analytic 2-vs-3 rules above, each tested to 1e-9 in
+ * the Weyl coordinates. Throws std::invalid_argument for an op
+ * outside gateSetCandidates().
  */
-int applicationsFor(circuit::Op op, const weyl::WeylCoord &target,
-                    double tol = 1e-9);
+int applicationsFor(circuit::Op op, const weyl::WeylCoord &target);
 
 /** The selected native instruction of one edge. */
 struct EdgeInstruction

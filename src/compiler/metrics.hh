@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "isa/program.hh"
 #include "uarch/coupling.hh"
 
 namespace reqisc::compiler
@@ -47,32 +48,6 @@ struct CacheCounters
         const std::int64_t total = hits + misses;
         return total ? static_cast<double>(hits) / total : 0.0;
     }
-};
-
-/**
- * Timed-schedule report, filled by the isa layer when a compiled
- * circuit was lowered into an executable RQISA program (all-zero with
- * `scheduled == false` otherwise). Times are in 1/g units under the
- * program's isa::DurationModel — unlike `Metrics::duration`, the
- * makespan includes one-qubit gate (and, when requested, measurement)
- * durations, because the program is what the hardware executes.
- */
-struct ScheduleStats
-{
-    bool scheduled = false;
-    double makespan = 0.0;        //!< end of the last instruction
-    double serialDuration = 0.0;  //!< sum of instruction durations
-    /** serialDuration / makespan: average instructions in flight. */
-    double parallelism = 0.0;
-    /**
-     * Total idle time summed over qubits, counting only gaps between
-     * a qubit's first and last instruction (decoherence-relevant
-     * windows; qubits parked in |0> before first use don't count).
-     */
-    double idleTime = 0.0;
-    int instructions = 0;
-    /** The strategy the schedule pass ran ("serial", "asap", "alap"). */
-    std::string strategy;
 };
 
 /**
@@ -140,7 +115,7 @@ struct Metrics
     int unsolvedClasses = 0;
     CacheCounters synthCache;  //!< block-resynthesis memo activity
     CacheCounters pulseCache;  //!< pulse-solve memo activity
-    ScheduleStats schedule;    //!< filled when the job was scheduled
+    isa::ScheduleStats schedule;  //!< filled when the job was scheduled
     BackendStats backend;      //!< filled when compiled to a chip
     /** One entry per executed pass, in execution order. */
     std::vector<PassTrace> passes;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "qsim/density.hh"
-#include "qsim/statevector.hh"
 
 namespace reqisc::isa
 {
@@ -54,8 +53,7 @@ NoiseModel::p0For(int a, int b) const
 }
 
 std::vector<double>
-simulateTimed(const Program &p, const NoiseModel &noise,
-              const std::vector<int> &final_perm)
+simulateTimed(const Program &p, const NoiseModel &noise)
 {
     qsim::DensityMatrix rho(p.numQubits());
     // -1 marks a qubit not used yet: it sits in |0>, which both idle
@@ -88,8 +86,6 @@ simulateTimed(const Program &p, const NoiseModel &noise,
         // duration extends lastEnd) and collects idle noise before
         // it starts.
     }
-    if (!final_perm.empty())
-        rho.permuteQubits(qsim::inversePermutation(final_perm));
     return rho.probabilities();
 }
 

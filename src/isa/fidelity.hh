@@ -79,12 +79,10 @@ struct NoiseModel
  * model (practical to ~10 qubits): gates in start order, per-2Q-gate
  * depolarizing scaled by the instruction duration, idle decoherence
  * on every in-window wait. Returns the computational-basis
- * distribution; `final_perm` is interpreted as in
- * qsim::simulateNoisy (logical qubit q ends on wire final_perm[q]).
+ * distribution over the program's wires.
  */
 std::vector<double>
-simulateTimed(const Program &p, const NoiseModel &noise,
-              const std::vector<int> &final_perm = {});
+simulateTimed(const Program &p, const NoiseModel &noise);
 
 /**
  * Closed-form fidelity proxy for schedule comparison at any size:

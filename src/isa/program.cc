@@ -62,10 +62,10 @@ Program::makespan() const
     return m;
 }
 
-compiler::ScheduleStats
+ScheduleStats
 Program::stats() const
 {
-    compiler::ScheduleStats s;
+    ScheduleStats s;
     s.scheduled = true;
     s.instructions = static_cast<int>(instrs_.size());
     s.makespan = makespan();

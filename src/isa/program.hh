@@ -30,11 +30,36 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
-#include "compiler/metrics.hh"
 #include "route/topology.hh"
 
 namespace reqisc::isa
 {
+
+/**
+ * Timed-schedule report of a program (Program::stats), which
+ * compiler::Metrics::schedule holds (all-zero with `scheduled ==
+ * false` when a job was not scheduled). Times are in 1/g units under
+ * the program's isa::DurationModel — unlike `Metrics::duration`, the
+ * makespan includes one-qubit gate (and, when requested, measurement)
+ * durations, because the program is what the hardware executes.
+ */
+struct ScheduleStats
+{
+    bool scheduled = false;
+    double makespan = 0.0;        //!< end of the last instruction
+    double serialDuration = 0.0;  //!< sum of instruction durations
+    /** serialDuration / makespan: average instructions in flight. */
+    double parallelism = 0.0;
+    /**
+     * Total idle time summed over qubits, counting only gaps between
+     * a qubit's first and last instruction (decoherence-relevant
+     * windows; qubits parked in |0> before first use don't count).
+     */
+    double idleTime = 0.0;
+    int instructions = 0;
+    /** The strategy the schedule pass ran ("serial", "asap", "alap"). */
+    std::string strategy;
+};
 
 /** One timed instruction. */
 struct Instruction
@@ -93,7 +118,7 @@ class Program
     double makespan() const;
 
     /** Makespan / parallelism / idle-time report. */
-    compiler::ScheduleStats stats() const;
+    ScheduleStats stats() const;
 
     /**
      * Check the program invariants listed in the file header; the

@@ -42,7 +42,6 @@ struct Ring
 
 // All globals are constant-initialized (zero) so the signal handler
 // can touch them even if it fires before any dynamic initializer.
-std::atomic<bool> g_enabled{true};
 std::atomic<std::uint64_t> g_seq{0};
 std::atomic<std::uint64_t> g_clearSeq{0};
 std::atomic<std::uint32_t> g_ringCount{0};
@@ -396,22 +395,10 @@ const char *kindName(Kind k)
     return "unknown";
 }
 
-bool enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
 void recordAt(std::chrono::steady_clock::time_point when, Kind kind,
               const char *name, const char *detail, double value,
               int level)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     Ring *r = threadRing();
     if (r == nullptr)
         return;
@@ -523,11 +510,6 @@ void installSignalHandlers()
     for (const int sig :
          {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL})
         ::sigaction(sig, &sa, nullptr);
-}
-
-std::uint64_t droppedThreadCount()
-{
-    return g_droppedThreads.load(std::memory_order_relaxed);
 }
 
 } // namespace reqisc::obs::flight

@@ -29,9 +29,10 @@
  *
  * Memory bound: kMaxThreads rings x kRingCapacity slots x
  * sizeof(Event) (~184 B) — threads beyond the table capacity drop
- * their events (counted in droppedThreadCount()) rather than grow.
+ * their events (counted in the dump's `droppedThreads`) rather than
+ * grow.
  *
- * Enabled by default; the cost per record (one clock read, a few
+ * Always on; the cost per record (one clock read, a few
  * bounded string copies and ~23 relaxed stores) is paid identically
  * whether the tracer/registry are on or off, so it cannot move the
  * bench_service obsEfficiency perf-guard ratio.
@@ -88,11 +89,7 @@ struct Event
     char job[kJobBytes] = {};       //!< JobScope name ("" = none)
 };
 
-/** Recorder on/off (default ON — this is the always-on black box). */
-bool enabled();
-void setEnabled(bool on);
-
-/** Record an event now on this thread's ring (no-op when off). */
+/** Record an event now on this thread's ring. */
 void record(Kind kind, const char *name, const char *detail = "",
             double value = 0.0, int level = 0);
 
@@ -148,9 +145,6 @@ bool dumpToFile(const std::string &path, const char *trigger);
  * still dies with the original signal. Idempotent.
  */
 void installSignalHandlers();
-
-/** Threads that found the ring table full and record nothing. */
-std::uint64_t droppedThreadCount();
 
 } // namespace reqisc::obs::flight
 

@@ -93,10 +93,9 @@ void Span::open(SpanContext explicitParent, bool useStackParent)
 
 Span::~Span()
 {
-    // Inert spans skip the clock read entirely unless the flight
-    // recorder wants the end event; callers that need the duration
-    // despite disabled tracing call stop() themselves.
-    if (!stopped_ && (id_ != 0 || flight::enabled()))
+    // The flight recorder takes every span's end event, so even an
+    // inert span reads the clock here.
+    if (!stopped_)
         stop();
 }
 

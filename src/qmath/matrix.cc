@@ -180,16 +180,6 @@ Matrix::transpose() const
     return r;
 }
 
-Matrix
-Matrix::conjugate() const
-{
-    Matrix r;
-    r.resizeForOverwrite(rows_, cols_);
-    for (size_t k = 0; k < size(); ++k)
-        r.data_[k] = std::conj(data_[k]);
-    return r;
-}
-
 Complex
 Matrix::trace() const
 {

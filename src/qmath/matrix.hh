@@ -143,9 +143,6 @@ class Matrix
     /** @return the (non-conjugated) transpose. */
     Matrix transpose() const;
 
-    /** @return the entrywise complex conjugate. */
-    Matrix conjugate() const;
-
     Complex trace() const;
 
     /** Frobenius norm sqrt(sum |a_ij|^2). */

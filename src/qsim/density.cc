@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "qsim/statevector.hh"
-
 namespace reqisc::qsim
 {
 
@@ -180,32 +178,11 @@ DensityMatrix::traceReal() const
     return t;
 }
 
-void
-DensityMatrix::permuteQubits(const std::vector<int> &perm)
-{
-    const size_t d = dim();
-    auto mapIndex = [&](size_t idx) {
-        size_t nidx = 0;
-        for (int q = 0; q < numQubits_; ++q) {
-            const int bit = (idx >> (numQubits_ - 1 - q)) & 1;
-            if (bit)
-                nidx |= (static_cast<size_t>(1)
-                         << (numQubits_ - 1 - perm[q]));
-        }
-        return nidx;
-    };
-    std::vector<Complex> out(rho_.size(), Complex(0.0, 0.0));
-    for (size_t r = 0; r < d; ++r)
-        for (size_t c = 0; c < d; ++c)
-            out[mapIndex(r) * d + mapIndex(c)] = rho_[index(r, c)];
-    rho_ = std::move(out);
-}
-
 std::vector<double>
 simulateNoisy(
     const circuit::Circuit &c,
     const std::function<double(const circuit::Gate &)> &gate_duration,
-    double p0, double tau0, const std::vector<int> &final_perm)
+    double p0, double tau0)
 {
     DensityMatrix rho(c.numQubits());
     for (const auto &g : c) {
@@ -216,8 +193,6 @@ simulateNoisy(
             rho.depolarize(g.qubits, p);
         }
     }
-    if (!final_perm.empty())
-        rho.permuteQubits(inversePermutation(final_perm));
     return rho.probabilities();
 }
 

@@ -68,9 +68,6 @@ class DensityMatrix
 
     double traceReal() const;
 
-    /** Relabel qubits (same semantics as StateVector::permuteQubits). */
-    void permuteQubits(const std::vector<int> &perm);
-
   private:
     int numQubits_;
     /** Row-major 2^n x 2^n storage. */
@@ -88,12 +85,11 @@ class DensityMatrix
  * @param gate_duration per-gate pulse duration model
  * @param p0 base error rate at duration tau0
  * @param tau0 reference duration (conventional CNOT pulse)
- * @param final_perm optional output permutation (empty = identity)
  */
 std::vector<double> simulateNoisy(
     const circuit::Circuit &c,
     const std::function<double(const circuit::Gate &)> &gate_duration,
-    double p0, double tau0, const std::vector<int> &final_perm = {});
+    double p0, double tau0);
 
 } // namespace reqisc::qsim
 

@@ -72,13 +72,10 @@ struct CalibrationPlan
 
     /**
      * Total calibration cost under the linear model of Section
-     * 6.5.1: fixed characterization cost + per-class experiments.
+     * 6.5.1: one unit of fixed characterization plus one experiment
+     * per class.
      */
-    double cost(double base_cost = 1.0,
-                double per_gate_cost = 1.0) const
-    {
-        return base_cost + per_gate_cost * entries.size();
-    }
+    double cost() const { return 1.0 + entries.size(); }
 };
 
 /**

@@ -239,7 +239,7 @@ TEST(Schedule, StatsReportMakespanParallelismIdle)
     c.add(Gate::cx(1, 2));
     isa::ScheduleOptions opts;
     const isa::Program p = isa::schedule(c, opts);
-    const compiler::ScheduleStats s = p.stats();
+    const isa::ScheduleStats s = p.stats();
     EXPECT_TRUE(s.scheduled);
     EXPECT_EQ(s.instructions, 3);
     EXPECT_NEAR(s.makespan, p.makespan(), 1e-12);
@@ -455,11 +455,14 @@ TEST(Assembly, ToleratesBenignWhitespaceInNumbers)
         "RQISA 1.0;\nqubits 2;\n"
         "@0 rx( 0.5 ) q[ 0 ] dur 1;\n"
         "@1 cx q[0],q[ 1 ] dur 2;\n"
-        "@3 cx q[1] ,\tq[0] dur 2;\n");
-    ASSERT_EQ(p.size(), 3u);
+        "@3 cx q[1] ,\tq[0] dur 2;\n"
+        "@5 h\tq[0] dur 1;\n");
+    ASSERT_EQ(p.size(), 4u);
     EXPECT_DOUBLE_EQ(p[0].gate.params[0], 0.5);
     EXPECT_EQ(p[1].qubits()[1], 1);
     EXPECT_EQ(p[2].qubits(), (std::vector<int>{1, 0}));
+    EXPECT_EQ(p[3].gate.op, Op::H);
+    EXPECT_EQ(p[3].qubits(), (std::vector<int>{0}));
 }
 
 // ---- Timeline-aware fidelity -------------------------------------------
