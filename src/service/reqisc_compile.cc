@@ -91,7 +91,8 @@ printUsage(std::ostream &os)
           "  --repeat K            submit each input K times "
           "(default: 1)\n"
           "  --suite small|medium  also compile the built-in suite\n"
-          "  --seed N              instantiation seed (default: 777)\n"
+          "  --seed N              instantiation seed (default: "
+       << compiler::CompileOptions{}.seed << ")\n"
           "  --variational         variational (fixed-basis) mode\n"
           "  --no-cache            disable the shared SU(4) caches\n"
           "  --no-calibrate        skip the calibrate pass\n"

@@ -132,7 +132,7 @@ struct JobResult
     double seconds = 0.0;            //!< wall time in the worker
 };
 
-/** One unit of work. */
+/** One unit of work: what a client chooses of a compile. */
 struct CompileRequest
 {
     std::string name;             //!< label echoed in the result
