@@ -152,7 +152,7 @@ ReconfigureResult::differsFromUniform() const
 }
 
 ReconfigureResult
-reconfigure(const Backend &backend, const ReconfigureOptions &opts)
+reconfigure(const Backend &backend)
 {
     const std::vector<GateSetCandidate> &cands = gateSetCandidates();
     std::vector<double> expected;
@@ -198,14 +198,6 @@ reconfigure(const Backend &backend, const ReconfigureOptions &opts)
     res.uniformOp = cands[bestUniform].op;
     res.uniformName = cands[bestUniform].name;
     res.uniformTable = std::move(scored[bestUniform]);
-
-    if (opts.solvePulses) {
-        for (EdgeInstruction &instr : res.table) {
-            const uarch::GateScheme scheme(
-                backend.edge(instr.a, instr.b).coupling);
-            instr.pulse = scheme.solveCoord(instr.coord);
-        }
-    }
     return res;
 }
 

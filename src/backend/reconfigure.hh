@@ -41,7 +41,7 @@
 
 #include "backend/backend.hh"
 #include "circuit/circuit.hh"
-#include "uarch/genashn.hh"
+#include "uarch/duration.hh"
 #include "weyl/weyl.hh"
 
 namespace reqisc::backend
@@ -85,20 +85,6 @@ struct EdgeInstruction
     double appFidelity = 0.0;  //!< per-application fidelity estimate
     double expectedApps = 0.0; //!< workload-expected applications
     double score = 0.0;        //!< appFidelity ^ expectedApps
-    /** Drive parameters (solved when ReconfigureOptions::solvePulses). */
-    uarch::PulseSolution pulse;
-};
-
-/**
- * Reconfiguration knobs. The scoring workload is fixed: the 2Q class
- * mix of typical compiled programs (CNOT-class dominated, routing
- * SWAPs, a tail of generic and near-identity SU(4)s), and p0 scales
- * at isa::NoiseModel's reference duration tau0.
- */
-struct ReconfigureOptions
-{
-    /** Also run the genAshN pulse solver for each chosen entry. */
-    bool solvePulses = false;
 };
 
 /** Per-edge instruction table plus the uniform baseline. */
@@ -118,9 +104,14 @@ struct ReconfigureResult
     bool differsFromUniform() const;
 };
 
-/** Run the gate-set selection loop for every edge of the chip. */
-ReconfigureResult reconfigure(const Backend &backend,
-                              const ReconfigureOptions &opts = {});
+/**
+ * Run the gate-set selection loop for every edge of the chip. The
+ * scoring workload is fixed: the 2Q class mix of typical compiled
+ * programs (CNOT-class dominated, routing SWAPs, a tail of generic
+ * and near-identity SU(4)s), and p0 scales at isa::NoiseModel's
+ * reference duration tau0.
+ */
+ReconfigureResult reconfigure(const Backend &backend);
 
 /**
  * Estimated fidelity of a circuit routed onto the chip (every 2Q

@@ -13,9 +13,6 @@ namespace reqisc::circuit
 namespace
 {
 
-/** What separates the tokens of a gate. */
-constexpr std::string_view kWhitespace = " \t\r\n";
-
 std::string_view
 trim(std::string_view s)
 {

@@ -39,6 +39,12 @@ std::string toQasm(const Circuit &c);
 Circuit fromQasm(const std::string &text);
 
 /**
+ * The whitespace that separates the tokens of a gate and the fields
+ * of an RQISA instruction.
+ */
+inline constexpr std::string_view kWhitespace = " \t\r\n";
+
+/**
  * Write one gate: the name, its parameters (if any) in parentheses
  * at the stream's precision, a space, then the comma-separated
  * `q[i]` operands.

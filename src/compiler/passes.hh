@@ -108,7 +108,7 @@ Circuit dagCompact(const Circuit &c, double tol = kSynthTol);
 Circuit hierarchicalSynthesis(const Circuit &c,
                               int m_th = kHierSynthThreshold,
                               double tol = kSynthTol,
-                              unsigned seed = 777,
+                              unsigned seed = synth::SynthesisOptions{}.seed,
                               synth::BlockMemo *memo = nullptr,
                               synth::BlockPool *pool = nullptr,
                               bool compacting = true);

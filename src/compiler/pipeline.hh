@@ -47,7 +47,7 @@ struct CompileOptions
      * which is what lets the concurrent service promise bit-identical
      * results regardless of thread count.
      */
-    unsigned seed = 777;
+    unsigned seed = synth::SynthesisOptions{}.seed;
     /**
      * Optional shared memo for hierarchical block resynthesis (the
      * service layer installs its SynthCache here). A memo must only

@@ -21,6 +21,13 @@ namespace reqisc::daemon
 namespace
 {
 
+/** Pending connections the kernel queues before accept(). */
+constexpr int kBacklog = 64;
+/** Cap on the request line + headers (malformed-client guard). */
+constexpr std::size_t kMaxHeaderBytes = 16u << 10;
+/** Per-socket receive/send timeout, seconds. */
+constexpr int kIoTimeoutSeconds = 10;
+
 std::string
 toLower(std::string s)
 {
@@ -132,7 +139,7 @@ HttpServer::start(std::string &error)
         listenFd_ = -1;
         return false;
     }
-    if (::listen(listenFd_, opts_.backlog) < 0) {
+    if (::listen(listenFd_, kBacklog) < 0) {
         error = std::string("listen: ") + std::strerror(errno);
         ::close(listenFd_);
         listenFd_ = -1;
@@ -195,7 +202,7 @@ HttpServer::acceptLoop()
         if (fd < 0)
             continue;
         timeval tv{};
-        tv.tv_sec = opts_.ioTimeoutSeconds;
+        tv.tv_sec = kIoTimeoutSeconds;
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         char ip[INET_ADDRSTRLEN] = "?";
@@ -269,7 +276,7 @@ HttpServer::serveConnection(int fd, const std::string &peer)
     std::size_t headEnd = std::string::npos;
     char chunk[4096];
     while (headEnd == std::string::npos) {
-        if (buf.size() > opts_.maxHeaderBytes) {
+        if (buf.size() > kMaxHeaderBytes) {
             sendResponse(fd,
                          makeError(431, "request head too large"));
             return;

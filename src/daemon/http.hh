@@ -68,13 +68,8 @@ struct HttpServerOptions
     /** TCP port; 0 binds an ephemeral port (read it from port()). */
     int port = 0;
     int handlerThreads = 2;
-    int backlog = 64;
     /** Reject request bodies larger than this with 413. */
     std::size_t maxBodyBytes = 4u << 20;
-    /** Cap on the request line + headers (malformed-client guard). */
-    std::size_t maxHeaderBytes = 16u << 10;
-    /** Per-socket receive/send timeout, seconds. */
-    int ioTimeoutSeconds = 10;
 };
 
 class HttpServer

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "circuit/qasm.hh"  // the gate syntax and numeric tokens
 
@@ -13,6 +14,7 @@ namespace
 
 constexpr char kHeader[] = "RQISA 1.0;";
 constexpr char kMeasureMnemonic[] = "meas";
+using circuit::kWhitespace;
 
 /** Thrown with the offending line number attached. */
 [[noreturn]] void
@@ -23,11 +25,11 @@ fail(int lineno, const std::string &msg)
 }
 
 double
-parseDouble(const std::string &tok, int lineno)
+parseDouble(std::string_view tok, int lineno)
 {
     double v = 0.0;
     if (!circuit::parseTokenDouble(tok, v))
-        fail(lineno, "bad number '" + tok + "'");
+        fail(lineno, "bad number '" + std::string(tok) + "'");
     return v;
 }
 
@@ -38,6 +40,21 @@ parseInt(const std::string &tok, int lineno)
     if (!circuit::parseTokenInt(tok, v))
         fail(lineno, "bad integer '" + tok + "'");
     return v;
+}
+
+/**
+ * Remove the last whitespace-separated field of `s`, which has no
+ * whitespace at either end (nor has it after), and return it.
+ */
+std::string_view
+popLastField(std::string_view &s)
+{
+    const size_t at = s.find_last_of(kWhitespace);
+    if (at == std::string_view::npos)
+        return std::exchange(s, {});
+    const std::string_view field = s.substr(at + 1);
+    s = s.substr(0, s.find_last_not_of(kWhitespace, at) + 1);
+    return field;
 }
 
 } // namespace
@@ -82,10 +99,10 @@ fromAssembly(const std::string &text)
         const size_t comment = line.find('#');
         if (comment != std::string::npos)
             line = line.substr(0, comment);
-        const size_t begin = line.find_first_not_of(" \t\r");
+        const size_t begin = line.find_first_not_of(kWhitespace);
         if (begin == std::string::npos)
             continue;
-        const size_t end = line.find_last_not_of(" \t\r");
+        const size_t end = line.find_last_not_of(kWhitespace);
         line = line.substr(begin, end - begin + 1);
 
         if (!saw_header) {
@@ -98,6 +115,7 @@ fromAssembly(const std::string &text)
         if (line.back() != ';')
             fail(lineno, "missing ';'");
         line.pop_back();
+        line.erase(line.find_last_not_of(kWhitespace) + 1);
         if (!saw_qubits) {
             std::istringstream ls(line);
             std::string kw, count;
@@ -113,18 +131,20 @@ fromAssembly(const std::string &text)
         }
         if (line.empty() || line[0] != '@')
             fail(lineno, "instruction must start with '@'");
-        const size_t sp0 = line.find(' ');
-        if (sp0 == std::string::npos)
+        // The fields, split on whitespace: "@start" first, "dur" and
+        // the duration last, and the gate text between them.
+        std::string_view rest(line);
+        const size_t start_end = rest.find_first_of(kWhitespace);
+        if (start_end == std::string::npos)
             fail(lineno, "missing mnemonic");
         Instruction instr;
-        instr.start = parseDouble(line.substr(1, sp0 - 1), lineno);
-        const size_t dur_kw = line.find(" dur ", sp0 + 1);
-        if (dur_kw == std::string::npos)
+        instr.start = parseDouble(rest.substr(1, start_end - 1), lineno);
+        rest.remove_prefix(rest.find_first_not_of(kWhitespace, start_end));
+        const std::string_view duration = popLastField(rest);
+        if (popLastField(rest) != "dur")
             fail(lineno, "missing 'dur' field");
         std::string_view mnemonic;
-        std::string bad = circuit::splitGate(
-            std::string_view(line).substr(sp0 + 1, dur_kw - sp0 - 1),
-            mnemonic, instr.gate);
+        std::string bad = circuit::splitGate(rest, mnemonic, instr.gate);
         if (!bad.empty())
             fail(lineno, bad);
         if (mnemonic == kMeasureMnemonic) {
@@ -139,7 +159,7 @@ fromAssembly(const std::string &text)
         }
         if (!bad.empty())
             fail(lineno, bad);
-        instr.duration = parseDouble(line.substr(dur_kw + 5), lineno);
+        instr.duration = parseDouble(duration, lineno);
         p.add(std::move(instr));
     }
     if (!saw_header)

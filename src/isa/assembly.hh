@@ -3,9 +3,10 @@
  * RQISA textual assembly: the interchange format for timed programs,
  * so executable schedules can be dumped, diffed, and re-ingested.
  *
- * Grammar (one instruction per line; '#' starts a comment; numbers
- * are decimal doubles printed with 17 significant digits, which makes
- * the emit -> parse -> emit round-trip byte-identical):
+ * Grammar (one instruction per line; '#' starts a comment; any run of
+ * spaces and tabs separates the fields; numbers are decimal doubles
+ * printed with 17 significant digits, which makes the emit -> parse
+ * -> emit round-trip byte-identical):
  *
  *   program := "RQISA 1.0;" NL "qubits" INT ";" NL line*
  *   line    := "@" FLOAT mnemonic params? operands "dur" FLOAT ";" NL

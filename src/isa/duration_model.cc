@@ -24,7 +24,7 @@ double
 DurationModel::gate(const circuit::Gate &g) const
 {
     if (g.is1Q())
-        return oneQubit;
+        return kDefaultOneQubitDuration;
     if (g.is2Q())
         return uarch::optimalDuration(
             couplingFor(g.qubits[0], g.qubits[1]), g.weylCoord());

@@ -5,15 +5,15 @@
  * One struct owns every per-instruction duration the scheduler and
  * the timeline-aware noise model consume: two-qubit gates cost their
  * genAshN time-optimal duration on the target coupling
- * (uarch::durationInfo), one-qubit gates and measurements cost the
- * configurable flat defaults below. All durations are in 1/g units
+ * (uarch::durationInfo), one-qubit gates cost the flat
+ * kDefaultOneQubitDuration. All durations are in 1/g units
  * (g = canonical coupling strength), the convention of
  * uarch/duration.hh, so the conventional CNOT pulse is
  * pi/sqrt(2) ~ 2.221.
  *
- * The defaults are the single source of truth for these constants —
- * bench harnesses, tests and examples must use them instead of
- * re-declaring ad hoc copies.
+ * The constant is the single source of truth for the one-qubit
+ * duration — bench harnesses, tests and examples must use it instead
+ * of re-declaring ad hoc copies.
  */
 
 #ifndef REQISC_ISA_DURATION_MODEL_HH
@@ -29,17 +29,11 @@ namespace reqisc::isa
 {
 
 /**
- * Default one-qubit gate duration in 1/g units: ~1/9 of the
- * conventional CNOT pulse, matching the typical 25 ns single-qubit
- * vs 200 ns two-qubit ratio on transmon hardware.
+ * One-qubit gate duration in 1/g units: ~1/9 of the conventional
+ * CNOT pulse, matching the typical 25 ns single-qubit vs 200 ns
+ * two-qubit ratio on transmon hardware.
  */
 inline constexpr double kDefaultOneQubitDuration = 0.25;
-
-/**
- * Default measurement (readout) duration in 1/g units: a few times
- * the two-qubit pulse, matching ~1 us readout vs ~200 ns gates.
- */
-inline constexpr double kDefaultMeasurementDuration = 10.0;
 
 /** Per-instruction durations for one target device. */
 struct DurationModel
@@ -54,18 +48,17 @@ struct DurationModel
      * found here is timed against that edge's own coupling.
      */
     std::map<std::pair<int, int>, uarch::Coupling> edgeCoupling;
-    double oneQubit = kDefaultOneQubitDuration;
-    double measurement = kDefaultMeasurementDuration;
 
     /** Coupling used for a pair: the edge override or the fallback. */
     const uarch::Coupling &couplingFor(int a, int b) const;
 
     /**
-     * Duration of a gate: `oneQubit` for 1Q gates, the genAshN
-     * optimal duration of its Weyl coordinate on couplingFor(its
-     * pair) for 2Q gates. Throws std::invalid_argument for gates on
-     * three or more qubits (the scheduler consumes compiled
-     * {Can, U3} circuits; lower high-level IR first).
+     * Duration of a gate: kDefaultOneQubitDuration for 1Q gates, the
+     * genAshN optimal duration of its Weyl coordinate on
+     * couplingFor(its pair) for 2Q gates. Throws
+     * std::invalid_argument for gates on three or more qubits (the
+     * scheduler consumes compiled {Can, U3} circuits; lower
+     * high-level IR first).
      */
     double gate(const circuit::Gate &g) const;
 };

@@ -26,18 +26,6 @@ Instruction::timedGate(circuit::Gate g, double start, double duration)
     return i;
 }
 
-Instruction
-Instruction::measure(int qubit, double start, double duration)
-{
-    Instruction i;
-    i.kind = Kind::Measure;
-    i.gate.op = circuit::Op::I;
-    i.gate.qubits = {qubit};
-    i.start = start;
-    i.duration = duration;
-    return i;
-}
-
 void
 Program::add(Instruction instr)
 {

@@ -40,8 +40,8 @@ namespace reqisc::isa
  * compiler::Metrics::schedule holds (all-zero with `scheduled ==
  * false` when a job was not scheduled). Times are in 1/g units under
  * the program's isa::DurationModel — unlike `Metrics::duration`, the
- * makespan includes one-qubit gate (and, when requested, measurement)
- * durations, because the program is what the hardware executes.
+ * makespan includes one-qubit gate durations, because the program is
+ * what the hardware executes.
  */
 struct ScheduleStats
 {
@@ -84,8 +84,6 @@ struct Instruction
 
     static Instruction timedGate(circuit::Gate g, double start,
                                  double duration);
-    static Instruction measure(int qubit, double start,
-                               double duration);
 };
 
 /** An executable timed program on a fixed register. */

@@ -133,12 +133,6 @@ schedule(const circuit::Circuit &c, const ScheduleOptions &opts)
         p.add(Instruction::timedGate(*gates[i], starts[i],
                                      durations[i]));
     p.sortByStart();
-    if (opts.measureAtEnd) {
-        const double t = p.makespan();
-        for (int q = 0; q < c.numQubits(); ++q)
-            p.add(Instruction::measure(q, t,
-                                       opts.durations.measurement));
-    }
     return p;
 }
 

@@ -58,12 +58,6 @@ struct ScheduleOptions
      * routed); nullptr skips the check (logical programs).
      */
     const route::Topology *topology = nullptr;
-    /**
-     * Append a Measure instruction on every qubit at the gate
-     * makespan (a global readout barrier, the common control-stack
-     * shape), extending the makespan by `durations.measurement`.
-     */
-    bool measureAtEnd = false;
 };
 
 /**

@@ -1,40 +1,13 @@
 #include "obs/log.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "obs/flight.hh"
 #include "obs/json_escape.hh"
 #include "obs/span.hh"
-#include "obs/token_bucket.hh"
 
 namespace reqisc::obs
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-/**
- * Per-thread buckets keep the limiter lock-free; the global rate is
- * therefore bounded by threads x perSec (documented in log.hh).
- */
-bool rateLimited(Logger &logger, const std::string &component,
-                 const std::string &message)
-{
-    const double perSec = logger.rateLimitPerSec();
-    if (perSec <= 0.0)
-        return false;
-    const double burst =
-        std::max(1.0, logger.rateLimitBurst());
-    thread_local std::unordered_map<std::string, TokenBucket> buckets;
-    return !buckets[component + '\0' + message].take(perSec, burst,
-                                                      Clock::now());
-}
-
-} // namespace
 
 const char *logLevelName(LogLevel level)
 {
@@ -73,26 +46,6 @@ Logger &Logger::global()
     return *g;
 }
 
-void Logger::setRateLimit(double perSec, double burst)
-{
-    rateBits_.store(std::bit_cast<std::uint64_t>(perSec),
-                    std::memory_order_relaxed);
-    burstBits_.store(std::bit_cast<std::uint64_t>(burst),
-                     std::memory_order_relaxed);
-}
-
-double Logger::rateLimitPerSec() const
-{
-    return std::bit_cast<double>(
-        rateBits_.load(std::memory_order_relaxed));
-}
-
-double Logger::rateLimitBurst() const
-{
-    return std::bit_cast<double>(
-        burstBits_.load(std::memory_order_relaxed));
-}
-
 void Logger::append(LogRecord &&rec)
 {
     buffers_.local().push(std::move(rec));
@@ -109,7 +62,6 @@ std::vector<LogRecord> Logger::collect()
 void Logger::clear()
 {
     buffers_.clear();
-    dropped_.store(0, std::memory_order_relaxed);
 }
 
 // ---- Free functions ----------------------------------------------------
@@ -129,15 +81,11 @@ void log(LogLevel level, const std::string &component,
     if (static_cast<std::uint8_t>(level) <
         static_cast<std::uint8_t>(logger.minLevel()))
         return;
-    if (rateLimited(logger, component, message))
-    {
-        logger.noteDropped();
-        return;
-    }
 
     LogRecord rec;
     rec.level = level;
-    rec.tsNs = Tracer::global().sinceEpochNs(Clock::now());
+    rec.tsNs = Tracer::global().sinceEpochNs(
+        std::chrono::steady_clock::now());
     rec.component = component;
     rec.message = message;
     rec.job = currentJobName();

@@ -14,16 +14,13 @@
  * versa.
  *
  * Every log() call additionally feeds the always-on flight recorder
- * (before the enabled/severity/rate checks), so the last few hundred
+ * (before the enabled and severity checks), so the last few hundred
  * records — including filtered debug chatter — are always available
  * in a crash or job-failure dump.
  *
- * Hot paths are protected by a token-bucket rate limiter keyed on
- * (component, message) per thread: each key accrues
- * rateLimitPerSec() tokens per second up to rateLimitBurst(); a
- * record that finds no token is counted in droppedCount() and
- * otherwise ignored. Per-thread buckets make the global bound
- * approximate (threads x rate) but keep the hot path lock-free.
+ * An enabled logger keeps every record at or above its minimum
+ * level. No call site is hot: each fires at most once per job, cache
+ * file, start-up or failing pool task.
  *
  * Timestamps are steady-clock nanoseconds since the tracer epoch and
  * `tid` is threadIndex(), so log records line up with trace spans
@@ -34,7 +31,6 @@
 #define REQISC_OBS_LOG_HH
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -106,46 +102,21 @@ class Logger
     }
 
     /**
-     * Token-bucket limit per (component, message) key per thread.
-     * perSec <= 0 disables limiting. Default: 100/s, burst 200.
-     */
-    void setRateLimit(double perSec, double burst);
-    double rateLimitPerSec() const;
-    double rateLimitBurst() const;
-
-    /** Records discarded by the rate limiter since start/clear. */
-    std::uint64_t droppedCount() const
-    {
-        return dropped_.load(std::memory_order_relaxed);
-    }
-
-    /**
      * Copy out every buffered record (live and retired threads),
      * sorted by timestamp.
      */
     std::vector<LogRecord> collect();
 
-    /** Drop all buffered records and reset the dropped counter. */
+    /** Drop all buffered records. */
     void clear();
 
     /** Internal: append a finished record (log() calls this). */
     void append(LogRecord &&rec);
 
-    /** Internal: count a record discarded by the rate limiter. */
-    void noteDropped()
-    {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-
   private:
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint8_t> minLevel_{
         static_cast<std::uint8_t>(LogLevel::Info)};
-    std::atomic<std::uint64_t> rateBits_{
-        std::bit_cast<std::uint64_t>(100.0)};
-    std::atomic<std::uint64_t> burstBits_{
-        std::bit_cast<std::uint64_t>(200.0)};
-    std::atomic<std::uint64_t> dropped_{0};
     detail::ThreadBuffers<LogRecord> buffers_;
 };
 

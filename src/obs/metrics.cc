@@ -93,20 +93,6 @@ void Gauge::set(double v)
                 std::memory_order_relaxed);
 }
 
-void Gauge::add(double d)
-{
-    flight::record(flight::Kind::Gauge, name_.c_str(), "delta", d);
-    if (!enabled_->load(std::memory_order_relaxed))
-        return;
-    std::uint64_t cur = bits_.load(std::memory_order_relaxed);
-    while (!bits_.compare_exchange_weak(
-        cur, std::bit_cast<std::uint64_t>(
-                 std::bit_cast<double>(cur) + d),
-        std::memory_order_relaxed, std::memory_order_relaxed))
-    {
-    }
-}
-
 double Gauge::value() const
 {
     return std::bit_cast<double>(

@@ -107,7 +107,6 @@ class Gauge
 {
   public:
     void set(double v);
-    void add(double d);  //!< CAS loop; for inc/dec-style gauges
     double value() const;
 
   private:

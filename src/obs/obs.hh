@@ -30,13 +30,6 @@ inline void setEnabled(bool on)
     Tracer::global().setEnabled(on);
 }
 
-/** True when either half of the layer is recording. */
-inline bool enabled()
-{
-    return Registry::global().enabled() ||
-           Tracer::global().enabled();
-}
-
 } // namespace reqisc::obs
 
 #endif // REQISC_OBS_OBS_HH

@@ -1,10 +1,9 @@
 /**
  * @file
  * The one token bucket, full on first use and refilled at `rate`
- * tokens per second up to `burst`. The log rate limiter (obs/log.cc)
- * and the daemon's per-client quotas (daemon/daemon.cc) both meter
- * with it. Each call passes the limit, so a bucket follows one that
- * changes at run time. Not synchronized.
+ * tokens per second up to `burst`. The daemon's per-client quotas
+ * (daemon/daemon.cc) meter with it, passing the limit on each call.
+ * Not synchronized.
  */
 
 #ifndef REQISC_OBS_TOKEN_BUCKET_HH

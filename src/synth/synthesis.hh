@@ -69,6 +69,7 @@ struct SynthesisOptions
     double tol = 1e-9;      //!< accepted infidelity
     int maxBlocks = 7;      //!< give up beyond this many SU(4)s
     int restarts = 3;
+    /** The one definition of the default compile seed. */
     unsigned seed = 777;
     /**
      * Ascending searches k = 0,1,2,... and certifies the minimum

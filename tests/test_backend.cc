@@ -555,19 +555,6 @@ TEST(Reconfigure, HeterogeneousChipsMixInstructionsAsDesigned)
     EXPECT_FALSE(rcXx.differsFromUniform());
 }
 
-TEST(Reconfigure, SolvePulsesFillsConvergedSolutions)
-{
-    const backend::Backend chip = backend::Backend::uniform(
-        route::Topology::chain(2), uarch::Coupling::xy(1.0));
-    backend::ReconfigureOptions opts;
-    opts.solvePulses = true;
-    const backend::ReconfigureResult rc =
-        backend::reconfigure(chip, opts);
-    ASSERT_EQ(rc.table.size(), 1u);
-    EXPECT_TRUE(rc.table[0].pulse.converged);
-    EXPECT_NEAR(rc.table[0].pulse.tau, rc.table[0].duration, 1e-9);
-}
-
 // ---------------------------------------------------------------------
 // Service integration + the acceptance property
 // ---------------------------------------------------------------------

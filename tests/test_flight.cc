@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the structured logger and the always-on flight recorder:
- * severity filtering, rate limiting, the JSON-lines format and the
- * records of exited threads; control bytes in a flight dump; cuts
- * of long UTF-8 names at a character boundary; job
- * propagation into log records, spans and flight events (including
+ * severity filtering, every record of a repeated message kept, the
+ * JSON-lines format and the records of exited threads; control bytes
+ * in a flight dump; cuts of long UTF-8 names at a character boundary;
+ * job propagation into log records, spans and flight events (including
  * across BlockPool helper threads); counters kept out of the rings
  * (the KAK count); ring wraparound eviction order;
  * multi-thread snapshot consistency (no torn events); the
@@ -53,13 +53,11 @@ struct LoggerGuard
         obs::Logger::global().clear();
         obs::Logger::global().setEnabled(true);
         obs::Logger::global().setMinLevel(obs::LogLevel::Debug);
-        obs::Logger::global().setRateLimit(1e9, 1e9);
     }
     ~LoggerGuard()
     {
         obs::Logger::global().setEnabled(false);
         obs::Logger::global().setMinLevel(obs::LogLevel::Info);
-        obs::Logger::global().setRateLimit(100.0, 200.0);
         obs::Logger::global().clear();
     }
 };
@@ -132,20 +130,19 @@ TEST(Log, DisabledByDefaultAndFiltersBySeverity)
     EXPECT_GE(records[0].tsNs, 0);
 }
 
-TEST(Log, RateLimitBoundsARepeatedMessage)
+TEST(Log, KeepsEveryRecordOfARepeatedMessage)
 {
-    LoggerGuard guard;
-    obs::Logger::global().setRateLimit(10.0, 20.0);
-    const std::uint64_t dropped0 =
-        obs::Logger::global().droppedCount();
+    // Only the switch changes: at its other defaults an enabled
+    // logger keeps every record, however often one message repeats.
+    obs::Logger &logger = obs::Logger::global();
+    logger.clear();
+    logger.setEnabled(true);
     for (int i = 0; i < 1000; ++i)
         obs::log(obs::LogLevel::Info, "hot", "same message");
-    const auto records = obs::Logger::global().collect();
-    // The burst admits ~20 plus whatever trickles in during the
-    // loop; far fewer than the 1000 attempts either way.
-    EXPECT_GE(records.size(), 1u);
-    EXPECT_LE(records.size(), 100u);
-    EXPECT_GT(obs::Logger::global().droppedCount(), dropped0);
+    const size_t kept = logger.collect().size();
+    logger.setEnabled(false);
+    logger.clear();
+    EXPECT_EQ(kept, 1000u);
 }
 
 TEST(Log, JsonLinesRoundTripsThroughTheParser)

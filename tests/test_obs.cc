@@ -136,16 +136,15 @@ TEST(ObsRegistry, CounterMergesAcrossThreads)
     EXPECT_EQ(c->value(), 80000);
 }
 
-TEST(ObsRegistry, GaugeSetAndAdd)
+TEST(ObsRegistry, GaugeKeepsTheLastSet)
 {
     obs::Registry reg;
     enabledRegistry(reg);
     obs::Gauge *g = reg.gauge("g", "test");
     g->set(3.5);
     EXPECT_DOUBLE_EQ(g->value(), 3.5);
-    g->add(1.25);
-    g->add(-0.75);
-    EXPECT_DOUBLE_EQ(g->value(), 4.0);
+    g->set(-0.75);
+    EXPECT_DOUBLE_EQ(g->value(), -0.75);
 }
 
 TEST(ObsRegistry, DisabledWritesAreNoOps)
