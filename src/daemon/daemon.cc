@@ -260,13 +260,14 @@ CompileDaemon::admitQuotaLocked(const HttpRequest &req,
     if (++quotaSweep_ >= 256) {
         quotaSweep_ = 0;
         std::erase_if(quotas_, [&](const auto &kv) {
-            return kv.second.fullBy(opts_.quotaRate, opts_.quotaBurst,
-                                    now);
+            return kv.second.fullBy(now);
         });
     }
 
-    obs::TokenBucket &b = quotas_[key];
-    if (b.take(opts_.quotaRate, opts_.quotaBurst, now))
+    TokenBucket &b =
+        quotas_.try_emplace(key, opts_.quotaRate, opts_.quotaBurst)
+            .first->second;
+    if (b.take(now))
         return true;
     daemonMetrics().rejectsQuota->inc();
     res = errorResponse(makeError(
@@ -276,7 +277,7 @@ CompileDaemon::admitQuotaLocked(const HttpRequest &req,
         "Retry-After",
         std::to_string(std::max(
             1, static_cast<int>(
-                   std::ceil(b.secondsToToken(opts_.quotaRate))))));
+                   std::ceil(b.secondsToToken())))));
     return false;
 }
 

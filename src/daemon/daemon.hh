@@ -30,13 +30,14 @@
 #ifndef REQISC_DAEMON_DAEMON_HH
 #define REQISC_DAEMON_DAEMON_HH
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 
 #include "daemon/http.hh"
-#include "obs/token_bucket.hh"
 #include "service/service.hh"
 
 namespace reqisc::daemon
@@ -99,6 +100,54 @@ class CompileDaemon
     service::CompileService &service() { return svc_; }
 
   private:
+    /**
+     * One client's quota: full when made, refilled at `rate` tokens
+     * per second up to `burst`. Guarded by mu_.
+     */
+    class TokenBucket
+    {
+      public:
+        using Clock = std::chrono::steady_clock;
+
+        TokenBucket(double rate, double burst)
+            : rate_(rate), burst_(burst), tokens_(burst)
+        {
+        }
+
+        /** Refill up to `now`, then take one token if there is one. */
+        bool take(Clock::time_point now)
+        {
+            tokens_ = refilled(now);
+            last_ = now;
+            if (tokens_ < 1.0)
+                return false;
+            tokens_ -= 1.0;
+            return true;
+        }
+
+        /** Seconds from the last take() until the next token. */
+        double secondsToToken() const { return (1.0 - tokens_) / rate_; }
+
+        /** Is the bucket full again by `now`? */
+        bool fullBy(Clock::time_point now) const
+        {
+            return refilled(now) >= burst_;
+        }
+
+      private:
+        double refilled(Clock::time_point now) const
+        {
+            const double idle =
+                std::chrono::duration<double>(now - last_).count();
+            return std::min(burst_, tokens_ + idle * rate_);
+        }
+
+        double rate_, burst_, tokens_;
+        /** Last refill; the clock's epoch at first, so the first
+         *  take() finds the bucket full. */
+        Clock::time_point last_;
+    };
+
     HttpResponse handle(const HttpRequest &req);
     HttpResponse handleSubmit(const HttpRequest &req);
     HttpResponse handleStatus(std::uint64_t id);
@@ -122,7 +171,7 @@ class CompileDaemon
      * Lock order daemon -> service; the service never calls back.
      */
     std::mutex mu_;
-    std::map<std::string, obs::TokenBucket> quotas_;
+    std::map<std::string, TokenBucket> quotas_;
     std::uint64_t quotaSweep_ = 0;  //!< admissions since last sweep
     bool draining_ = false;
 

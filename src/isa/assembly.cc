@@ -117,12 +117,12 @@ fromAssembly(const std::string &text)
         line.pop_back();
         line.erase(line.find_last_not_of(kWhitespace) + 1);
         if (!saw_qubits) {
-            std::istringstream ls(line);
-            std::string kw, count;
-            ls >> kw >> count;
-            if (kw != "qubits" || count.empty())
+            // Exactly two fields, split as instruction fields are.
+            std::string_view rest(line);
+            const std::string_view count = popLastField(rest);
+            if (rest != "qubits")
                 fail(lineno, "expected 'qubits N;'");
-            const int n = parseInt(count, lineno);
+            const int n = parseInt(std::string(count), lineno);
             if (n <= 0)
                 fail(lineno, "qubit count must be positive");
             p = Program(n);

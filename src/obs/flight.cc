@@ -11,7 +11,6 @@
 
 #include "obs/json_escape.hh"
 #include "obs/span.hh"
-#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs::flight
 {

@@ -1,5 +1,6 @@
 #include "obs/log.hh"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/flight.hh"
@@ -48,20 +49,29 @@ Logger &Logger::global()
 
 void Logger::append(LogRecord &&rec)
 {
-    buffers_.local().push(std::move(rec));
+    rec.tid = threadIndex();
+    std::lock_guard lock(mu_);
+    records_.push_back(std::move(rec));
 }
 
 std::vector<LogRecord> Logger::collect()
 {
-    return buffers_.collect(
-        [](const LogRecord &a, const LogRecord &b) {
-            return a.tsNs < b.tsNs;
-        });
+    std::vector<LogRecord> out;
+    {
+        std::lock_guard lock(mu_);
+        out = records_;
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const LogRecord &a, const LogRecord &b) {
+                         return a.tsNs < b.tsNs;
+                     });
+    return out;
 }
 
 void Logger::clear()
 {
-    buffers_.clear();
+    std::lock_guard lock(mu_);
+    records_.clear();
 }
 
 // ---- Free functions ----------------------------------------------------

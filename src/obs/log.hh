@@ -2,11 +2,10 @@
  * @file
  * Leveled structured logging: JSON-lines records (timestamp,
  * thread, level, component, message, key/value fields, current job)
- * buffered per thread and merged by the sink at export time.
+ * appended to the sink's one locked list and sorted at export time.
  *
- * Records are buffered in the registry the tracer uses too
- * (detail::ThreadBuffers, obs/thread_buffers.hh), so records written
- * on short-lived pool threads survive into collect(). The logger is
+ * The list belongs to the sink, so records written on short-lived
+ * pool threads survive into collect(). The logger is
  * a leaky singleton, *disabled* by default — reqisc-compile enables
  * it via --log-out FILE (with --log-level LVL severity filtering)
  * and writes the JSON-lines file at exit. Independent of
@@ -32,11 +31,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
@@ -102,7 +100,7 @@ class Logger
     }
 
     /**
-     * Copy out every buffered record (live and retired threads),
+     * Copy out every buffered record, exited threads' included,
      * sorted by timestamp.
      */
     std::vector<LogRecord> collect();
@@ -110,14 +108,18 @@ class Logger
     /** Drop all buffered records. */
     void clear();
 
-    /** Internal: append a finished record (log() calls this). */
+    /**
+     * Internal: stamp the caller's threadIndex() on a finished
+     * record and append it (log() calls this).
+     */
     void append(LogRecord &&rec);
 
   private:
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint8_t> minLevel_{
         static_cast<std::uint8_t>(LogLevel::Info)};
-    detail::ThreadBuffers<LogRecord> buffers_;
+    std::mutex mu_;  //!< guards records_
+    std::vector<LogRecord> records_;
 };
 
 /**

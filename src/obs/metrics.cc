@@ -9,18 +9,9 @@
 #include <system_error>
 
 #include "obs/flight.hh"
-#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
-
-namespace detail
-{
-
-std::size_t threadSlot()
-{
-    return threadIndex() % kSlots;
-}
 
 namespace
 {
@@ -42,15 +33,12 @@ std::string formatDouble(double v)
 
 } // namespace
 
-} // namespace detail
-
 // ---- Counter -----------------------------------------------------------
 
 Counter::Counter(std::string name, std::string help,
                  const std::atomic<bool> *enabled, FlightEvents flight)
     : name_(std::move(name)), help_(std::move(help)),
-      enabled_(enabled), flight_(flight == FlightEvents::Record),
-      cells_(std::make_unique<detail::CounterCell[]>(detail::kSlots))
+      enabled_(enabled), flight_(flight == FlightEvents::Record)
 {
 }
 
@@ -63,16 +51,7 @@ void Counter::add(std::int64_t n)
                        static_cast<double>(n));
     if (!enabled_->load(std::memory_order_relaxed))
         return;
-    cells_[detail::threadSlot()].v.fetch_add(
-        n, std::memory_order_relaxed);
-}
-
-std::int64_t Counter::value() const
-{
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < detail::kSlots; ++i)
-        total += cells_[i].v.load(std::memory_order_relaxed);
-    return total;
+    value_.fetch_add(n, std::memory_order_relaxed);
 }
 
 // ---- Gauge -------------------------------------------------------------
@@ -118,11 +97,8 @@ Histogram::Histogram(std::string name, std::string help,
                 "obs: histogram '" + name_ +
                 "' bounds must be finite and strictly increasing");
     }
-    cells_ = std::make_unique<Cell[]>(detail::kSlots);
-    const std::size_t nb = bounds_.size() + 1;  // + overflow
-    for (std::size_t i = 0; i < detail::kSlots; ++i)
-        cells_[i].buckets =
-            std::make_unique<std::atomic<std::uint64_t>[]>(nb);
+    buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(
+        bounds_.size() + 1);
 }
 
 void Histogram::observe(double v)
@@ -135,10 +111,9 @@ void Histogram::observe(double v)
     const std::size_t idx =
         std::lower_bound(bounds_.begin(), bounds_.end(), v) -
         bounds_.begin();
-    Cell &cell = cells_[detail::threadSlot()];
-    cell.buckets[idx].fetch_add(1, std::memory_order_relaxed);
-    cell.count.fetch_add(1, std::memory_order_relaxed);
-    cell.sum.fetch_add(v, std::memory_order_relaxed);
+    buckets_[idx].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
 // ---- Snapshots ---------------------------------------------------------
@@ -186,7 +161,7 @@ std::string MetricsSnapshot::prometheusText() const
     {
         out += "# HELP " + g.name + " " + g.help + "\n";
         out += "# TYPE " + g.name + " gauge\n";
-        out += g.name + " " + detail::formatDouble(g.value) + "\n";
+        out += g.name + " " + formatDouble(g.value) + "\n";
     }
     for (const auto &h : histograms)
     {
@@ -197,12 +172,12 @@ std::string MetricsSnapshot::prometheusText() const
         {
             cum += h.buckets[i];
             out += h.name + "_bucket{le=\"" +
-                   detail::formatDouble(h.bounds[i]) + "\"} " +
+                   formatDouble(h.bounds[i]) + "\"} " +
                    std::to_string(cum) + "\n";
         }
         out += h.name + "_bucket{le=\"+Inf\"} " +
                std::to_string(h.count) + "\n";
-        out += h.name + "_sum " + detail::formatDouble(h.sum) + "\n";
+        out += h.name + "_sum " + formatDouble(h.sum) + "\n";
         out += h.name + "_count " + std::to_string(h.count) + "\n";
     }
     return out;
@@ -294,17 +269,11 @@ MetricsSnapshot Registry::snapshot() const
         hs.name = name;
         hs.help = h->help_;
         hs.bounds = h->bounds_;
-        const std::size_t nb = hs.bounds.size() + 1;
-        hs.buckets.assign(nb, 0);
-        for (std::size_t cell = 0; cell < detail::kSlots; ++cell)
-        {
-            const auto &c = h->cells_[cell];
-            for (std::size_t b = 0; b < nb; ++b)
-                hs.buckets[b] +=
-                    c.buckets[b].load(std::memory_order_relaxed);
-            hs.count += c.count.load(std::memory_order_relaxed);
-            hs.sum += c.sum.load(std::memory_order_relaxed);
-        }
+        for (std::size_t b = 0; b <= hs.bounds.size(); ++b)
+            hs.buckets.push_back(
+                h->buckets_[b].load(std::memory_order_relaxed));
+        hs.count = h->count_.load(std::memory_order_relaxed);
+        hs.sum = h->sum_.load(std::memory_order_relaxed);
         snap.histograms.push_back(std::move(hs));
     }
     return snap;

@@ -29,6 +29,17 @@ void setTlsJob(std::string_view s)
     tlsJob[n] = '\0';
 }
 
+/**
+ * Ids of this thread's open active spans, innermost last. Spans are
+ * scoped, so the stack is empty before thread exit destroys it.
+ */
+thread_local std::vector<std::uint64_t> tlsOpenSpans;
+
+std::uint64_t innermostOpenSpan()
+{
+    return tlsOpenSpans.empty() ? 0 : tlsOpenSpans.back();
+}
+
 } // namespace
 
 // ---- Tracer ------------------------------------------------------------
@@ -41,17 +52,31 @@ Tracer &Tracer::global()
     return *g;
 }
 
+void Tracer::append(TraceEvent &&ev)
+{
+    ev.tid = threadIndex();
+    std::lock_guard lock(mu_);
+    events_.push_back(std::move(ev));
+}
+
 std::vector<TraceEvent> Tracer::collect()
 {
-    return buffers_.collect(
-        [](const TraceEvent &a, const TraceEvent &b) {
-            return a.startNs < b.startNs;
-        });
+    std::vector<TraceEvent> out;
+    {
+        std::lock_guard lock(mu_);
+        out = events_;
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const TraceEvent &a, const TraceEvent &b) {
+                         return a.startNs < b.startNs;
+                     });
+    return out;
 }
 
 void Tracer::clear()
 {
-    buffers_.clear();
+    std::lock_guard lock(mu_);
+    events_.clear();
 }
 
 // ---- Span --------------------------------------------------------------
@@ -78,13 +103,9 @@ void Span::open(SpanContext explicitParent, bool useStackParent)
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    std::vector<std::uint64_t> &stack = tracer.buffers_.local().state;
     id_ = tracer.nextId();
-    if (useStackParent)
-        parent_ = stack.empty() ? 0 : stack.back();
-    else
-        parent_ = explicitParent.id;
-    stack.push_back(id_);
+    parent_ = useStackParent ? innermostOpenSpan() : explicitParent.id;
+    tlsOpenSpans.push_back(id_);
     // Annotation inheritance: spans opened under a JobScope carry
     // the job name so traces correlate with logs/flight dumps.
     if (tlsJob[0] != '\0')
@@ -115,17 +136,14 @@ double Span::stop()
     if (id_ == 0)
         return seconds_;
 
-    Tracer &tracer = Tracer::global();
-    auto &buf = tracer.buffers_.local();
     // Pop this span; an unbalanced stack (impossible with RAII use)
     // would self-heal by searching downward.
-    if (!buf.state.empty() && buf.state.back() == id_)
-        buf.state.pop_back();
+    if (!tlsOpenSpans.empty() && tlsOpenSpans.back() == id_)
+        tlsOpenSpans.pop_back();
     else
-        buf.state.erase(
-            std::remove(buf.state.begin(), buf.state.end(), id_),
-            buf.state.end());
+        std::erase(tlsOpenSpans, id_);
 
+    Tracer &tracer = Tracer::global();
     TraceEvent ev;
     ev.name = name_;
     ev.id = id_;
@@ -133,7 +151,7 @@ double Span::stop()
     ev.startNs = tracer.sinceEpochNs(start_);
     ev.durNs = tracer.sinceEpochNs(end) - ev.startNs;
     ev.args = std::move(args_);
-    buf.push(std::move(ev));
+    tracer.append(std::move(ev));
     return seconds_;
 }
 
@@ -159,28 +177,22 @@ void recordSpan(const std::string &name, SteadyTime start,
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    auto &buf = tracer.buffers_.local();
     TraceEvent ev;
     ev.name = name;
     ev.id = tracer.nextId();
-    ev.parent = parent.id != 0
-                    ? parent.id
-                    : (buf.state.empty() ? 0 : buf.state.back());
+    ev.parent = parent.id != 0 ? parent.id : innermostOpenSpan();
     ev.startNs = tracer.sinceEpochNs(start);
     ev.durNs = tracer.sinceEpochNs(end) - ev.startNs;
     if (ev.durNs < 0)
         ev.durNs = 0;
-    buf.push(std::move(ev));
+    tracer.append(std::move(ev));
 }
 
 SpanContext currentSpan()
 {
-    Tracer &tracer = Tracer::global();
-    if (!tracer.enabled())
+    if (!Tracer::global().enabled())
         return {};
-    const std::vector<std::uint64_t> &stack =
-        tracer.buffers_.local().state;
-    return {stack.empty() ? 0 : stack.back()};
+    return {innermostOpenSpan()};
 }
 
 // ---- Job attribution ---------------------------------------------------

@@ -11,11 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "qmath/kernels_detail.hh"
 
@@ -133,21 +130,6 @@ constexpr SimdOps kScalarOps = {
     kronSmallScalar, daggerScalar, axpyScalar, scaleScalar,
 };
 
-/** Case-insensitive membership in the "force scalar" env values. */
-bool
-envForcesScalar()
-{
-    const char *v = std::getenv("REQISC_SIMD");
-    if (!v)
-        return false;
-    std::string s(v);
-    for (char &c : s)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    return s == "off" || s == "0" || s == "false" || s == "scalar" ||
-           s == "no";
-}
-
 const SimdOps *
 bestOps()
 {
@@ -156,14 +138,6 @@ bestOps()
         return &detail::avx2Ops();
 #endif
     return &kScalarOps;
-}
-
-const SimdOps *
-initialOps()
-{
-    if (envForcesScalar())
-        return &kScalarOps;
-    return bestOps();
 }
 
 /**
@@ -178,7 +152,7 @@ activeOps()
 {
     const SimdOps *p = g_ops.load(std::memory_order_relaxed);
     if (!p) {
-        p = initialOps();
+        p = bestOps();
         g_ops.store(p, std::memory_order_relaxed);
     }
     return *p;

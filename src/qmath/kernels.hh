@@ -20,12 +20,10 @@
  * artifacts are bit-identical with REQISC_SIMD on and off; CI diffs
  * them on every example circuit.
  *
- * Dispatch is compile-time (is the AVX2 TU linked in?) plus a startup
- * check of the CPU and the REQISC_SIMD environment variable
- * ("off"/"0"/"false"/"scalar" forces the scalar path at runtime — the
- * escape hatch when a SIMD miscompare is suspected), plus
- * setSimdEnabled() so tests can oracle one path against the other in
- * a single binary.
+ * Dispatch is compile-time (is the AVX2 TU linked in?) plus a
+ * first-use check of the CPU, plus setSimdEnabled() so tests can
+ * oracle one path against the other in a single binary. A build with
+ * -DREQISC_SIMD=OFF takes the scalar path only.
  */
 
 #ifndef REQISC_QMATH_KERNELS_HH
@@ -41,8 +39,7 @@ bool simdCompiledIn();
 
 /**
  * true iff the SIMD path is taken right now (compiled in, CPU
- * supports AVX2, not disabled by REQISC_SIMD in the environment or
- * setSimdEnabled(false)).
+ * supports AVX2, not disabled by setSimdEnabled(false)).
  */
 bool simdActive();
 

@@ -14,10 +14,8 @@
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "synth/synthesis.hh"
 #include "uarch/duration.hh"
 #include "weyl/weyl.hh"
+#include "test_util.hh"
 
 using namespace reqisc;
 
@@ -48,16 +47,6 @@ std::string
 chipPath(const std::string &name)
 {
     return repoPath("examples/chips/" + name);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    EXPECT_TRUE(in) << "cannot open " << path;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 /**
@@ -572,7 +561,7 @@ exampleQasmBatch()
           "examples/qasm/ising6.qasm"}) {
         service::CompileRequest req;
         req.name = rel;
-        req.qasm = readFile(repoPath(rel));
+        req.qasm = test::readFile(repoPath(rel));
         req.calibrate = false;
         batch.push_back(std::move(req));
     }
@@ -693,7 +682,7 @@ TEST(BackendService, NonXyHomogeneousChipIsTheOneDeviceOfItsJobs)
     sopts.backend = chip;
     sopts.cacheDir = dir;
     const std::string adder5 =
-        readFile(repoPath("examples/qasm/adder5.qasm"));
+        test::readFile(repoPath("examples/qasm/adder5.qasm"));
     {
         service::CompileService svc(sopts);
 

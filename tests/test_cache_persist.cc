@@ -27,13 +27,10 @@
 #include "synth/synthesis.hh"
 #include "uarch/calibration.hh"
 #include "weyl/weyl.hh"
+#include "test_util.hh"
 
 using namespace reqisc;
 using namespace reqisc::qmath;
-
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
 
 namespace
 {
@@ -59,16 +56,6 @@ scratchDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 void
@@ -213,7 +200,7 @@ TEST(SynthCachePersist, TruncatedFileIsRejectedWithoutSideEffects)
     service::SynthCache a;
     populateSynthCache(a, 2, 37);
     ASSERT_TRUE(a.save(path));
-    const std::string bytes = readFile(path);
+    const std::string bytes = test::readFile(path);
 
     // Every truncation point must fail cleanly — header, mid-entry
     // and mid-checksum alike.
@@ -235,7 +222,7 @@ TEST(SynthCachePersist, CorruptedByteFailsTheChecksum)
     service::SynthCache a;
     populateSynthCache(a, 1, 41);
     ASSERT_TRUE(a.save(path));
-    std::string bytes = readFile(path);
+    std::string bytes = test::readFile(path);
 
     // Flip one byte in the middle of the payload: the whole-file
     // checksum catches it before any field is parsed.
@@ -352,7 +339,8 @@ TEST(SynthCachePersist, SaveLoadSaveIsByteStable)
     ASSERT_TRUE(b.load(dir + "/a.cache"));
     ASSERT_TRUE(b.save(dir + "/b.cache"));
 
-    EXPECT_EQ(readFile(dir + "/a.cache"), readFile(dir + "/b.cache"));
+    EXPECT_EQ(test::readFile(dir + "/a.cache"),
+              test::readFile(dir + "/b.cache"));
 }
 
 // ---- PulseCache persistence --------------------------------------------
@@ -486,7 +474,7 @@ TEST(PulseCachePersist, TruncatedAndCorruptFilesColdStart)
     a.store(weyl::WeylCoord::cnot(),
             scheme.solveCoord(weyl::WeylCoord::cnot()), 0.01);
     ASSERT_TRUE(a.save(path));
-    const std::string bytes = readFile(path);
+    const std::string bytes = test::readFile(path);
 
     writeFile(path, bytes.substr(0, bytes.size() / 2));
     service::PulseCache b(cpl, 1e-6);
@@ -529,7 +517,7 @@ namespace
 std::uint64_t
 fileDigest(const std::string &path)
 {
-    const std::string bytes = readFile(path);
+    const std::string bytes = test::readFile(path);
     return service::persist::fnv1aBytes(bytes.data(), bytes.size());
 }
 
@@ -582,7 +570,7 @@ TEST(SynthCachePersist, SavedBytesArePinned)
     synth::SynthesisResult out;
     ASSERT_TRUE(cache.lookup(phases, opts, out));  // no verification
     ASSERT_TRUE(cache.save(path));
-    EXPECT_EQ(readFile(path).size(), 2636u);
+    EXPECT_EQ(test::readFile(path).size(), 2636u);
     EXPECT_EQ(fileDigest(path), 0x4c6a69907f559696ull)
         << std::hex << fileDigest(path);
 }
@@ -628,7 +616,7 @@ TEST(PulseCachePersist, SavedBytesArePinned)
     uarch::PulseSolution out;
     ASSERT_TRUE(cache.lookup(c1, out));
     ASSERT_TRUE(cache.save(path));
-    EXPECT_EQ(readFile(path).size(), 656u);
+    EXPECT_EQ(test::readFile(path).size(), 656u);
     EXPECT_EQ(fileDigest(path), 0x06efaade1de7d6afull)
         << std::hex << fileDigest(path);
 }
@@ -690,7 +678,7 @@ TEST(SynthCachePersist, InflatedCountIsRejectedWithoutSideEffects)
     const std::string dir = scratchDir("synth_inflated");
     const std::string path = dir + "/synth.cache";
     writeSynthFile(path, kMaxEntries);
-    ASSERT_EQ(readFile(path).size(), 32u);
+    ASSERT_EQ(test::readFile(path).size(), 32u);
 
     service::SynthCache cache;
     synth::SynthesisOptions opts;
@@ -803,7 +791,7 @@ TEST(PulseCachePersist, InflatedCountIsRejectedWithoutSideEffects)
     const std::string dir = scratchDir("pulse_inflated");
     const std::string path = dir + "/pulse.cache";
     writePulseFile(path, kMaxEntries);
-    ASSERT_EQ(readFile(path).size(), 56u);
+    ASSERT_EQ(test::readFile(path).size(), 56u);
 
     const weyl::WeylCoord cnot = weyl::WeylCoord::cnot();
     uarch::PulseSolution sol;
@@ -859,16 +847,6 @@ TEST(PulseCachePersist, CountMustMatchTheEntries)
 namespace
 {
 
-circuit::Circuit
-loadExample(const std::string &rel)
-{
-    std::ifstream in(std::string(REQISC_SOURCE_DIR) + rel);
-    EXPECT_TRUE(in.good()) << "cannot open " << rel;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return circuit::fromQasm(text.str());
-}
-
 /** The compiled artifacts, flattened to a comparable byte string. */
 std::string
 flatten(const service::JobResult &r)
@@ -898,7 +876,8 @@ compileAdder5Once(const std::string &cache_dir, bool expect_warm,
     // caches end up populated.
     service::CompileRequest req;
     req.name = "adder5";
-    req.input = loadExample("/examples/qasm/adder5.qasm");
+    req.input = circuit::fromQasm(
+        test::readFile(REQISC_SOURCE_DIR "/examples/qasm/adder5.qasm"));
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
     EXPECT_TRUE(r.ok) << r.errorInfo.message;
     if (flat_out)
@@ -953,7 +932,8 @@ TEST(ServiceCachePersist, CorruptCacheFileColdStartsTheService)
 
     service::CompileRequest req;
     req.name = "adder5";
-    req.input = loadExample("/examples/qasm/adder5.qasm");
+    req.input = circuit::fromQasm(
+        test::readFile(REQISC_SOURCE_DIR "/examples/qasm/adder5.qasm"));
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
     ASSERT_TRUE(r.ok) << r.errorInfo.message;
     again_flat = flatten(r);

@@ -12,8 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -30,10 +28,6 @@
 #include "suite/suite.hh"
 #include "synth/instantiate.hh"
 #include "test_util.hh"
-
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
 
 using namespace reqisc;
 using namespace reqisc::circuit;
@@ -206,13 +200,9 @@ exampleCircuits()
             files.push_back(e.path());
     std::sort(files.begin(), files.end());
     std::vector<std::pair<std::string, Circuit>> out;
-    for (const auto &f : files) {
-        std::ifstream in(f);
-        std::ostringstream text;
-        text << in.rdbuf();
+    for (const auto &f : files)
         out.emplace_back(f.filename().string(),
-                         circuit::fromQasm(text.str()));
-    }
+                         circuit::fromQasm(test::readFile(f.string())));
     return out;
 }
 

@@ -16,7 +16,6 @@
 
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +27,7 @@
 #include "synth/instantiate.hh"
 #include "synth/pool.hh"
 #include "weyl/weyl.hh"
+#include "test_util.hh"
 
 using namespace reqisc;
 
@@ -65,14 +65,6 @@ struct LoggerGuard
 std::string tempPath(const std::string &name)
 {
     return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string slurp(const std::string &path)
-{
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
 }
 
 /** Parse a flight dump and return the events array. */
@@ -472,7 +464,7 @@ TEST(Flight, DumpFileEscapesControlBytesAndParsesBack)
     flight::record(flight::Kind::Log, "ctl", "\"\t\n\x01");
     const std::string path = tempPath("reqisc_flight_escape.json");
     ASSERT_TRUE(flight::dumpToFile(path, "unit-test"));
-    const std::string text = slurp(path);
+    const std::string text = test::readFile(path);
     std::filesystem::remove(path);
     EXPECT_NE(text.find("\"detail\":\"\\\"\\t\\n\\u0001\""),
               std::string::npos);
@@ -507,7 +499,7 @@ TEST(Flight, JobFailureWritesADumpWithTheFailingJobsContext)
     }
     flight::setDumpPath("");
 
-    const std::string text = slurp(path);
+    const std::string text = test::readFile(path);
     ASSERT_FALSE(text.empty()) << "no dump written to " << path;
     const backend::JsonValue doc =
         backend::parseJson(text, "jobfail-dump");
@@ -555,7 +547,7 @@ TEST(FlightDeathTest, FatalSignalWritesAParseableDump)
         },
         ::testing::KilledBySignal(SIGSEGV), "");
 
-    const std::string text = slurp(path);
+    const std::string text = test::readFile(path);
     ASSERT_FALSE(text.empty()) << "no dump written to " << path;
     const backend::JsonValue doc =
         backend::parseJson(text, "signal-dump");

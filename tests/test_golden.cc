@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -43,27 +42,14 @@
 #include "service/persist.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
+#include "test_util.hh"
 
 using namespace reqisc;
-
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
 
 namespace
 {
 
 const char *const kDigestFile = "/tests/golden_artifacts.txt";
-
-std::string
-readFile(const std::string &rel)
-{
-    std::ifstream in(std::string(REQISC_SOURCE_DIR) + rel);
-    EXPECT_TRUE(in.good()) << "cannot open " << rel;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
 
 std::string
 digest(const std::string &text)
@@ -165,8 +151,9 @@ compileAllCases(int block_workers)
     std::vector<std::pair<std::string, circuit::Circuit>> inputs;
     for (const char *name : {"adder5", "ghz8", "ising6", "qft4"})
         inputs.emplace_back(
-            name, circuit::fromQasm(readFile(
-                      std::string("/examples/qasm/") + name + ".qasm")));
+            name, circuit::fromQasm(test::readFile(
+                      std::string(REQISC_SOURCE_DIR "/examples/qasm/") +
+                      name + ".qasm")));
     for (const suite::Benchmark &bm : suite::smallSuite())
         inputs.emplace_back(bm.name, bm.circuit);
 
@@ -206,7 +193,8 @@ void
 expectMatchesDigestFile(const std::vector<std::string> &got)
 {
     std::map<std::string, std::string> want;
-    std::istringstream file(readFile(kDigestFile));
+    std::istringstream file(
+        test::readFile(std::string(REQISC_SOURCE_DIR) + kDigestFile));
     for (std::string line; std::getline(file, line);)
         if (!line.empty() && line[0] != '#')
             want[split(line).front()] = line;

@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "circuit/lower.hh"
@@ -32,6 +30,7 @@
 #include "route/topology.hh"
 #include "service/service.hh"
 #include "uarch/duration.hh"
+#include "test_util.hh"
 
 using namespace reqisc;
 using namespace reqisc::circuit;
@@ -46,18 +45,6 @@ const char *const kExampleFiles[] = {
     "examples/qasm/ising6.qasm",
     "examples/qasm/qft4.qasm",
 };
-
-std::string
-readFile(const std::string &rel)
-{
-    const std::string path =
-        std::string(REQISC_SOURCE_DIR) + "/" + rel;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.good()) << "cannot open " << path;
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
 
 /** Sum of per-gate durations: the serial-schedule makespan. */
 double
@@ -192,7 +179,7 @@ TEST(Schedule, ZeroOneQubitCostMatchesCriticalPathDuration)
     // counts as free) the ASAP makespan is exactly the critical-path
     // pulse duration that compiler::Metrics reports.
     const Circuit qft = circuit::fromQasm(
-        readFile("examples/qasm/qft4.qasm"));
+        test::readFile(REQISC_SOURCE_DIR "/examples/qasm/qft4.qasm"));
     const compiler::CompileResult compiled = compiler::reqiscEff(qft);
     Circuit twoQubit(compiled.circuit.numQubits());
     for (const Gate &g : compiled.circuit)
@@ -234,7 +221,8 @@ TEST(Assembly, EmitParseEmitIsByteIdenticalOnEveryExample)
     int strictly_parallel = 0;
     for (const char *rel : kExampleFiles) {
         SCOPED_TRACE(rel);
-        const Circuit parsed = circuit::fromQasm(readFile(rel));
+        const Circuit parsed = circuit::fromQasm(
+            test::readFile(std::string(REQISC_SOURCE_DIR) + "/" + rel));
         // adder5 contains CCX: lower to <= 2Q gates first.
         const Circuit c = circuit::lowerToCnot(parsed);
 
@@ -308,6 +296,8 @@ TEST(Assembly, ParserRejectsMalformedInput)
     expectError("qubits 2;\n", "header");
     expectError("RQISA 1.0;\n", "qubits");
     expectError("RQISA 1.0;\nqubits 0;\n", "positive");
+    expectError("RQISA 1.0;\nqubits 2 junk;\n", "expected 'qubits N;'");
+    expectError("RQISA 1.0;\nqubits 2 7;\n", "expected 'qubits N;'");
     expectError("RQISA 1.0;\nqubits 2;\n"
                 "@0 frob q[0] dur 1;\n",
                 "unknown mnemonic");
@@ -440,7 +430,7 @@ TEST(Assembly, RefusesOpaqueU4Blocks)
 TEST(Assembly, ToleratesBenignWhitespaceInNumbers)
 {
     const isa::Program p = isa::fromAssembly(
-        "RQISA 1.0;\nqubits 2;\n"
+        "RQISA 1.0;\nqubits\t2;\n"
         "@0 rx( 0.5 ) q[ 0 ] dur 1;\n"
         "@1 cx q[0],q[ 1 ] dur 2;\n"
         "@3 cx q[1] ,\tq[0] dur 2;\n"

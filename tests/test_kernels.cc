@@ -32,9 +32,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,10 +43,6 @@
 #include "qmath/svd.hh"
 #include "service/service.hh"
 #include "test_util.hh"
-
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
 
 // ---- Global allocation counter (contract 3) ------------------------
 // Counts every path into the heap, including the aligned forms
@@ -443,15 +437,6 @@ TEST(FixedSolversBitIdentity, EighMatchesGenericAtTwoAndFour)
 
 // ---- Contract 1, end to end: artifacts with SIMD on vs off ---------
 
-std::string
-readFile(const std::string &rel)
-{
-    std::ifstream in(std::string(REQISC_SOURCE_DIR) + rel);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
 struct Artifact
 {
     std::string qasm;
@@ -484,7 +469,7 @@ TEST(KernelsBitIdentity, CompiledArtifactsMatchSimdOnVsOff)
         "/examples/qasm/ghz8.qasm", "/examples/qasm/qft4.qasm",
         "/examples/qasm/adder5.qasm", "/examples/qasm/ising6.qasm"};
     for (const std::string &rel : examples) {
-        const std::string src = readFile(rel);
+        const std::string src = test::readFile(REQISC_SOURCE_DIR + rel);
         ASSERT_FALSE(src.empty()) << rel;
         kernels::setSimdEnabled(true);
         const Artifact with = compileExample(src);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the observability layer: histogram bucket/quantile math
- * on exact known distributions, the thread-slot merge model, the
- * Prometheus exposition and Chrome trace-event formats, span
+ * on exact known distributions, exact counts under concurrent
+ * writers, the Prometheus exposition and Chrome trace-event formats, span
  * nesting/cross-thread parenting, the disabled-is-a-no-op contract,
  * the one JSON string escaper (pinned byte for byte to the escaping
  * dumpJson has always done, and round-tripped through every

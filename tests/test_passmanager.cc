@@ -23,8 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,10 +51,6 @@ using compiler::PassManager;
 using compiler::PipelineSpec;
 using qmath::Matrix;
 
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
-
 namespace
 {
 
@@ -70,11 +64,7 @@ const std::vector<std::string> kExampleQasm = {
 Circuit
 loadExample(const std::string &rel)
 {
-    std::ifstream in(std::string(REQISC_SOURCE_DIR) + rel);
-    EXPECT_TRUE(in.good()) << "cannot open " << rel;
-    std::ostringstream text;
-    text << in.rdbuf();
-    return circuit::fromQasm(text.str());
+    return circuit::fromQasm(test::readFile(REQISC_SOURCE_DIR + rel));
 }
 
 using test::circuitsIdentical;

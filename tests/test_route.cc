@@ -20,10 +20,6 @@
 #include "test_util.hh"
 #include "weyl/weyl.hh"
 
-#ifndef REQISC_SOURCE_DIR
-#define REQISC_SOURCE_DIR "."
-#endif
-
 using namespace reqisc;
 using namespace reqisc::circuit;
 using namespace reqisc::qmath;

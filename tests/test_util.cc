@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -389,6 +391,16 @@ struct Router
 };
 
 } // namespace
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
 
 ::testing::AssertionResult
 bitIdentical(const Matrix &a, const Matrix &b)

@@ -3,15 +3,18 @@
  * Shared helpers for the gtest suites: matrix near-equality assertions
  * (entrywise and up-to-global-phase, the right notion for comparing
  * compiled circuits), bit-exact matrix and circuit equality, a guard
- * that restores the kernel backend, and the legacy instantiation and
- * routing oracles. Linked into every suite as
- * the reqisc_test_util object library.
+ * that restores the kernel backend, the one file reader, and the
+ * legacy instantiation and routing oracles. Linked into every suite
+ * as the reqisc_test_util object library, which also defines
+ * REQISC_SOURCE_DIR, the source tree's path, for every suite.
  */
 
 #ifndef REQISC_TESTS_TEST_UTIL_HH
 #define REQISC_TESTS_TEST_UTIL_HH
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "circuit/circuit.hh"
 #include "qmath/kernels.hh"
@@ -39,6 +42,12 @@ struct SimdGuard
     bool was = qmath::kernels::simdActive();
     ~SimdGuard() { qmath::kernels::setSimdEnabled(was); }
 };
+
+/**
+ * The bytes of the file at `path`. A file that cannot be opened fails
+ * the calling test and reads as "".
+ */
+std::string readFile(const std::string &path);
 
 /** Bit-exact matrix equality: memcmp of every entry. */
 ::testing::AssertionResult bitIdentical(const qmath::Matrix &a,
