@@ -130,20 +130,20 @@ CompileDaemon::CompileDaemon(DaemonOptions opts)
     : opts_(std::move(opts)),
       svc_(opts_.service),
       server_(opts_.http,
-              [this](const HttpRequest &req) { return handle(req); })
+              [this](const HttpRequest &req) { return handle(req); },
+              // Even transport-level failures (413, malformed
+              // framing) speak the wire schema.
+              [](int status, const std::string &message) {
+                  const char *code = errc::kInternal;
+                  if (status == 413)
+                      code = errc::kBodyTooLarge;
+                  else if (status >= 400 && status < 500)
+                      code = errc::kBadRequest;
+                  ApiError err = makeError(code, message);
+                  err.httpStatus = status;
+                  return errorBody(err);
+              })
 {
-    // Even transport-level failures (413, malformed framing) speak
-    // the wire schema.
-    server_.setErrorBody([](int status, const std::string &message) {
-        const char *code = errc::kInternal;
-        if (status == 413)
-            code = errc::kBodyTooLarge;
-        else if (status >= 400 && status < 500)
-            code = errc::kBadRequest;
-        ApiError err = makeError(code, message);
-        err.httpStatus = status;
-        return errorBody(err);
-    });
 }
 
 bool

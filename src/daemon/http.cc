@@ -101,8 +101,10 @@ HttpRequest::header(const std::string &name) const
     return nullptr;
 }
 
-HttpServer::HttpServer(HttpServerOptions opts, Handler handler)
-    : opts_(std::move(opts)), handler_(std::move(handler))
+HttpServer::HttpServer(HttpServerOptions opts, Handler handler,
+                       ErrorBody errorBody)
+    : opts_(std::move(opts)), handler_(std::move(handler)),
+      errorBody_(std::move(errorBody))
 {
 }
 
@@ -114,7 +116,10 @@ HttpServer::~HttpServer()
 bool
 HttpServer::start(std::string &error)
 {
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    // Non-blocking, so a handler that loses the race for a
+    // connection another handler accepted first gets EAGAIN instead
+    // of blocking in accept() past stop().
+    listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (listenFd_ < 0) {
         error = std::string("socket: ") + std::strerror(errno);
         return false;
@@ -152,24 +157,19 @@ HttpServer::start(std::string &error)
                       &len) == 0)
         port_ = ntohs(bound.sin_port);
     stopping_.store(false);
-    acceptThread_ = std::thread([this] { acceptLoop(); });
     const int n = std::max(1, opts_.handlerThreads);
     handlers_.reserve(n);
     for (int i = 0; i < n; ++i)
         handlers_.emplace_back([this] { handlerLoop(); });
-    started_ = true;
     return true;
 }
 
 void
 HttpServer::stop()
 {
-    if (!started_)
-        return;
+    if (handlers_.empty())
+        return;  // never started, or already stopped
     stopping_.store(true);
-    cv_.notify_all();
-    if (acceptThread_.joinable())
-        acceptThread_.join();
     for (std::thread &t : handlers_)
         if (t.joinable())
             t.join();
@@ -178,63 +178,30 @@ HttpServer::stop()
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    // Close connections accepted but never picked up by a handler.
-    for (auto &[fd, peer] : conns_) {
-        (void)peer;
-        ::close(fd);
-    }
-    conns_.clear();
-    started_ = false;
 }
 
 void
-HttpServer::acceptLoop()
+HttpServer::handlerLoop()
 {
     while (!stopping_.load()) {
         pollfd pfd{listenFd_, POLLIN, 0};
-        const int r = ::poll(&pfd, 1, 100 /* ms */);
-        if (r <= 0)
+        if (::poll(&pfd, 1, 100 /* ms */) <= 0)
             continue;  // timeout (re-check stopping_) or EINTR
         sockaddr_in peer{};
         socklen_t len = sizeof(peer);
+        // Linux does not carry O_NONBLOCK over to the accepted socket.
         const int fd = ::accept(
             listenFd_, reinterpret_cast<sockaddr *>(&peer), &len);
         if (fd < 0)
-            continue;
+            continue;  // another handler took it, or the peer left
         timeval tv{};
         tv.tv_sec = kIoTimeoutSeconds;
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         char ip[INET_ADDRSTRLEN] = "?";
         ::inet_ntop(AF_INET, &peer.sin_addr, ip, sizeof(ip));
-        std::string who =
-            std::string(ip) + ":" + std::to_string(ntohs(peer.sin_port));
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            conns_.emplace_back(fd, std::move(who));
-        }
-        cv_.notify_one();
-    }
-}
-
-void
-HttpServer::handlerLoop()
-{
-    for (;;) {
-        int fd = -1;
-        std::string peer;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cv_.wait(lk, [this] {
-                return stopping_.load() || !conns_.empty();
-            });
-            if (conns_.empty())
-                return;  // stopping and nothing left to serve
-            fd = conns_.front().first;
-            peer = std::move(conns_.front().second);
-            conns_.pop_front();
-        }
-        serveConnection(fd, peer);
+        serveConnection(fd, std::string(ip) + ":" +
+                                std::to_string(ntohs(peer.sin_port)));
         ::close(fd);
     }
 }
@@ -244,12 +211,7 @@ HttpServer::makeError(int status, const std::string &message)
 {
     HttpResponse res;
     res.status = status;
-    if (errorBody_) {
-        res.body = errorBody_(status, message);
-    } else {
-        res.contentType = "text/plain";
-        res.body = message + "\n";
-    }
+    res.body = errorBody_(status, message);
     return res;
 }
 

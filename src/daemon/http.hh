@@ -4,13 +4,16 @@
  * POSIX socket loop and request parser, deliberately small because
  * the container build must not grow third-party dependencies.
  *
- * Model: one listener thread accepts connections (poll with a short
- * timeout so stop() is prompt) and hands the sockets to a fixed pool
- * of handler threads; each connection carries exactly one request
- * (every response says `Connection: close`). That trades keep-alive
- * throughput for a server with no connection state machine — the
- * right trade for a compile daemon whose requests are milliseconds
- * of framing around seconds of compilation.
+ * Model: a fixed pool of handler threads shares one non-blocking
+ * listening socket. Each handler polls it (100 ms timeout, so stop()
+ * is prompt), accepts one connection and serves it with blocking
+ * I/O under the socket timeouts; connections no handler has taken
+ * yet wait in the kernel's listen backlog, not in the daemon. Each
+ * connection carries exactly one request (every response says
+ * `Connection: close`). That trades keep-alive throughput for a
+ * server with no connection state machine — the right trade for a
+ * compile daemon whose requests are fractions of a millisecond of
+ * framing around seconds of compilation.
  *
  * Protocol support is exactly what the daemon's clients need:
  * request line + headers + Content-Length body, `Expect:
@@ -24,11 +27,8 @@
 #define REQISC_DAEMON_HTTP_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -77,22 +77,21 @@ class HttpServer
   public:
     using Handler = std::function<HttpResponse(const HttpRequest &)>;
     /**
-     * Formats the body of server-generated error responses (413,
-     * 400 on a malformed request). Receives the status and a
-     * one-line message; the daemon installs the JSON error shape
-     * here so even framing errors speak the wire schema.
+     * Formats the body of the error responses the server makes
+     * itself (a request it cannot take, a handler that throws).
+     * Receives the status and a one-line message; the daemon passes
+     * the JSON error shape so even framing errors speak the wire
+     * schema.
      */
     using ErrorBody = std::function<std::string(int status,
                                                 const std::string &)>;
 
-    HttpServer(HttpServerOptions opts, Handler handler);
+    HttpServer(HttpServerOptions opts, Handler handler,
+               ErrorBody errorBody);
     ~HttpServer();  //!< stop()s if still running
 
     HttpServer(const HttpServer &) = delete;
     HttpServer &operator=(const HttpServer &) = delete;
-
-    /** Override the plain-text default for generated error bodies. */
-    void setErrorBody(ErrorBody fn) { errorBody_ = std::move(fn); }
 
     /** Bind + listen + spawn threads. False (with error) on failure. */
     bool start(std::string &error);
@@ -102,12 +101,12 @@ class HttpServer
 
     /**
      * Stop accepting, finish requests already being handled, join
-     * all threads. Idempotent.
+     * all threads and close the listening socket; connections still
+     * in its backlog are reset. Idempotent.
      */
     void stop();
 
   private:
-    void acceptLoop();
     void handlerLoop();
     void serveConnection(int fd, const std::string &peer);
     void sendResponse(int fd, const HttpResponse &res);
@@ -119,13 +118,7 @@ class HttpServer
     int listenFd_ = -1;
     int port_ = 0;
     std::atomic<bool> stopping_{false};
-    std::thread acceptThread_;
     std::vector<std::thread> handlers_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    /** Accepted sockets waiting for a handler: {fd, peer}. */
-    std::deque<std::pair<int, std::string>> conns_;
-    bool started_ = false;
 };
 
 /** A client-side response (see httpRequest). */

@@ -6,28 +6,29 @@
  *   reqisc-compiled --port 8080 --jobs 4 --cache-dir /var/cache/reqisc
  *   reqisc-compiled --port 0 --port-file /tmp/port   # ephemeral
  *
- * Shutdown: SIGTERM (or SIGINT) starts a graceful drain — the
- * listener keeps answering but every new submission gets 503
+ * Shutdown: main blocks SIGTERM and SIGINT before any thread exists
+ * and waits for either in sigwait(). One starts a graceful drain —
+ * the server keeps answering but every new submission gets 503
  * `shutting-down`, queued and running jobs finish, per-client
  * results stay fetchable until the last in-flight job completes —
- * then the persistent caches and the flight recorder are flushed
- * and the process exits 0. An accepted job is never lost to a
- * shutdown.
+ * then the server stops (a connection still waiting in the listen
+ * backlog is reset), the persistent caches and the flight recorder
+ * are flushed and the process exits 0. An accepted job is never
+ * lost to a shutdown.
  *
  * Exit status: 0 clean shutdown, 1 runtime failure (bind error),
  * 2 usage errors (bad flag, malformed chip file).
  */
 
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
+
+#include <pthread.h>
+#include <signal.h>
 
 #include "daemon/daemon.hh"
 #include "obs/log.hh"
@@ -43,14 +44,6 @@ namespace
 {
 
 using namespace reqisc;
-
-std::atomic<int> g_signal{0};
-
-void
-onSignal(int sig)
-{
-    g_signal.store(sig);
-}
 
 void
 printUsage(std::ostream &os)
@@ -179,6 +172,14 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
 int
 main(int argc, char **argv)
 {
+    // Every thread the daemon starts inherits this mask, so the
+    // sigwait below is where SIGTERM and SIGINT are received.
+    sigset_t stopSignals;
+    sigemptyset(&stopSignals);
+    sigaddset(&stopSignals, SIGTERM);
+    sigaddset(&stopSignals, SIGINT);
+    pthread_sigmask(SIG_BLOCK, &stopSignals, nullptr);
+
     DaemonCli cli;
     if (!parseArgs(argc, argv, cli)) {
         printUsage(std::cerr);
@@ -212,17 +213,13 @@ main(int argc, char **argv)
                  REQISC_VERSION, cli.opts.http.host.c_str(),
                  d.port());
 
-    std::signal(SIGTERM, onSignal);
-    std::signal(SIGINT, onSignal);
-    while (g_signal.load() == 0)
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(100));
+    int sig = 0;
+    sigwait(&stopSignals, &sig);
 
     // Graceful drain: refuse new work, let accepted work finish,
     // keep serving status/result polls the whole time.
     std::fprintf(stderr,
-                 "reqisc-compiled: signal %d, draining...\n",
-                 g_signal.load());
+                 "reqisc-compiled: signal %d, draining...\n", sig);
     d.beginDrain();
     d.waitDrained();
     d.stop();

@@ -4,7 +4,8 @@
  * error path of the v1 job API over real loopback HTTP — malformed
  * and oversized bodies, unknown routes and methods, the full cancel
  * state machine, admission control (queue bound and per-client
- * quotas, both answering immediate structured 429s), graceful drain,
+ * quotas, both answering immediate structured 429s), more concurrent
+ * clients than handler threads, graceful drain,
  * \uXXXX escapes in request bodies, and the end-to-end contract that
  * a job compiled through the daemon produces artifacts bit-identical
  * to the same request run directly on a CompileService.
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -238,6 +240,34 @@ TEST(DaemonProtocol, HealthAndMetricsServe)
     EXPECT_EQ(metrics.status, 200);
     EXPECT_NE(metrics.body.find("reqisc_daemon_requests_total"),
               std::string::npos);
+}
+
+TEST(DaemonProtocol, MoreClientsThanHandlersAreAllServed)
+{
+    // 8 clients at once against 2 handler threads: the connections
+    // no handler has taken yet wait in the listen backlog, and every
+    // request is answered.
+    daemon::DaemonOptions opts = baseOptions();
+    opts.http.handlerThreads = 2;
+    Daemon dm(std::move(opts));
+    const int p = dm.port();
+    std::atomic<int> ok{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 8; ++c)
+        clients.emplace_back([&] {
+            for (int i = 0; i < 25; ++i)
+                if (http(p, "GET", "/healthz").status == 200)
+                    ok.fetch_add(1);
+        });
+    for (std::thread &t : clients)
+        t.join();
+    EXPECT_EQ(ok.load(), 8 * 25);
+
+    // The handlers wake from their 100 ms poll to see stop().
+    const auto t0 = std::chrono::steady_clock::now();
+    dm.d.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(2));
 }
 
 // ---- The cancel state machine ------------------------------------------
