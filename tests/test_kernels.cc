@@ -47,44 +47,77 @@
 // ---- Global allocation counter (contract 3) ------------------------
 // Counts every path into the heap, including the aligned forms
 // std::vector<Matrix> uses now that Matrix carries a 32-byte-aligned
-// inline buffer.
+// inline buffer. Every replaceable form is replaced, the nothrow ones
+// too (std::stable_sort's buffer comes from nothrow new), so each
+// allocation is malloc'd here and free'd by the deletes below.
 
 namespace
 {
 std::atomic<long> g_allocs{0};
 
 void *
-countedAlloc(std::size_t n)
+countedAlloc(std::size_t n) noexcept
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
+    return std::malloc(n ? n : 1);
 }
 
 void *
-countedAlignedAlloc(std::size_t n, std::size_t al)
+countedAlignedAlloc(std::size_t n, std::align_val_t al) noexcept
 {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::aligned_alloc(al, (n + al - 1) & ~(al - 1)))
-        return p;
-    throw std::bad_alloc();
+    const auto a = static_cast<std::size_t>(al);
+    return std::aligned_alloc(a, (n + a - 1) & ~(a - 1));
+}
+
+void *
+orThrow(void *p)
+{
+    if (p == nullptr)
+        throw std::bad_alloc();
+    return p;
 }
 }
 
-void *operator new(std::size_t n) { return countedAlloc(n); }
-void *operator new[](std::size_t n) { return countedAlloc(n); }
+void *operator new(std::size_t n) { return orThrow(countedAlloc(n)); }
+void *operator new[](std::size_t n) { return orThrow(countedAlloc(n)); }
 
 void *
 operator new(std::size_t n, std::align_val_t al)
 {
-    return countedAlignedAlloc(n, static_cast<std::size_t>(al));
+    return orThrow(countedAlignedAlloc(n, al));
 }
 
 void *
 operator new[](std::size_t n, std::align_val_t al)
 {
-    return countedAlignedAlloc(n, static_cast<std::size_t>(al));
+    return orThrow(countedAlignedAlloc(n, al));
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new(std::size_t n, std::align_val_t al,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(n, al);
+}
+
+void *
+operator new[](std::size_t n, std::align_val_t al,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlignedAlloc(n, al);
 }
 
 void operator delete(void *p) noexcept { std::free(p); }
@@ -98,6 +131,24 @@ void operator delete(void *p, std::size_t, std::align_val_t) noexcept
     std::free(p);
 }
 void operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete(void *p, std::align_val_t,
+                     const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, std::align_val_t,
+                       const std::nothrow_t &) noexcept
 {
     std::free(p);
 }
